@@ -12,8 +12,7 @@ Subcommands:
   Hasse edges, optional quotient marks).
 
 JSON output is deterministic: keys sorted, no timing, so identical
-invocations are byte-identical.  The default thread count for sweeps
-comes from the BRUHATKL_THREADS environment variable.
+invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from .klpoly import XParam, get_context
 from .matchings import enumerate_special_matchings, is_H_special
 from .poset import build_interval, build_lower_interval, interval_to_json, \
     mark_interval
-
-THREADS_ENV = "BRUHATKL_THREADS"
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +146,7 @@ def cmd_verify(args) -> int:
     sys_ = load_group(args.group)
     H_set = _parse_H_list(sys_, args.H)
     report = sweep_calculating(sys_, max_length=args.max_length,
-                               H_set=H_set, x=args.x,
-                               threads=args.threads)
+                               H_set=H_set, x=args.x)
     lines = [
         report.campaign,
         "H family: %s" % " ".join(report.H_set),
@@ -264,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", choices=("q", "-1"), default="-1")
     p.add_argument("--max-length", type=int, default=None,
                    help="length bound (default: full small group, else 9)")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get(THREADS_ENV, "1")))
     p.add_argument("--format", choices=("human", "json"), default="human")
     p.set_defaults(func=cmd_verify)
 

@@ -206,9 +206,6 @@ class Element:
         names = self.system.generator_names
         return "".join(names[i] for i in self.word)
 
-    def inverse(self) -> "Element":
-        return self.system.element_from_word(tuple(reversed(self.word)))
-
     def __lt__(self, other: "Element") -> bool:
         return (self.length, self.word) < (other.length, other.word)
 

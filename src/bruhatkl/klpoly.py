@@ -41,10 +41,6 @@ __all__ = [
     "XParam",
     "KLContext",
     "get_context",
-    "parabolic_R",
-    "parabolic_P",
-    "ordinary_R",
-    "ordinary_P",
     "R_step_via_matching",
     "verify_calculating",
     "deodhar_identity_check",
@@ -312,24 +308,6 @@ def get_context(sys: CoxeterSystem, H: int, x,
     return ctx
 
 
-def parabolic_R(sys: CoxeterSystem, H: int, x, u: Element,
-                w: Element) -> QPolynomial:
-    return get_context(sys, H, x).R(u, w)
-
-
-def parabolic_P(sys: CoxeterSystem, H: int, x, u: Element,
-                w: Element) -> QPolynomial:
-    return get_context(sys, H, x).P(u, w)
-
-
-def ordinary_R(sys: CoxeterSystem, u: Element, w: Element) -> QPolynomial:
-    return get_context(sys, 0, XParam.MINUS_ONE).R(u, w)
-
-
-def ordinary_P(sys: CoxeterSystem, u: Element, w: Element) -> QPolynomial:
-    return get_context(sys, 0, XParam.MINUS_ONE).P(u, w)
-
-
 def _formula_step(marked: MarkedInterval, x: XParam, M: Matching,
                   u_id: int, table: KLContext) -> QPolynomial:
     iv = marked.interval
@@ -415,14 +393,15 @@ def deodhar_identity_check(sys: CoxeterSystem, H: int, u: Element,
     element shift for the x=-1 family (W_H must be finite)."""
     ctx_q = get_context(sys, H, XParam.Q)
     ctx_m = get_context(sys, H, XParam.MINUS_ONE)
+    ordinary = get_context(sys, 0, XParam.MINUS_ONE)
     ctx_q._require(u)
     ctx_q._require(v)
     alt = ZERO
     for wh in sys.parabolic_group(H):
-        term = ordinary_P(sys, sys.multiply(u, wh), v)
+        term = ordinary.P(sys.multiply(u, wh), v)
         alt = alt + (term * (-1 if wh.length % 2 else 1))
     if ctx_q.P(u, v) != alt:
         return False
     w0 = sys.longest_element_of_parabolic(H)
-    shifted = ordinary_P(sys, sys.multiply(u, w0), sys.multiply(v, w0))
+    shifted = ordinary.P(sys.multiply(u, w0), sys.multiply(v, w0))
     return ctx_m.P(u, v) == shifted

@@ -214,25 +214,80 @@ def is_dihedral_interval(interval: Interval) -> bool:
 # isomorphism search
 
 
-def _refine_colors(nodes, rank, mark, up, down):
-    """Iterated neighborhood refinement; returns a stable coloring."""
-    color = {v: (rank[v], mark[v], len(up[v]), len(down[v])) for v in nodes}
-    ncls = len(set(color.values()))
+def _refine_colors(labels, up, down) -> list[int]:
+    """Iterated neighborhood refinement of the coloring by (label,
+    up-degree, down-degree); returns a stable coloring."""
+    palette: dict = {}
+    color = [palette.setdefault((lab, len(up[v]), len(down[v])), len(palette))
+             for v, lab in enumerate(labels)]
+    ncls = len(palette)
     while True:
-        sig = {
-            v: (color[v],
-                tuple(sorted(color[x] for x in up[v])),
-                tuple(sorted(color[x] for x in down[v])))
-            for v in nodes
-        }
-        palette: dict = {}
-        new = {}
-        for v in nodes:  # fixed iteration order keeps colors deterministic
-            new[v] = palette.setdefault(sig[v], len(palette))
+        palette = {}
+        # fixed iteration order keeps colors deterministic
+        new = [palette.setdefault(
+                   (color[v],
+                    tuple(sorted(color[x] for x in up[v])),
+                    tuple(sorted(color[x] for x in down[v]))),
+                   len(palette))
+               for v in range(len(color))]
         if len(palette) == ncls:
             return new
         ncls = len(palette)
         color = new
+
+
+def _isomorphism(labels_a: Sequence, down_a: Sequence[Sequence[int]],
+                 labels_b: Sequence, down_b: Sequence[Sequence[int]]
+                 ) -> Optional[tuple[int, ...]]:
+    """A label- and cover-preserving bijection between two finite posets,
+    as a tuple mapping a-ids to b-ids, or None.
+
+    Each poset is given on ids 0..n-1 by a label per id and the lower
+    covers of each id, every id listed after its lower covers.  Color
+    refinement on the disjoint union prunes the candidates; backtracking
+    then maps a-ids in increasing order, so the covers below an id are
+    mapped before it, trying b-candidates in id order.  The backtracking
+    keeps its state in flat lists rather than on the call stack, so the
+    poset size is not bounded by the recursion limit.
+    """
+    n = len(down_a)
+    if n != len(down_b):
+        return None
+    down = list(down_a) + [[n + j for j in d] for d in down_b]
+    up: list[list[int]] = [[] for _ in range(2 * n)]
+    for v, covers in enumerate(down):
+        for d in covers:
+            up[d].append(v)
+    color = _refine_colors(list(labels_a) + list(labels_b), up, down)
+    if sorted(color[:n]) != sorted(color[n:]):
+        return None
+    candidates: dict[int, list[int]] = {}
+    for y in range(n):
+        candidates.setdefault(color[n + y], []).append(y)
+    options = [candidates[color[i]] for i in range(n)]
+    covers_b = [frozenset(d) for d in down_b]
+    mapping = [-1] * n
+    used = [False] * n
+    tried = [0] * n  # tried[i]: how many of options[i] have been tried
+    i = 0
+    while 0 <= i < n:
+        if mapping[i] >= 0:  # back from a dead end: release i's image
+            used[mapping[i]] = False
+            mapping[i] = -1
+        want = {mapping[d] for d in down_a[i]}
+        opts = options[i]
+        k = tried[i]
+        while k < len(opts) and (used[opts[k]] or covers_b[opts[k]] != want):
+            k += 1
+        if k == len(opts):
+            tried[i] = 0
+            i -= 1
+        else:
+            tried[i] = k + 1
+            mapping[i] = opts[k]
+            used[opts[k]] = True
+            i += 1
+    return tuple(mapping) if i == n else None
 
 
 def find_marked_isomorphism(a: MarkedInterval,
@@ -241,53 +296,9 @@ def find_marked_isomorphism(a: MarkedInterval,
     tuple mapping a-ids to b-ids, or None.  Deterministic: the backtracking
     explores candidates in id order."""
     ia, ib = a.interval, b.interval
-    n = len(ia.elements)
-    if n != len(ib.elements):
-        return None
-    nodes = [(0, i) for i in range(n)] + [(1, i) for i in range(n)]
-    rank = {}
-    mark = {}
-    up = {}
-    down = {}
-    for side, iv, mk in ((0, ia, a.marks), (1, ib, b.marks)):
-        for i in range(len(iv.elements)):
-            v = (side, i)
-            rank[v] = iv.rank_of[i]
-            mark[v] = mk[i]
-            up[v] = [(side, j) for j in iv.hasse_up[i]]
-            down[v] = [(side, j) for j in iv.hasse_down[i]]
-    color = _refine_colors(nodes, rank, mark, up, down)
-    hist_a = sorted(color[(0, i)] for i in range(n))
-    hist_b = sorted(color[(1, i)] for i in range(n))
-    if hist_a != hist_b:
-        return None
-    candidates: dict[int, list[int]] = {}
-    for i in range(n):
-        candidates.setdefault(color[(1, i)], []).append(i)
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        want_down = {mapping[d] for d in ia.hasse_down[i]}
-        for y in candidates.get(color[(0, i)], ()):
-            if used[y]:
-                continue
-            if set(ib.hasse_down[y]) != want_down:
-                continue
-            mapping[i] = y
-            used[y] = True
-            if extend(i + 1):
-                return True
-            mapping[i] = -1
-            used[y] = False
-        return False
-
-    # ids are sorted by rank, so down-neighbors are always mapped first
-    if extend(0):
-        return tuple(mapping)
-    return None
+    # ids are sorted by rank, so every id comes after its lower covers
+    return _isomorphism(tuple(zip(ia.rank_of, a.marks)), ia.hasse_down,
+                        tuple(zip(ib.rank_of, b.marks)), ib.hasse_down)
 
 
 def find_isomorphism(a: Interval, b: Interval) -> Optional[tuple[int, ...]]:
@@ -295,53 +306,44 @@ def find_isomorphism(a: Interval, b: Interval) -> Optional[tuple[int, ...]]:
     return find_marked_isomorphism(mark_interval(a, 0), mark_interval(b, 0))
 
 
+def _cover_form(rel: Sequence[int]):
+    """An order relation (rel[i] = bitmask of j with i <= j) in the form
+    `_isomorphism` takes: the ids ordered by down-set size, which lists
+    each id after everything below it, then per position its height
+    (longest chain below it) and its lower covers (the transitive
+    reduction), both by position."""
+    n = len(rel)
+    below = [{i for i in range(n) if i != j and rel[i] >> j & 1}
+             for j in range(n)]
+    order = sorted(range(n), key=lambda j: len(below[j]))
+    pos = {j: k for k, j in enumerate(order)}
+    heights: list[int] = []
+    covers: list[list[int]] = []
+    for j in order:
+        inner = set().union(*(below[i] for i in below[j]))
+        lower = sorted(pos[i] for i in below[j] - inner)
+        heights.append(max((heights[c] + 1 for c in lower), default=0))
+        covers.append(lower)
+    return order, heights, covers
+
+
 def find_order_isomorphism(rel_a: Sequence[int],
                            rel_b: Sequence[int]) -> Optional[tuple[int, ...]]:
     """Isomorphism between two arbitrary finite posets given as order
     relations (rel[i] is a bitmask of j with i <= j), or None.  Intended
-    for the small sub-posets cut out of intervals by quotient membership."""
-    n = len(rel_a)
-    if n != len(rel_b):
+    for the small sub-posets cut out of intervals by quotient membership;
+    the posets need not be graded."""
+    if len(rel_a) != len(rel_b):
         return None
-
-    def profile(rel):
-        ups = [bin(r).count("1") for r in rel]
-        downs = [sum((rel[j] >> i) & 1 for j in range(n)) for i in range(n)]
-        return ups, downs
-
-    ups_a, downs_a = profile(rel_a)
-    ups_b, downs_b = profile(rel_b)
-    if sorted(zip(ups_a, downs_a)) != sorted(zip(ups_b, downs_b)):
+    order_a, heights_a, covers_a = _cover_form(rel_a)
+    order_b, heights_b, covers_b = _cover_form(rel_b)
+    found = _isomorphism(heights_a, covers_a, heights_b, covers_b)
+    if found is None:
         return None
-    mapping = [-1] * n
-    used = [False] * n
-
-    def ok(i: int, y: int) -> bool:
-        if (ups_a[i], downs_a[i]) != (ups_b[y], downs_b[y]):
-            return False
-        for j in range(i):
-            if ((rel_a[i] >> j) & 1) != ((rel_b[y] >> mapping[j]) & 1):
-                return False
-            if ((rel_a[j] >> i) & 1) != ((rel_b[mapping[j]] >> y) & 1):
-                return False
-        return True
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        for y in range(n):
-            if not used[y] and ok(i, y):
-                mapping[i] = y
-                used[y] = True
-                if extend(i + 1):
-                    return True
-                mapping[i] = -1
-                used[y] = False
-        return False
-
-    if extend(0):
-        return tuple(mapping)
-    return None
+    mapping = [0] * len(rel_a)
+    for k, y in enumerate(found):
+        mapping[order_a[k]] = order_b[y]
+    return tuple(mapping)
 
 
 def interval_to_json(interval: Interval,

@@ -137,6 +137,54 @@ def brute_special_matchings(interval) -> list[tuple[int, ...]]:
     return out
 
 
+def order_isomorphism_oracle(rel_a, rel_b):
+    """Isomorphism between two finite posets given as order relations
+    (rel[i] is a bitmask of j with i <= j), or None, by plain backtracking
+    that compares the whole relation against every mapped element."""
+    n = len(rel_a)
+    if n != len(rel_b):
+        return None
+
+    def profile(rel):
+        ups = [bin(r).count("1") for r in rel]
+        downs = [sum((rel[j] >> i) & 1 for j in range(n)) for i in range(n)]
+        return ups, downs
+
+    ups_a, downs_a = profile(rel_a)
+    ups_b, downs_b = profile(rel_b)
+    if sorted(zip(ups_a, downs_a)) != sorted(zip(ups_b, downs_b)):
+        return None
+    mapping = [-1] * n
+    used = [False] * n
+
+    def ok(i: int, y: int) -> bool:
+        if (ups_a[i], downs_a[i]) != (ups_b[y], downs_b[y]):
+            return False
+        for j in range(i):
+            if ((rel_a[i] >> j) & 1) != ((rel_b[y] >> mapping[j]) & 1):
+                return False
+            if ((rel_a[j] >> i) & 1) != ((rel_b[mapping[j]] >> y) & 1):
+                return False
+        return True
+
+    def extend(i: int) -> bool:
+        if i == n:
+            return True
+        for y in range(n):
+            if not used[y] and ok(i, y):
+                mapping[i] = y
+                used[y] = True
+                if extend(i + 1):
+                    return True
+                mapping[i] = -1
+                used[y] = False
+        return False
+
+    if extend(0):
+        return tuple(mapping)
+    return None
+
+
 def bruhat_pairs_oracle(sys: CoxeterSystem):
     """Map v -> set of u with u <= v, for an entire finite group, computed
     by subword reachability only."""

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from bruhatkl.cli import build_parser, load_group, main
+from bruhatkl.cli import load_group, main
 from bruhatkl.coxeter import CoxeterSystem
 from bruhatkl.matchings import is_special, matching_from_json
 from bruhatkl.poset import build_lower_interval
@@ -56,15 +56,6 @@ def test_load_group_file(tmp_path):
 def test_load_group_unknown():
     with pytest.raises(ValueError):
         load_group("nosuch")
-
-
-def test_threads_default_from_env(monkeypatch):
-    monkeypatch.setenv("BRUHATKL_THREADS", "3")
-    args = build_parser().parse_args(["verify", "--group", "A2"])
-    assert args.threads == 3
-    monkeypatch.delenv("BRUHATKL_THREADS")
-    args = build_parser().parse_args(["verify", "--group", "A2"])
-    assert args.threads == 1
 
 
 # ---------------------------------------------------------------------------
@@ -183,12 +174,11 @@ def test_verify_b2_explicit_H_and_x(capsys):
     assert data["x"] == "q"
 
 
-def test_verify_byte_identical_across_runs_and_threads(capsys):
+def test_verify_byte_identical_across_runs(capsys):
     argv = ["verify", "--group", "B2", "--x", "q", "--format", "json"]
     _, out1, _ = run(capsys, argv)
     _, out2, _ = run(capsys, argv)
-    _, out8, _ = run(capsys, argv + ["--threads", "8"])
-    assert out1 == out2 == out8
+    assert out1 == out2
     assert "wall_time" not in out1
 
 

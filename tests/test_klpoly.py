@@ -15,10 +15,6 @@ from bruhatkl.klpoly import (
     XParam,
     KLContext,
     get_context,
-    parabolic_R,
-    parabolic_P,
-    ordinary_R,
-    ordinary_P,
     R_step_via_matching,
     verify_calculating,
     deodhar_identity_check,
@@ -29,6 +25,14 @@ import oracles
 
 def el(sys, labels):
     return sys.element_from_labels(labels)
+
+
+def ordinary_R(sys, u, w):
+    return get_context(sys, 0, XParam.MINUS_ONE).R(u, w)
+
+
+def ordinary_P(sys, u, w):
+    return get_context(sys, 0, XParam.MINUS_ONE).P(u, w)
 
 
 def all_H(sys):
@@ -89,19 +93,19 @@ def test_R_base_cases(a2):
     assert ordinary_R(a2, e, e) == ONE
     assert ordinary_R(a2, s, e) == ZERO
     assert ordinary_R(a2, e, s) == Q_MINUS_ONE
-    assert parabolic_R(a2, genset([1]), "q", e, s) == Q_MINUS_ONE
+    assert get_context(a2, genset([1]), "q").R(e, s) == Q_MINUS_ONE
 
 
 def test_R_membership_errors(b2):
     H = genset([0])
     s, t = b2.generator(0), b2.generator(1)
     with pytest.raises(QuotientMembershipError):
-        parabolic_R(b2, H, "q", s, el(b2, "s2 s1"))
+        get_context(b2, H, "q").R(s, el(b2, "s2 s1"))
     with pytest.raises(QuotientMembershipError):
-        parabolic_R(b2, H, "q", t, s)
+        get_context(b2, H, "q").R(t, s)
     a2 = CoxeterSystem.A(2)
     with pytest.raises(ValueError):
-        parabolic_R(b2, 0, "q", a2.identity, a2.generator(0))
+        get_context(b2, 0, "q").R(a2.identity, a2.generator(0))
 
 
 def test_ordinary_R_dihedral_closed_form():
@@ -191,7 +195,7 @@ def test_chain_quotient_closed_form():
                         want = Q_MINUS_ONE
                         for _ in range(w.length - u.length - 1):
                             want = want * factor
-                        assert parabolic_R(sysm, H, x, u, w) == want
+                        assert get_context(sysm, H, x).R(u, w) == want
 
 
 def test_descent_rule_independence():

@@ -13,10 +13,7 @@ from bruhatkl.matchings import (
     enumerate_special_matchings,
     is_H_special,
     orbit,
-    restrict_matching,
     commutes,
-    commutes_on_lower_dihedral,
-    find_commuting_multiplication_matching,
     DihedralSystem,
     verify_system,
     matching_from_system,
@@ -25,6 +22,11 @@ from bruhatkl.matchings import (
 )
 
 import oracles
+from matching_helpers import (
+    commutes_on_lower_dihedral,
+    find_commuting_multiplication_matching,
+    restrict_matching,
+)
 
 
 def el(sys, labels):

@@ -1,5 +1,7 @@
 """Interval construction, grading, dihedral detection and isomorphism."""
 
+import random
+
 import pytest
 
 from bruhatkl.coxeter import CoxeterSystem, genset
@@ -13,8 +15,9 @@ from bruhatkl.poset import (
     is_dihedral_interval,
     mark_interval,
 )
+from bruhatkl.invariance import _quotient_relation
 
-from oracles import subword_reachable
+from oracles import order_isomorphism_oracle, subword_reachable
 
 
 @pytest.mark.parametrize("sys", [
@@ -193,6 +196,114 @@ def test_order_isomorphism():
     diamond = [0b1111, 0b1010, 0b1100, 0b1000]
     assert find_order_isomorphism(chain, diamond) is None
     assert find_order_isomorphism(diamond, diamond) == (0, 1, 2, 3)
+
+
+def _relabel(rel, perm):
+    """The order relation carried over to new ids: i becomes perm[i]."""
+    out = [0] * len(rel)
+    for i, r in enumerate(rel):
+        for j in range(len(rel)):
+            if r >> j & 1:
+                out[perm[i]] |= 1 << perm[j]
+    return out
+
+
+def _shuffled(rng, rel):
+    perm = list(range(len(rel)))
+    rng.shuffle(perm)
+    return _relabel(rel, perm)
+
+
+def _random_poset(rng, n):
+    """A random order relation on n ids: random relations along a shuffled
+    linear extension, closed transitively from the top down."""
+    ext = list(range(n))
+    rng.shuffle(ext)
+    rel = [1 << i for i in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < 0.4:
+                rel[ext[a]] |= 1 << ext[b]
+    for i in reversed(ext):
+        for j in range(n):
+            if rel[i] >> j & 1:
+                rel[i] |= rel[j]
+    return rel
+
+
+def _is_graded(rel):
+    """Every cover a < b raises the longest chain below by exactly one."""
+    n = len(rel)
+    less = [[a for a in range(n) if a != b and rel[a] >> b & 1]
+            for b in range(n)]
+    height = {}
+
+    def h(b):
+        if b not in height:
+            height[b] = max((h(a) + 1 for a in less[b]), default=0)
+        return height[b]
+
+    return all(h(b) == h(a) + 1
+               for b in range(n) for a in less[b]
+               if not any(a in less[c] for c in less[b]))
+
+
+def _agrees_with_oracle(rel_a, rel_b) -> bool:
+    """find_order_isomorphism and the oracle agree on whether an
+    isomorphism exists, and a returned map preserves the order both ways.
+    Returns whether one was found."""
+    got = find_order_isomorphism(rel_a, rel_b)
+    want = order_isomorphism_oracle(rel_a, rel_b)
+    assert (got is None) == (want is None), (rel_a, rel_b)
+    if got is None:
+        return False
+    n = len(rel_a)
+    assert sorted(got) == list(range(n))
+    for i in range(n):
+        for j in range(n):
+            assert (rel_a[i] >> j & 1) == (rel_b[got[i]] >> got[j] & 1)
+    return True
+
+
+@pytest.mark.parametrize("sys", [CoxeterSystem.A(3), CoxeterSystem.B(3)])
+def test_order_isomorphism_matches_oracle_on_quotient_subposets(sys):
+    # every distinct [u,v]^H, against a relabeled copy of itself and
+    # against the next distinct one of the same size
+    rels = sorted({tuple(_quotient_relation(sys, H, u, v))
+                   for v in sys.group_elements()
+                   for u in build_lower_interval(sys, v).elements
+                   for H in range(1 << sys.rank)},
+                  key=lambda rel: (len(rel), rel))
+    rng = random.Random(2015)
+    outcomes = set()
+    for k, rel in enumerate(rels):
+        assert _agrees_with_oracle(rel, _shuffled(rng, rel))
+        if k + 1 < len(rels) and len(rels[k + 1]) == len(rel):
+            outcomes.add(_agrees_with_oracle(rel, rels[k + 1]))
+    assert outcomes == {True, False}
+
+
+def test_order_isomorphism_matches_oracle_on_random_posets():
+    rng = random.Random(1502)
+    ungraded = 0
+    outcomes = set()
+    for _ in range(1000):
+        n = rng.randint(0, 7)
+        rel = _random_poset(rng, n)
+        ungraded += not _is_graded(rel)
+        assert _agrees_with_oracle(rel, _shuffled(rng, rel))
+        outcomes.add(_agrees_with_oracle(rel, _random_poset(rng, n)))
+    assert ungraded > 0
+    assert outcomes == {True, False}
+
+
+def test_isomorphism_of_f4_top_interval(f4):
+    # 1152 elements: deeper than the default recursion limit
+    w0 = f4.element_from_labels(
+        "s1s2s1s3s2s1s3s2s3s4s3s2s1s3s2s3s4s3s2s1s3s2s3s4")
+    iv = build_lower_interval(f4, w0)
+    assert len(iv) == 1152
+    assert find_isomorphism(iv, iv) == tuple(range(1152))
 
 
 def test_interval_json(b2):
