@@ -266,6 +266,7 @@ class CoxeterSystem:
         self._levels_complete = False
         self._bruhat: dict = {}
         self._lower_intervals: dict = {}
+        self._intervals: dict = {}
         self._kl_contexts: dict = {}
         self._parabolic_groups: dict = {}
 

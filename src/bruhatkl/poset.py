@@ -1,9 +1,9 @@
 """Bruhat intervals as graded posets.
 
-A lower interval [e, w] is materialized once per system and cached: its
-elements get dense integer ids sorted by (length, word), covers are stored
-as adjacency lists, and the full order relation is kept as per-element
-bitmasks so comparisons inside an interval are O(1).
+An interval is materialized once per system and cached: its elements get
+dense integer ids sorted by (length, word), covers are stored as adjacency
+lists, and the full order relation is kept as per-element bitmasks so
+comparisons inside an interval are O(1).
 
 Coatoms come from the subword property: every element covered by u is
 obtained by deleting one letter of a reduced word of u, so single-letter
@@ -180,12 +180,15 @@ def build_lower_interval(sys: CoxeterSystem, w: Element) -> Interval:
 
 
 def build_interval(sys: CoxeterSystem, u: Element, v: Element) -> Interval:
-    """The general interval [u, v] (u must be <= v)."""
+    """The general interval [u, v] (u must be <= v), cached per system."""
+    cached = sys._intervals.get((u, v))
+    if cached is not None:
+        return cached
     if not sys.bruhat_leq(u, v):
         raise ValueError("%r is not below %r" % (u, v))
     lower = build_lower_interval(sys, v)
     sub, _ = lower.subinterval(lower.id_of(u), lower.id_of(v))
-    return sub
+    return sys._intervals.setdefault((u, v), sub)
 
 
 def mark_interval(interval: Interval, H: int) -> MarkedInterval:

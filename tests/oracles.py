@@ -2,7 +2,9 @@
 
 These deliberately avoid the production code paths: words are compared by
 exhaustive braid/nil rewriting, Bruhat order by subword enumeration, coset
-decompositions by exhaustive search, and matchings by unpruned backtracking.
+decompositions by exhaustive search, and matchings by unpruned backtracking
+or, for intervals too large for that, by the recursive backtracker that the
+constraint search in `bruhatkl.matchings` replaced.
 """
 
 from __future__ import annotations
@@ -135,6 +137,72 @@ def brute_special_matchings(interval) -> list[tuple[int, ...]]:
         if ok:
             out.append(pairing)
     return out
+
+
+def backtrack_special_matchings(interval) -> list[tuple[int, ...]]:
+    """All special matchings, as sorted pairings, by bottom-up backtracking.
+
+    Each element either was already matched from below, matches down to a
+    still-unmatched coatom, or waits to be matched from the next rank.  The
+    special condition is checked as soon as both endpoints of a cover have
+    partners.  This was the production enumerator before the constraint
+    search replaced it; its recursion depth equals the interval size.
+    """
+    n = len(interval.elements)
+    if n < 2:
+        return []
+    up = interval.hasse_up
+    down = interval.hasse_down
+    rank_of = interval.rank_of
+    leq = interval.leq
+    pairing = [-1] * n
+    pending = [0] * (rank_of[-1] + 1)
+    found: list[tuple[int, ...]] = []
+
+    def special_ok(k: int, d: int) -> bool:
+        # re-check every cover with both partners set that touches k or d
+        for v in up[k]:
+            if pairing[v] != -1 and not leq(d, pairing[v]):
+                return False
+        for a in down[k]:
+            if a != d and pairing[a] != -1 and not leq(pairing[a], d):
+                return False
+        for v in up[d]:
+            if v != k and pairing[v] != -1 and not leq(k, pairing[v]):
+                return False
+        for a in down[d]:
+            if pairing[a] != -1 and pairing[a] != d and not leq(pairing[a], k):
+                return False
+        return True
+
+    def rec(k: int):
+        if k == n:
+            if all(p != -1 for p in pairing):
+                found.append(tuple(pairing))
+            return
+        r = rank_of[k]
+        if r >= 2 and pending[r - 2] > 0 and rank_of[k - 1] < r:
+            return  # somebody two ranks down can no longer be matched
+        if pairing[k] != -1:
+            rec(k + 1)
+            return
+        for d in down[k]:
+            if pairing[d] == -1:
+                pairing[k] = d
+                pairing[d] = k
+                pending[r - 1] -= 1
+                if special_ok(k, d):
+                    rec(k + 1)
+                pairing[k] = -1
+                pairing[d] = -1
+                pending[r - 1] += 1
+        if up[k]:
+            pending[r] += 1
+            rec(k + 1)
+            pending[r] -= 1
+
+    rec(0)
+    return sorted(found)
 
 
 def order_isomorphism_oracle(rel_a, rel_b):

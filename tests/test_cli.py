@@ -2,6 +2,7 @@
 determinism."""
 
 import json
+import sys
 
 import pytest
 
@@ -146,6 +147,25 @@ def test_matchings_all_listed_are_special(capsys):
         assert is_special(interval, M)
         h_tags.append(entry["h_special"])
     assert any(h_tags)
+
+
+def test_matchings_f4_w0_at_default_recursion_limit(capsys):
+    # the search depth used to equal the interval size (1152 here)
+    w0 = "s1s2s1s3s2s1s3s2s3s4s3s2s1s3s2s3s4s3s2s1s3s2s3s4"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, data = run_json(capsys, [
+            "matchings", "--group", "F4", "--w", w0])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0
+    assert data["count"] == 8 == len(data["matchings"])
+    f4 = CoxeterSystem.F4()
+    interval = build_lower_interval(f4, f4.element_from_labels(w0))
+    assert len(interval) == 1152
+    for entry in data["matchings"]:
+        assert is_special(interval, matching_from_json(interval, entry))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 matchings, orbits, restriction, dihedral systems and their associated
 matchings."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from bruhatkl.coxeter import CoxeterSystem, genset
@@ -127,6 +130,71 @@ def test_enumeration_matches_bruteforce(case):
             desc = w.rdesc if side == "right" else w.ldesc
             if w.length and (desc >> s) & 1:
                 assert multiplication_matching(iv, s, side).pairing in got
+
+
+# name -> factory of (system, max length of w or None for the whole group)
+BACKTRACKER_CORPORA = {
+    "A3": lambda: [(CoxeterSystem.A(3), None)],
+    "B3": lambda: [(CoxeterSystem.B(3), None)],
+    "A4": lambda: [(CoxeterSystem.A(4), None)],
+    "I2(2..14)": lambda: [(CoxeterSystem.I2(m), None) for m in range(2, 15)],
+    "F4": lambda: [(CoxeterSystem.F4(), 7)],
+    "triangle443": lambda: [
+        (CoxeterSystem([[1, 4, 3], [4, 1, 3], [3, 3, 1]]), 7)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BACKTRACKER_CORPORA))
+def test_enumeration_matches_recursive_backtracker(name):
+    # same pairings in the same order as the enumerator that the
+    # constraint search replaced, on every [e, w] of the corpus
+    for sys_, max_length in BACKTRACKER_CORPORA[name]():
+        tops = (sys_.group_elements() if max_length is None
+                else sys_.elements_up_to_length(max_length))
+        for w in tops:
+            iv = build_lower_interval(sys_, w)
+            got = [M.pairing for M in enumerate_special_matchings(iv)]
+            assert got == oracles.backtrack_special_matchings(iv), (
+                sys_.name, w.label_str())
+
+
+def random_coxeter_matrix(rng, rank):
+    m = [[1] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            m[i][j] = m[j][i] = rng.choice((2, 3, 4))
+    return m
+
+
+def test_enumeration_matches_bruteforce_random_groups():
+    # seeded draws of rank-3 and rank-4 groups with bonds in {2, 3, 4},
+    # infinite ones included; tops are reached by random upward walks
+    rng = random.Random(20150623)
+    checked = infinite = 0
+    for _ in range(24):
+        matrix = random_coxeter_matrix(rng, rng.choice((3, 4)))
+        # a rank-3 group is infinite iff the reciprocal bonds sum to <= 1
+        if len(matrix) == 3 and sum(
+                Fraction(1, matrix[i][j]) for i, j in ((0, 1), (0, 2), (1, 2))
+        ) <= 1:
+            infinite += 1
+        sys_ = CoxeterSystem(matrix)
+        for _ in range(3):
+            w = sys_.identity
+            for _ in range(7):
+                ascents = [s for s in range(sys_.rank)
+                           if not (w.rdesc >> s) & 1]
+                if not ascents:
+                    break  # w is the top of a finite group
+                w = sys_.multiply_by_generator(w, rng.choice(ascents))
+                iv = build_lower_interval(sys_, w)
+                if len(iv) > 24:
+                    break
+                got = [M.pairing for M in enumerate_special_matchings(iv)]
+                assert got == oracles.brute_special_matchings(iv), (
+                    sys_.matrix, w.label_str())
+                checked += 1
+    assert checked > 200 and infinite > 0
 
 
 def test_enumeration_cached(b2):
