@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 import re
+from collections import defaultdict
+from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
@@ -139,6 +141,24 @@ def _cartan_from_coxeter(matrix: Sequence[Sequence[int]]) -> tuple:
                     "got m=%r" % (m,)
                 )
     return tuple(tuple(row) for row in cartan)
+
+
+def _is_finite_type(cartan: tuple) -> bool:
+    """Whether the Cartan matrix is of finite type, i.e. its group is
+    finite.  A Cartan matrix is a Z-matrix, so it is of finite type iff it
+    is a nonsingular M-matrix (Kac, Infinite dimensional Lie algebras,
+    Thm 4.3), iff its leading principal minors are positive: every pivot
+    of Gaussian elimination without row exchanges is positive."""
+    a = [[Fraction(v) for v in row] for row in cartan]
+    n = len(a)
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return True
 
 
 def _gen_matrix(cartan: tuple, i: int) -> tuple:
@@ -264,7 +284,7 @@ class CoxeterSystem:
         self.identity = self._intern(id_state)
         self._levels = [[self.identity]]
         self._levels_complete = False
-        self._bruhat: dict = {}
+        self._bruhat: defaultdict = defaultdict(dict)  # v -> {u: u <= v}
         self._lower_intervals: dict = {}
         self._intervals: dict = {}
         self._kl_contexts: dict = {}
@@ -398,9 +418,6 @@ class CoxeterSystem:
 
     def generator(self, i: int) -> Element:
         return self.multiply_by_generator(self.identity, i)
-
-    def full_genset(self) -> int:
-        return (1 << self.rank) - 1
 
     # -- backend state arithmetic --------------------------------------------
 
@@ -560,9 +577,8 @@ class CoxeterSystem:
             return False
         if u.length == 0:
             return True
-        key = (u, v)
-        memo = self._bruhat
-        res = memo.get(key)
+        row = self._bruhat[v]
+        res = row.get(u)
         if res is None:
             s = _low_bit(v.ldesc)
             sv = self.multiply_by_generator(v, s, "left")
@@ -571,7 +587,7 @@ class CoxeterSystem:
                     self.multiply_by_generator(u, s, "left"), sv)
             else:
                 res = self.bruhat_leq(u, sv)
-            memo[key] = res
+            row[u] = res
         return res
 
     # -- parabolic quotients and subgroups --------------------------------------
@@ -690,14 +706,15 @@ class CoxeterSystem:
         return out
 
     def group_elements(self, cap: int = 1000000) -> list[Element]:
-        """All elements of a finite group, sorted by (length, word)."""
-        bound = 0
+        """All elements of a finite group, sorted by (length, word).
+        Raises ValueError on an infinite group, and as soon as more than
+        ``cap`` elements are found."""
+        if self._cartan is not None and not _is_finite_type(self._cartan):
+            raise ValueError("%r is an infinite group" % self)
         while not self._levels_complete:
-            bound += 64
-            self._extend_levels(bound)
             if sum(len(l) for l in self._levels) > cap:
-                raise ValueError("group exceeds %d elements; is it finite?"
-                                 % cap)
+                raise ValueError("group exceeds %d elements" % cap)
+            self._extend_levels(len(self._levels))
         return self.elements_up_to_length(len(self._levels) - 1)
 
     def longest_length(self) -> int:

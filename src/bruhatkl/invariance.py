@@ -16,12 +16,6 @@ Three kinds of campaign, all exact:
   that two *quotient* intervals can be isomorphic as posets while their
   parabolic P-polynomials differ (so no analogue of combinatorial
   invariance holds for quotients in general).
-
-Every (w, H) unit of a sweep owns a private memo table rather than the
-shared ``get_context`` one.  On the benchmark's F4 sweep to length 8 over
-all H, the shared table raised peak memory from 24.8 MB to 34.6 MB
-(+40%), because it holds the R values of every unit for the life of the
-system.
 """
 
 from __future__ import annotations
@@ -136,17 +130,16 @@ def _record_json(sys: CoxeterSystem, rec: dict) -> dict:
 
 def _sweep_unit(sys: CoxeterSystem, w: Element, H: int,
                 x: XParam) -> tuple[int, int, int, list[dict]]:
-    """One (w, H) work unit with private memo tables.  Returns
-    (matchings, h-special, calculating, counterexample records)."""
+    """One (w, H) work unit.  Returns (matchings, h-special, calculating,
+    counterexample records)."""
     interval = build_lower_interval(sys, w)
     marked = mark_interval(interval, H)
-    table = KLContext(sys, H, x)
     all_special = enumerate_special_matchings(interval)
     h_special = [M for M in all_special if is_H_special(marked, M)]
     records = []
     calculating = 0
     for M in h_special:
-        ok, rec = verify_calculating(marked, x, M, table)
+        ok, rec = verify_calculating(marked, x, M)
         if ok:
             calculating += 1
         else:
@@ -218,6 +211,7 @@ def recompute_record_sides(sys: CoxeterSystem,
     interval = build_lower_interval(sys, w)
     marked = mark_interval(interval, H)
     M = matching_from_json(interval, record["matching"])
+    # a fresh table, so a re-check never reads the sweep's shared memo
     table = KLContext(sys, H, x)
     via = R_step_via_matching(marked, x, M, u, table)
     reference = table.R(u, w)

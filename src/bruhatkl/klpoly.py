@@ -6,10 +6,11 @@ parameter x takes the two values -1 and q; it is substituted eagerly, so
 x = q.
 
 A `KLContext` owns the memoized R- and P-tables for one choice of
-(system, H, x, descent rule).  R follows the three-branch left-descent
-recursion; P is solved by descending induction from the top element,
-extracting the unknown polynomial from the reversal identity under the
-degree bound and re-substituting as a consistency check.
+(system, H, x); `get_context` keeps one per system.  R follows the
+three-branch recursion on the smallest left descent of the top element;
+P is solved by descending induction from the top element, extracting the
+unknown polynomial from the reversal identity under the degree bound and
+re-substituting as a consistency check.
 
 `R_step_via_matching` applies the three-branch matching recurrence that an
 H-special matching of [e,w] induces, reading sub-interval values from a
@@ -20,13 +21,13 @@ every quotient element of the interval.
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from typing import Optional
 
 from .coxeter import (
     CoxeterSystem,
     Element,
     QuotientMembershipError,
-    genset_indices,
     _low_bit,
 )
 from .poset import MarkedInterval, build_lower_interval
@@ -61,10 +62,6 @@ class QPolynomial:
             if not isinstance(v, int):
                 raise TypeError("coefficients must be ints, got %r" % (v,))
         self.coeffs = tuple(c)
-
-    @classmethod
-    def constant(cls, value: int) -> "QPolynomial":
-        return cls((value,))
 
     @property
     def degree(self) -> int:
@@ -185,26 +182,25 @@ class XParam(enum.Enum):
 
 
 class KLContext:
-    """Memoized R- and P-tables for one (system, H, x, descent rule)."""
+    """Memoized R- and P-tables for one (system, H, x).
 
-    __slots__ = ("system", "H", "x", "descent_rule", "_R", "_P", "_qm1mx")
+    Each table maps a top element w to a row {u: value}.  Rows hold only
+    computed values: u = w and u not below w are answered from the Bruhat
+    memo and never stored, and equal polynomials are stored as one object
+    through the context's `coeffs -> QPolynomial` dict."""
 
-    def __init__(self, system: CoxeterSystem, H: int, x,
-                 descent_rule: str = "min"):
+    __slots__ = ("system", "H", "x", "_R", "_P", "_values", "_qm1mx")
+
+    def __init__(self, system: CoxeterSystem, H: int, x):
         if not 0 <= H < (1 << system.rank):
             raise ValueError("H is not a subset of the generators")
-        if descent_rule not in ("min", "max"):
-            raise ValueError("descent_rule must be 'min' or 'max'")
         self.system = system
         self.H = H
         self.x = XParam.parse(x)
-        self.descent_rule = descent_rule
         self._qm1mx = self.x.q_minus_1_minus_x
-        self._R: dict = {}
-        self._P: dict = {}
-
-    def contains(self, u: Element) -> bool:
-        return (u.rdesc & self.H) == 0
+        self._R: defaultdict = defaultdict(dict)
+        self._P: defaultdict = defaultdict(dict)
+        self._values: dict = {}
 
     def _require(self, u: Element) -> None:
         if u.system is not self.system:
@@ -212,6 +208,12 @@ class KLContext:
         bad = u.rdesc & self.H
         if bad:
             raise QuotientMembershipError(u, self.H, _low_bit(bad))
+
+    def _store(self, row: dict, u: Element, value: QPolynomial
+               ) -> QPolynomial:
+        value = self._values.setdefault(value.coeffs, value)
+        row[u] = value
+        return value
 
     # -- R ------------------------------------------------------------
 
@@ -221,31 +223,27 @@ class KLContext:
         return self._R_rec(u, w)
 
     def _R_rec(self, u: Element, w: Element) -> QPolynomial:
-        key = (u, w)
-        memo = self._R
-        hit = memo.get(key)
+        if u is w:
+            return ONE
+        row = self._R[w]
+        hit = row.get(u)
         if hit is not None:
             return hit
         sys = self.system
-        if u is w:
-            res = ONE
-        elif u.length >= w.length or not sys.bruhat_leq(u, w):
-            res = ZERO
+        if not sys.bruhat_leq(u, w):
+            return ZERO
+        s = _low_bit(w.ldesc)
+        sw = sys.multiply_by_generator(w, s, "left")
+        assert (sw.rdesc & self.H) == 0
+        su = sys.multiply_by_generator(u, s, "left")
+        if (u.ldesc >> s) & 1:
+            res = self._R_rec(su, sw)
+        elif (su.rdesc & self.H) == 0:
+            res = Q_MINUS_ONE * self._R_rec(u, sw) \
+                + Q * self._R_rec(su, sw)
         else:
-            descents = genset_indices(w.ldesc)
-            s = descents[0] if self.descent_rule == "min" else descents[-1]
-            sw = sys.multiply_by_generator(w, s, "left")
-            assert (sw.rdesc & self.H) == 0
-            su = sys.multiply_by_generator(u, s, "left")
-            if (u.ldesc >> s) & 1:
-                res = self._R_rec(su, sw)
-            elif (su.rdesc & self.H) == 0:
-                res = Q_MINUS_ONE * self._R_rec(u, sw) \
-                    + Q * self._R_rec(su, sw)
-            else:
-                res = self._qm1mx * self._R_rec(u, sw)
-        memo[key] = res
-        return res
+            res = self._qm1mx * self._R_rec(u, sw)
+        return self._store(row, u, res)
 
     # -- P ------------------------------------------------------------
 
@@ -255,34 +253,29 @@ class KLContext:
         return self._P_rec(u, w)
 
     def _P_rec(self, u: Element, w: Element) -> QPolynomial:
-        key = (u, w)
-        memo = self._P
-        hit = memo.get(key)
+        if u is w:
+            return ONE
+        row = self._P[w]
+        hit = row.get(u)
         if hit is not None:
             return hit
-        sys = self.system
-        if u is w:
-            res = ONE
-        elif u.length >= w.length or not sys.bruhat_leq(u, w):
-            res = ZERO
-        else:
-            iv = build_lower_interval(sys, w)
-            iu = iv.id_of(u)
-            n = w.length - u.length
-            acc = ZERO
-            mask = iv.above[iu] & ~(1 << iu)
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                z = iv.elements[low.bit_length() - 1]
-                if z.rdesc & self.H:
-                    continue
-                p_zw = self._P_rec(z, w)
-                if p_zw:
-                    acc = acc + self._R_rec(u, z) * p_zw
-            res = self._extract_P(acc, n, u, w)
-        memo[key] = res
-        return res
+        if not self.system.bruhat_leq(u, w):
+            return ZERO
+        iv = build_lower_interval(self.system, w)
+        iu = iv.id_of(u)
+        n = w.length - u.length
+        acc = ZERO
+        mask = iv.above[iu] & ~(1 << iu)
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            z = iv.elements[low.bit_length() - 1]
+            if z.rdesc & self.H:
+                continue
+            p_zw = self._P_rec(z, w)
+            if p_zw:
+                acc = acc + self._R_rec(u, z) * p_zw
+        return self._store(row, u, self._extract_P(acc, n, u, w))
 
     def _extract_P(self, acc: QPolynomial, n: int, u: Element,
                    w: Element) -> QPolynomial:
@@ -297,13 +290,12 @@ class KLContext:
         return res
 
 
-def get_context(sys: CoxeterSystem, H: int, x,
-                descent_rule: str = "min") -> KLContext:
+def get_context(sys: CoxeterSystem, H: int, x) -> KLContext:
     """The shared memoized context registered on the system."""
-    key = (H, XParam.parse(x), descent_rule)
+    key = (H, XParam.parse(x))
     ctx = sys._kl_contexts.get(key)
     if ctx is None:
-        ctx = KLContext(sys, H, x, descent_rule)
+        ctx = KLContext(sys, H, x)
         sys._kl_contexts[key] = ctx
     return ctx
 

@@ -58,9 +58,6 @@ class Matching:
         self.pairing = tuple(pairing)
         self.source = source
 
-    def partner_id(self, i: int) -> int:
-        return self.pairing[i]
-
     def image(self, el: Element) -> Element:
         iv = self.interval
         return iv.elements[self.pairing[iv.id_of(el)]]

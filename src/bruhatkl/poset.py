@@ -26,7 +26,6 @@ __all__ = [
     "build_lower_interval",
     "build_interval",
     "mark_interval",
-    "is_dihedral_interval",
     "find_marked_isomorphism",
     "find_isomorphism",
     "find_order_isomorphism",
@@ -73,10 +72,6 @@ class Interval:
             for a in self.hasse_down[b]:
                 up[a].append(b)
         self.hasse_up = tuple(tuple(sorted(u)) for u in up)
-        by_rank: list[list[int]] = [[] for _ in range(self.rank_of[-1] + 1)]
-        for i, r in enumerate(self.rank_of):
-            by_rank[r].append(i)
-        self.by_rank = tuple(tuple(level) for level in by_rank)
         # order bitmasks: above[i] = ids j with element i <= element j,
         # below[i] the reverse; computed by closing the covers
         above = [0] * n
@@ -194,23 +189,6 @@ def build_interval(sys: CoxeterSystem, u: Element, v: Element) -> Interval:
 def mark_interval(interval: Interval, H: int) -> MarkedInterval:
     marks = tuple((el.rdesc & H) == 0 for el in interval.elements)
     return MarkedInterval(interval, H, marks)
-
-
-def is_dihedral_interval(interval: Interval) -> bool:
-    """True iff the interval looks like a lower interval of a rank-2
-    system: one element at the extreme ranks, exactly two at every rank in
-    between, and all covers present between consecutive ranks."""
-    top_rank = interval.rank_of[-1]
-    for r, level in enumerate(interval.by_rank):
-        want = 1 if r in (0, top_rank) else 2
-        if len(level) != want:
-            return False
-    for r in range(top_rank):
-        uppers = interval.by_rank[r + 1]
-        for a in interval.by_rank[r]:
-            if not all(b in interval.hasse_up[a] for b in uppers):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

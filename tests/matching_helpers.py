@@ -1,6 +1,7 @@
-"""Matching helpers that only the test suite uses: restriction to a
-subinterval, commutation tested on lower dihedral intervals only, and the
-search for a commuting multiplication matching."""
+"""Helpers that only the test suite uses: dihedral-interval detection,
+restriction of a matching to a subinterval, commutation tested on lower
+dihedral intervals only, and the search for a commuting multiplication
+matching."""
 
 from __future__ import annotations
 
@@ -14,6 +15,26 @@ from bruhatkl.matchings import (
     multiplication_matching,
 )
 from bruhatkl.poset import Interval
+
+
+def is_dihedral_interval(interval: Interval) -> bool:
+    """True iff the interval looks like a lower interval of a rank-2
+    system: one element at the extreme ranks, exactly two at every rank in
+    between, and all covers present between consecutive ranks."""
+    top_rank = interval.rank_of[-1]
+    by_rank: list[list[int]] = [[] for _ in range(top_rank + 1)]
+    for i, r in enumerate(interval.rank_of):
+        by_rank[r].append(i)
+    for r, level in enumerate(by_rank):
+        want = 1 if r in (0, top_rank) else 2
+        if len(level) != want:
+            return False
+    for r in range(top_rank):
+        uppers = by_rank[r + 1]
+        for a in by_rank[r]:
+            if not all(b in interval.hasse_up[a] for b in uppers):
+                return False
+    return True
 
 
 def restrict_matching(interval: Interval, M: Matching, u: Element,

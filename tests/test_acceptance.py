@@ -10,7 +10,6 @@ from bruhatkl.cli import main
 from bruhatkl.coxeter import CoxeterSystem, genset
 from bruhatkl.invariance import mongelli_reproduction, sweep_calculating
 from bruhatkl.klpoly import (
-    KLContext,
     QPolynomial,
     XParam,
     deodhar_identity_check,
@@ -23,8 +22,10 @@ from bruhatkl.matchings import (
     is_special,
     orbit,
 )
-from bruhatkl.poset import build_interval, build_lower_interval, \
-    is_dihedral_interval
+from bruhatkl.poset import build_interval, build_lower_interval
+
+from matching_helpers import is_dihedral_interval
+from oracles import parabolic_R_oracle
 
 X_VARIANTS = ("-1", "q")
 I2_RANGE = range(2, 11)
@@ -186,6 +187,7 @@ def check_orbits(sys_, counts):
     left-by-s1 and right-by-s3 on [e, s1s2s1s3s2] in A3: the four elements
     below s1s3 form one orbit of size 4 while s2s1s3s2 sits in an orbit of
     size 2.)"""
+    dihedral = {}  # verdict per distinct Interval object
     for w in sys_.group_elements():
         interval = build_lower_interval(sys_, w)
         matchings = enumerate_special_matchings(interval)
@@ -202,9 +204,11 @@ def check_orbits(sys_, counts):
                     bottom = min(elements)
                     top = max(elements)
                     sub = build_interval(sys_, bottom, top)
+                    if sub not in dihedral:
+                        dihedral[sub] = is_dihedral_interval(sub)
                     counts["orbits"] += 1
                     if set(sub.elements) != set(elements) \
-                            or not is_dihedral_interval(sub):
+                            or not dihedral[sub]:
                         return "orbit of %s under a pair on [e,%s]" % (u, w)
                 s_el = M.image(sys_.identity)
                 t_el = N.image(sys_.identity)
@@ -269,12 +273,16 @@ def check_descent_independence(sys_, counts):
     for H in range(1 << sys_.rank):
         quotient = quotient_elements(sys_, H)
         for x in X_VARIANTS:
-            ctx_min = get_context(sys_, H, x)
-            ctx_max = KLContext(sys_, H, x, descent_rule="max")
+            # the table recurses on the smallest left descent, the oracle
+            # on the largest
+            ctx = get_context(sys_, H, x)
+            memo = {}
             for w in quotient:
                 for u in quotient:
                     counts["R"] += 1
-                    if ctx_min.R(u, w) != ctx_max.R(u, w):
+                    got = ctx.R(u, w)
+                    want = parabolic_R_oracle(sys_, H, x, u, w, memo)
+                    if {i: c for i, c in enumerate(got.coeffs) if c} != want:
                         return "R(%s,%s) depends on descent choice" % (u, w)
     return None
 

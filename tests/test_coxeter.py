@@ -2,6 +2,7 @@
 subword-enumeration oracles."""
 
 import itertools
+import random
 
 import pytest
 
@@ -232,6 +233,53 @@ def test_group_sizes():
     assert len(CoxeterSystem.A(3).group_elements()) == 24
     assert len(CoxeterSystem.B(3).group_elements()) == 48
     assert len(CoxeterSystem.I2(9).group_elements()) == 18
+
+
+def test_group_elements_raises_on_infinite_and_oversized_groups():
+    tri = CoxeterSystem([[1, 4, 4], [4, 1, 4], [4, 4, 1]])
+    with pytest.raises(ValueError):
+        tri.group_elements(cap=5000)
+    with pytest.raises(ValueError):
+        tri.longest_length()
+    assert len(tri._levels) < 14  # level 14 alone has 4857 elements
+    # a finite group past the cap stops at the first level that crosses it
+    a5 = CoxeterSystem.A(5)
+    with pytest.raises(ValueError):
+        a5.group_elements(cap=100)
+    assert sum(len(lvl) for lvl in a5._levels[:-1]) <= 100
+    assert len(a5.group_elements()) == 720
+    assert len(CoxeterSystem.F4().group_elements()) == 1152
+
+
+def test_group_elements_finite_iff_ascending_walks_end():
+    # a finite group's ascending walks all end at w0, of length <= 24 at
+    # rank <= 4; an infinite group has no element without right ascents
+    rng = random.Random(1152)
+    matrices = [[[1, a, b], [a, 1, c], [b, c, 1]]
+                for a, b, c in itertools.product((2, 3, 4), repeat=3)]
+    for _ in range(40):
+        bonds = [rng.choice((2, 3, 4)) for _ in range(6)]
+        m = [[1] * 4 for _ in range(4)]
+        for (i, j), bond in zip(itertools.combinations(range(4), 2), bonds):
+            m[i][j] = m[j][i] = bond
+        matrices.append(m)
+    finite = 0
+    for m in matrices:
+        sys = CoxeterSystem(m)
+        w = sys.identity
+        for _ in range(25):
+            ascents = [s for s in range(sys.rank) if not (w.rdesc >> s) & 1]
+            if not ascents:
+                break
+            w = sys.multiply_by_generator(w, rng.choice(ascents))
+        if ascents:
+            with pytest.raises(ValueError):
+                sys.group_elements()
+        else:
+            finite += 1
+            assert sys.longest_length() == w.length, m
+            assert sys.group_elements()[-1] is w
+    assert 0 < finite < len(matrices)
 
 
 def test_rejects_unsupported_matrices():

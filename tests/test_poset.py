@@ -12,11 +12,11 @@ from bruhatkl.poset import (
     find_marked_isomorphism,
     find_order_isomorphism,
     interval_to_json,
-    is_dihedral_interval,
     mark_interval,
 )
 from bruhatkl.invariance import _quotient_relation
 
+from matching_helpers import is_dihedral_interval
 from oracles import order_isomorphism_oracle, subword_reachable
 
 
