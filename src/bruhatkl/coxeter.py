@@ -9,7 +9,11 @@ m >= 2.
 
 Elements are interned per system in ShortLex-least reduced-word form:
 element equality is object identity, and products by generators are
-cached, so group arithmetic amortizes to dictionary lookups.  Infinite
+cached, so group arithmetic amortizes to dictionary lookups.  On both
+backends one rule names a new element w: its word is its smallest left
+descent s followed by the word of s*w (Bjorner-Brenti, Combinatorics of
+Coxeter Groups, ch. 3), so smallest left descents are stripped until an
+interned element is reached and its word is appended.  Infinite
 systems (e.g. a rank-3 system with bond orders 4,3,3) are supported for
 all bounded-length operations; only whole-group enumeration requires the
 group to be finite.
@@ -24,6 +28,7 @@ import json
 import re
 from collections import defaultdict
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
@@ -108,11 +113,9 @@ def _identity_matrix(n: int) -> tuple:
 
 
 def _mat_mul(a: tuple, b: tuple) -> tuple:
-    n = len(a)
-    rng = range(n)
-    return tuple(
-        tuple(sum(arow[k] * b[k][j] for k in rng) for j in rng) for arow in a
-    )
+    cols = list(zip(*b))
+    return tuple([tuple([sum(map(mul, row, col)) for col in cols])
+                  for row in a])
 
 
 def _cartan_from_coxeter(matrix: Sequence[Sequence[int]]) -> tuple:
@@ -175,11 +178,6 @@ def _gen_matrix(cartan: tuple, i: int) -> tuple:
     return tuple(rows)
 
 
-def _column_is_negative(mat: tuple, col: int) -> bool:
-    # Images of simple roots are real roots: coordinates all >= 0 or all <= 0.
-    return any(row[col] < 0 for row in mat)
-
-
 # ---------------------------------------------------------------------------
 # elements
 
@@ -210,14 +208,6 @@ class Element:
         self._rmul = [None] * system.rank
         self._lmul = [None] * system.rank
         self._coatoms = None
-
-    @property
-    def left_descents(self) -> frozenset:
-        return frozenset(genset_indices(self.ldesc))
-
-    @property
-    def right_descents(self) -> frozenset:
-        return frozenset(genset_indices(self.rdesc))
 
     def label_str(self) -> str:
         """Render as concatenated generator labels, or "e" for the identity."""
@@ -251,17 +241,16 @@ class CoxeterSystem:
     def __init__(self, matrix: Sequence[Sequence[int]],
                  generator_names: Optional[Sequence[str]] = None,
                  name: Optional[str] = None):
-        matrix = tuple(tuple(row) for row in matrix)
         self._validate_matrix(matrix)
+        matrix = tuple(tuple(row) for row in matrix)
         self.matrix = matrix
         self.rank = len(matrix)
         self.name = name
         if generator_names is None:
             generator_names = tuple("s%d" % (i + 1) for i in range(self.rank))
         else:
+            self._validate_labels(generator_names, self.rank)
             generator_names = tuple(generator_names)
-            if len(generator_names) != self.rank:
-                raise ValueError("need one label per generator")
         self.generator_names = generator_names
         self._name_to_index = {nm: i for i, nm in enumerate(generator_names)}
 
@@ -280,8 +269,8 @@ class CoxeterSystem:
             ident = _identity_matrix(self.rank)
             id_state = (ident, ident)
 
-        self._intern_table: dict = {}
-        self.identity = self._intern(id_state)
+        self.identity = Element(self, (), 0, 0, id_state)
+        self._intern_table: dict = {self._state_key(id_state): self.identity}
         self._levels = [[self.identity]]
         self._levels_complete = False
         self._bruhat: defaultdict = defaultdict(dict)  # v -> {u: u <= v}
@@ -294,6 +283,9 @@ class CoxeterSystem:
 
     @staticmethod
     def _validate_matrix(matrix) -> None:
+        if not isinstance(matrix, (list, tuple)) or not all(
+                isinstance(row, (list, tuple)) for row in matrix):
+            raise ValueError("Coxeter matrix must be a list of rows")
         n = len(matrix)
         if n < 1:
             raise ValueError("rank must be at least 1")
@@ -315,6 +307,22 @@ class CoxeterSystem:
                     raise ValueError(
                         "rank >= 3 systems must be doubly laced "
                         "(all bond orders <= 4); got m=%d" % m)
+
+    @staticmethod
+    def _validate_labels(labels, rank: int) -> None:
+        # element_from_labels and parse_genset split on these characters,
+        # and read "e" as the identity
+        if not isinstance(labels, (list, tuple)) or len(labels) != rank:
+            raise ValueError("need one label per generator")
+        for label in labels:
+            if (not isinstance(label, str) or label in ("", "e")
+                    or re.search(r"[,\s{}]", label)):
+                raise ValueError(
+                    "generator labels must be non-empty strings other than "
+                    "'e', without commas, whitespace or braces; got %r"
+                    % (label,))
+        if len(set(labels)) != rank:
+            raise ValueError("generator labels must be distinct")
 
     @classmethod
     def A(cls, n: int) -> "CoxeterSystem":
@@ -385,17 +393,28 @@ class CoxeterSystem:
         {"type": "named", "name": "F4"} or
         {"type": "matrix", "m": [[1,3],[3,1]], "labels": ["s","t"]}
         """
+        if not isinstance(spec, dict):
+            raise ValueError("group spec must be a JSON object")
         kind = spec.get("type")
         if kind == "named":
+            if not isinstance(spec.get("name"), str):
+                raise ValueError("named group spec needs a string 'name'")
             return cls.from_name(spec["name"])
         if kind == "matrix":
+            if "m" not in spec:
+                raise ValueError("matrix group spec needs an 'm' matrix")
             return cls(spec["m"], generator_names=spec.get("labels"))
         raise ValueError("group spec type must be 'named' or 'matrix'")
 
     @classmethod
     def load(cls, path: str) -> "CoxeterSystem":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_spec(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                spec = json.load(fh)
+        except OSError as exc:
+            raise ValueError("cannot read group file %r: %s"
+                             % (path, exc.strerror)) from exc
+        return cls.from_spec(spec)
 
     @property
     def spec(self) -> dict:
@@ -466,47 +485,44 @@ class CoxeterSystem:
                 return 0b11, 0b11
             last = f if k % 2 == 1 else 1 - f
             return 1 << f, 1 << last
+        # Each column is the image of a simple root, a real root: its
+        # coordinates share one sign, so their sum has that sign.
         mat, inv = state
         ld = rd = 0
-        for s in range(self.rank):
-            if _column_is_negative(inv, s):
+        for s, col in enumerate(zip(*inv)):
+            if sum(col) < 0:
                 ld |= 1 << s
-            if _column_is_negative(mat, s):
+        for s, col in enumerate(zip(*mat)):
+            if sum(col) < 0:
                 rd |= 1 << s
         return ld, rd
 
-    def _state_word(self, state) -> tuple[int, ...]:
-        """ShortLex-least reduced word: repeatedly strip the smallest left
-        descent."""
-        if self.backend == "dihedral-word":
-            f, k = state
-            if k == self._m:
-                f = 0
-            return tuple((f + i) % 2 for i in range(k))
-        mat, inv = state
-        ident = _identity_matrix(self.rank)
-        word = []
-        while mat != ident:
-            for s in range(self.rank):
-                if _column_is_negative(inv, s):
-                    break
-            else:
-                raise AssertionError("non-identity element with no descent")
-            word.append(s)
-            g = self._gens[s]
-            mat = _mat_mul(g, mat)
-            inv = _mat_mul(inv, g)
-        return tuple(word)
-
     def _intern(self, state) -> Element:
+        """The interned element of a backend state.  A new element's word
+        is its smallest left descent s followed by the word of s*w, so
+        smallest left descents are stripped until an interned element is
+        reached.  The states walked past are not interned: on a long word
+        in an infinite group they far outnumber the word's prefixes."""
+        table = self._intern_table
         key = self._state_key(state)
-        el = self._intern_table.get(key)
+        el = table.get(key)
         if el is not None:
             return el
-        word = self._state_word(state)
         ldesc, rdesc = self._state_descents(state)
-        el = Element(self, word, ldesc, rdesc, state)
-        return self._intern_table.setdefault(key, el)
+        prefix = []
+        cur, ld = state, ldesc
+        while True:
+            if not ld:
+                raise AssertionError("non-identity element with no descent")
+            s = _low_bit(ld)
+            prefix.append(s)
+            cur = self._state_mult(cur, s, "left")
+            below = table.get(self._state_key(cur))
+            if below is not None:
+                break
+            ld = self._state_descents(cur)[0]
+        el = Element(self, tuple(prefix) + below.word, ldesc, rdesc, state)
+        return table.setdefault(key, el)
 
     # -- element arithmetic ----------------------------------------------------
 

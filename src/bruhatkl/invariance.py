@@ -80,8 +80,8 @@ class VerificationReport:
     def ok(self) -> bool:
         return not self.counterexamples
 
-    def to_json(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "campaign": self.campaign,
             "group": self.group,
             "x": self.x,
@@ -96,9 +96,6 @@ class VerificationReport:
             "counterexamples": self.counterexamples,
             "ok": self.ok,
         }
-        if include_timing:
-            out["wall_time_s"] = self.wall_time
-        return out
 
 
 def default_max_length(sys: CoxeterSystem, cap: int = 400) -> int:
@@ -318,10 +315,9 @@ class MongelliReport:
     full_intervals_isomorphic: bool
     p_values: dict
     reproduced: bool
-    wall_time: float
 
-    def to_json(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "group": self.group,
             "H": self.H,
             "first": list(self.first),
@@ -335,9 +331,6 @@ class MongelliReport:
             },
             "reproduced": self.reproduced,
         }
-        if include_timing:
-            out["wall_time_s"] = self.wall_time
-        return out
 
 
 def _quotient_relation(sys: CoxeterSystem, H: int, u: Element,
@@ -364,7 +357,6 @@ def mongelli_reproduction(sys: Optional[CoxeterSystem] = None
     [x,y]^H below are isomorphic posets, the full Bruhat intervals
     [u,v] and [x,y] are not, and the parabolic P-polynomials differ
     for both x variants (q vs 0, and q+1 vs 1)."""
-    started = time.perf_counter()
     if sys is None:
         sys = CoxeterSystem.F4()
     H = genset((0, 1, 2))
@@ -401,5 +393,4 @@ def mongelli_reproduction(sys: Optional[CoxeterSystem] = None
         full_intervals_isomorphic=full_iso,
         p_values=p_values,
         reproduced=reproduced,
-        wall_time=time.perf_counter() - started,
     )

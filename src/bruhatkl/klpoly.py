@@ -172,10 +172,6 @@ class XParam(enum.Enum):
         return cls(str(value))
 
     @property
-    def value_poly(self) -> QPolynomial:
-        return QPolynomial((-1,)) if self is XParam.MINUS_ONE else Q
-
-    @property
     def q_minus_1_minus_x(self) -> QPolynomial:
         """The factor (q-1-x) after substitution: q for x=-1, -1 for x=q."""
         return Q if self is XParam.MINUS_ONE else QPolynomial((-1,))

@@ -107,12 +107,6 @@ class Interval:
         """Bruhat comparison by interval ids."""
         return bool((self.above[i] >> j) & 1)
 
-    def atoms_of(self, el: Element) -> tuple[Element, ...]:
-        return tuple(self.elements[j] for j in self.hasse_up[self.id_of(el)])
-
-    def coatoms_of(self, el: Element) -> tuple[Element, ...]:
-        return tuple(self.elements[j] for j in self.hasse_down[self.id_of(el)])
-
     def member_ids(self, lo: int, hi: int) -> list[int]:
         """Ids of elements z with lo <= z <= hi."""
         mask = self.above[lo] & self.below[hi]

@@ -2,6 +2,7 @@
 determinism."""
 
 import json
+import os
 import sys
 
 import pytest
@@ -57,6 +58,25 @@ def test_load_group_file(tmp_path):
 def test_load_group_unknown():
     with pytest.raises(ValueError):
         load_group("nosuch")
+
+
+@pytest.mark.parametrize("group", [
+    "[1,2]",
+    '{"type":"matrix"}',
+    '{"type":"named"}',
+    '{"type":"named","name":4}',
+    os.path.dirname(__file__),
+    '{"type":"matrix","m":[[1,3],[3,1]],"labels":["e","f"]}',
+    '{"type":"matrix","m":[[1,3],[3,1]],"labels":["s","s"]}',
+    '{"type":"matrix","m":[[1,3],[3,1]],"labels":[1,2]}',
+    '{"type":"matrix","m":[[1,3],[3,1]],"labels":["s,t","u"]}',
+])
+def test_bad_group_descriptor_is_one_error_line(capsys, group):
+    code, out, err = run(capsys, [
+        "poly", "--group", group, "--u", "e", "--w", "e"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

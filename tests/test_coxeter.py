@@ -3,10 +3,16 @@ subword-enumeration oracles."""
 
 import itertools
 import random
+from sys import getrecursionlimit, setrecursionlimit
 
 import pytest
 
-from bruhatkl.coxeter import CoxeterSystem, QuotientMembershipError, genset
+from bruhatkl.coxeter import (
+    CoxeterSystem,
+    QuotientMembershipError,
+    genset,
+    genset_indices,
+)
 
 from oracles import (
     bruhat_pairs_oracle,
@@ -43,12 +49,42 @@ def test_canonical_word_matches_rewriting_oracle(factory, max_len):
 
 
 def test_canonical_word_triangle_infinite(triangle443):
-    # rank-3 system with a 4-bond and a cycle of 3-bonds; the group is
-    # infinite but bounded-length arithmetic must still be exact
-    for word in all_words(3, 5):
-        expect = tits_canonical(triangle443.matrix, word)
-        got = triangle443.element_from_word(word)
-        assert got.word == expect
+    # infinite rank-3 systems: one with a 4-bond and a cycle of 3-bonds,
+    # and affine A2; bounded-length arithmetic must still be exact
+    affine_a2 = CoxeterSystem([[1, 3, 3], [3, 1, 3], [3, 3, 1]])
+    for system in (triangle443, affine_a2):
+        for word in all_words(3, 5):
+            expect = tits_canonical(system.matrix, word)
+            got = system.element_from_word(word)
+            assert got.word == expect
+
+
+def test_long_word_interns_only_its_prefixes():
+    # naming a new element walks down its smallest left descents without
+    # interning the elements walked past
+    rng = random.Random(444)
+    walk = CoxeterSystem([[1, 4, 4], [4, 1, 4], [4, 4, 1]])
+    w, word = walk.identity, []
+    for _ in range(200):
+        s = rng.choice([s for s in range(3) if not (w.rdesc >> s) & 1])
+        w = walk.multiply_by_generator(w, s)
+        word.append(s)
+    fresh = CoxeterSystem(walk.matrix)
+    assert fresh.element_from_word(word).length == 200
+    assert len(fresh._intern_table) == 201
+
+
+def test_interning_w0_state_at_default_recursion_limit():
+    w0 = CoxeterSystem.F4().group_elements()[-1]
+    fresh = CoxeterSystem.F4()
+    limit = getrecursionlimit()
+    setrecursionlimit(1000)
+    try:
+        got = fresh._intern(w0._state)
+    finally:
+        setrecursionlimit(limit)
+    assert got.word == w0.word
+    assert len(fresh._intern_table) == 2
 
 
 def test_canonical_idempotent(b3):
@@ -75,6 +111,7 @@ def test_word_parsing(f4):
 
 @pytest.mark.parametrize("sys", [
     CoxeterSystem.A(3), CoxeterSystem.B(3), CoxeterSystem.I2(7),
+    CoxeterSystem.F4(),
 ])
 def test_generator_product_changes_length_by_one(sys):
     for w in sys.group_elements():
@@ -90,8 +127,8 @@ def test_generator_product_changes_length_by_one(sys):
 def test_descents_of_longest_dihedral():
     b2 = CoxeterSystem.I2(4)
     top = b2.element_from_labels("s1s2s1s2")
-    assert top.left_descents == {0, 1}
-    assert top.right_descents == {0, 1}
+    assert set(genset_indices(top.ldesc)) == {0, 1}
+    assert set(genset_indices(top.rdesc)) == {0, 1}
 
 
 def test_inverse_and_multiply(b3):
