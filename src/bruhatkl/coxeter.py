@@ -323,6 +323,25 @@ class CoxeterSystem:
                     % (label,))
         if len(set(labels)) != rank:
             raise ValueError("generator labels must be distinct")
+        # label_str concatenates labels, so every concatenation must split
+        # back into labels one way only.  Sardinas-Patterson: follow the
+        # dangling suffixes left when one candidate split is a prefix of
+        # another; the code is ambiguous iff some suffix is itself a label.
+        code = set(labels)
+
+        def dangling(heads, words):
+            return {b[len(a):] for a in heads for b in words
+                    if b != a and b.startswith(a)}
+
+        suffixes, seen = dangling(code, code), set()
+        while suffixes:
+            if suffixes & code:
+                raise ValueError(
+                    "generator labels %s are ambiguous: some word of them "
+                    "splits into labels in two ways" % ",".join(labels))
+            seen |= suffixes
+            suffixes = (dangling(suffixes, code)
+                        | dangling(code, suffixes)) - seen
 
     @classmethod
     def A(cls, n: int) -> "CoxeterSystem":

@@ -36,8 +36,8 @@ from .klpoly import (
     QPolynomial,
     XParam,
     R_step_via_matching,
+    _calculates,
     get_context,
-    verify_calculating,
 )
 from .matchings import enumerate_special_matchings, is_H_special, \
     matching_from_json
@@ -136,7 +136,9 @@ def _sweep_unit(sys: CoxeterSystem, w: Element, H: int,
     records = []
     calculating = 0
     for M in h_special:
-        ok, rec = verify_calculating(marked, x, M)
+        # the filter above is the H-special test verify_calculating
+        # would repeat; every other input check holds by construction
+        ok, rec = _calculates(marked, M, get_context(sys, H, x))
         if ok:
             calculating += 1
         else:

@@ -6,7 +6,7 @@ from bruhatkl.coxeter import CoxeterSystem
 def pytest_addoption(parser):
     parser.addoption(
         "--run-f4", action="store_true", default=False,
-        help="run the long F4 sweep (lengths <= 9)")
+        help="run the long F4 sweeps (lengths <= 9, and the whole group)")
 
 
 def pytest_collection_modifyitems(config, items):
@@ -20,7 +20,7 @@ def pytest_collection_modifyitems(config, items):
 
 def pytest_configure(config):
     config.addinivalue_line(
-        "markers", "f4sweep: long F4 verification sweep, enable with --run-f4")
+        "markers", "f4sweep: long F4 verification sweeps, enable with --run-f4")
 
 
 @pytest.fixture(scope="session")

@@ -103,6 +103,43 @@ def test_criterion_2f_main_theorem_sweep_f4(f4):
              ",".join(bad) if bad else "%d H-special matchings" % h_special)
 
 
+# whole-group totals (intervals, matchings, H-special, calculating), the
+# same for both x
+WHOLE_GROUP_TOTALS = {
+    "A4": (541, 2076, 1572, 1572),
+    "D4": (865, 3386, 2512, 2512),
+    "B4": (1697, 7496, 5476, 5476),
+    "F4": (5089, 19984, 14814, 14814),
+}
+
+
+def whole_group_sweep_failures(sys_):
+    bad = []
+    for x in X_VARIANTS:
+        report = sweep_calculating(sys_, max_length=sys_.longest_length(),
+                                   x=x)
+        totals = (report.intervals_scanned, report.matchings_enumerated,
+                  report.h_special_count, report.calculating_count)
+        if not report.ok or totals != WHOLE_GROUP_TOTALS[sys_.name]:
+            bad.append("%s:x=%s:%s" % (sys_.name, x,
+                                       "/".join(map(str, totals))))
+    return bad
+
+
+def test_criterion_2w_whole_group_sweeps():
+    groups = (CoxeterSystem.A(4), CoxeterSystem.D(4), CoxeterSystem.B(4))
+    bad = [b for sys_ in groups for b in whole_group_sweep_failures(sys_)]
+    announce(2, "whole-group-sweeps", not bad,
+             ",".join(bad) if bad else "A4, D4, B4 pinned, both x")
+
+
+@pytest.mark.f4sweep
+def test_criterion_2fw_whole_group_sweep_f4(f4):
+    bad = whole_group_sweep_failures(f4)
+    announce(2, "whole-group-sweep-f4", not bad,
+             ",".join(bad) if bad else "F4 pinned, both x")
+
+
 # ---------------------------------------------------------------------------
 # 3. dihedral groups: sweeps plus the chain-quotient closed form
 

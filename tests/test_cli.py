@@ -70,6 +70,13 @@ def test_load_group_unknown():
     '{"type":"matrix","m":[[1,3],[3,1]],"labels":["s","s"]}',
     '{"type":"matrix","m":[[1,3],[3,1]],"labels":[1,2]}',
     '{"type":"matrix","m":[[1,3],[3,1]],"labels":["s,t","u"]}',
+    # "ab" reads as a,b or as ab
+    '{"type":"matrix","m":[[1,3,2],[3,1,3],[2,3,1]],'
+    '"labels":["a","b","ab"]}',
+    # no label is a concatenation of others, yet "abc" reads as ab,c
+    # or as a,bc
+    '{"type":"matrix","m":[[1,3,2,2],[3,1,3,2],[2,3,1,3],[2,2,3,1]],'
+    '"labels":["ab","c","a","bc"]}',
 ])
 def test_bad_group_descriptor_is_one_error_line(capsys, group):
     code, out, err = run(capsys, [

@@ -106,6 +106,26 @@ def test_word_parsing(f4):
         f4.element_from_labels("s9")
 
 
+def test_label_sets_must_decode_uniquely():
+    # from rank 11 on, s1 is a prefix of s11, but every word still splits
+    # into the default labels one way only
+    a12 = CoxeterSystem.A(12)
+    names = ["s%d" % (i + 1) for i in range(12)]
+    named = CoxeterSystem(a12.matrix, generator_names=names)
+    assert named.generator_names == a12.generator_names
+    w = a12.element_from_labels("s11s1s12")
+    assert w.word == (0, 10, 11) and w.label_str() == "s1s11s12"
+    assert a12.element_from_labels(w.label_str()) is w
+    a3 = CoxeterSystem.A(3).matrix
+    a4 = CoxeterSystem.A(4).matrix
+    CoxeterSystem(a3, generator_names=["a", "ab", "bc"])
+    for matrix, labels in ((a3, ["a", "b", "ab"]),
+                           (a3, ["x", "y", "yxy"]),
+                           (a4, ["ab", "c", "a", "bc"])):
+        with pytest.raises(ValueError, match="ambiguous"):
+            CoxeterSystem(matrix, generator_names=labels)
+
+
 # -- lengths and descents ------------------------------------------------------
 
 

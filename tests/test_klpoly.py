@@ -1,8 +1,10 @@
 """R- and P-polynomials: exact arithmetic, recursion against independent
 oracles, closed forms, the matching-step recurrence, and cross-identities."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,8 @@ from bruhatkl.klpoly import (
     R_step_via_matching,
     verify_calculating,
     deodhar_identity_check,
+    _pack,
+    _unpack,
 )
 
 import oracles
@@ -73,6 +77,58 @@ def test_qpolynomial_basics():
     with pytest.raises(TypeError):
         QPolynomial((1.5,))
     assert QPolynomial.from_json(p.to_json()) == p
+
+
+def random_coeffs(rng):
+    """A signed coefficient list of degree 0..24, zero entries included,
+    with a nonzero leading term of either sign."""
+    coeffs = [rng.choice((0, rng.randint(-10**6, 10**6)))
+              for _ in range(rng.randint(0, 24))]
+    return coeffs + [rng.choice((-1, 1)) * rng.randint(1, 10**6)]
+
+
+def as_dict(coeffs):
+    return {i: c for i, c in enumerate(coeffs) if c}
+
+
+def test_packed_arithmetic_against_oracle():
+    rng = random.Random(1987)
+    for _ in range(500):
+        a, b = random_coeffs(rng), random_coeffs(rng)
+        pa, pb = _pack(a), _pack(b)
+        assert _unpack(pa) == a and _unpack(pb) == b
+        assert as_dict(_unpack(pa + pb)) == oracles.poly_add(as_dict(a),
+                                                             as_dict(b))
+        assert as_dict(_unpack(pa - pb)) == oracles.poly_add(
+            as_dict(a), {i: -c for i, c in as_dict(b).items()})
+        assert as_dict(_unpack(pa * pb)) == oracles.poly_mul(as_dict(a),
+                                                             as_dict(b))
+    assert _pack([]) == 0 and _unpack(0) == []
+
+
+def test_packed_decoder_refuses_large_digits():
+    # with 8-bit digits the guard is 2^6: (10q + 10)^2 = 100q^2 + 200q + 100
+    # must raise rather than decode as some other polynomial
+    p = _pack([10, 10], k=8)
+    assert _unpack(_pack([63, -63, 1], k=8), k=8) == [63, -63, 1]
+    for coeffs in ([64], [0, -64], [100, 200, 100]):
+        with pytest.raises(ArithmeticError):
+            _unpack(_pack(coeffs, k=8), k=8)
+    with pytest.raises(ArithmeticError):
+        _unpack(p * p, k=8)
+
+
+def test_oracles_keep_their_own_arithmetic():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+            imported.update("%s.%s" % (node.module, alias.name)
+                            for alias in node.names)
+    assert imported and "bruhatkl.klpoly" not in imported
 
 
 def test_xparam_substitution_identity():
