@@ -558,20 +558,32 @@ class CoxeterSystem:
         return w
 
     def element_from_labels(self, text: str) -> Element:
-        """Parse "s3s1s2", "s3 s1 s2", "s3,s1,s2" or "e"."""
+        """Parse "s3s1s2", "s3 s1 s2", "s3,s1,s2" or "e".
+
+        Each run between separators is split by marking every position a
+        sequence of labels can end at; the labels are uniquely decodable
+        (see `_validate_labels`), so a run that splits at all splits one
+        way, whether or not some label is a prefix of another."""
         text = text.strip()
         if text in ("", "e"):
             return self.identity
-        names = sorted(self.generator_names, key=len, reverse=True)
-        pat = re.compile("|".join(re.escape(n) for n in names) + r"|[,\s]+|.")
         word = []
-        for mt in pat.finditer(text):
-            tok = mt.group(0)
-            if re.fullmatch(r"[,\s]+", tok):
-                continue
-            if tok not in self._name_to_index:
-                raise ValueError("cannot parse %r at %r" % (text, tok))
-            word.append(self._name_to_index[tok])
+        for run in re.split(r"[,\s]+", text):
+            back = {0: None}  # end position -> (start, generator index)
+            for i in range(len(run)):
+                if i in back:
+                    for name, s in self._name_to_index.items():
+                        if run.startswith(name, i):
+                            back.setdefault(i + len(name), (i, s))
+            end = len(run)
+            if end not in back:
+                raise ValueError("cannot parse %r at %r"
+                                 % (text, run[max(back):]))
+            split = []
+            while end:
+                end, s = back[end]
+                split.append(s)
+            word.extend(reversed(split))
         return self.element_from_word(word)
 
     def multiply_by_generator(self, w: Element, s: int,

@@ -117,18 +117,6 @@ class QPolynomial:
 
     __rmul__ = __mul__
 
-    def reversed_to_degree(self, n: int) -> "QPolynomial":
-        """q^n * p(1/q); requires deg(p) <= n."""
-        if not self.coeffs:
-            return ZERO
-        if self.degree > n:
-            raise ValueError("degree %d exceeds reversal exponent %d"
-                             % (self.degree, n))
-        out = [0] * (n + 1)
-        for i, v in enumerate(self.coeffs):
-            out[n - i] = v
-        return QPolynomial(out)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             return self.coeffs == (QPolynomial((other,)).coeffs)
@@ -177,30 +165,32 @@ _Q = 1 << _K            # q, packed
 _Q_MINUS_ONE = _Q - 1   # q - 1, packed
 
 
-def _pack(coeffs, k: int = _K) -> int:
-    """p(2^k) for the coefficient list of p, constant term first."""
+def _pack(coeffs) -> int:
+    """p(2^K) for the coefficient list of p, constant term first."""
     n = 0
     for c in reversed(coeffs):
-        n = (n << k) + c
+        n = (n << _K) + c
     return n
 
 
-def _unpack(n: int, k: int = _K) -> list:
-    """The signed base-2^k digits of n, constant term first; raises
-    ArithmeticError on a digit of magnitude 2^(k-2) or more, where the
+_HALF, _GUARD, _MASK = 1 << (_K - 1), 1 << (_K - 2), _Q - 1
+
+
+def _unpack(n: int) -> list:
+    """The signed base-2^K digits of n, constant term first; raises
+    ArithmeticError on a digit of magnitude 2^(K-2) or more, where the
     decoding is about to become ambiguous."""
-    half, guard, mask = 1 << (k - 1), 1 << (k - 2), (1 << k) - 1
     out = []
     while n:
-        d = n & mask
-        if d >= half:
-            d -= 1 << k
-        if not -guard < d < guard:
+        d = n & _MASK
+        if d >= _HALF:
+            d -= _Q
+        if not -_GUARD < d < _GUARD:
             raise ArithmeticError(
                 "coefficient %d is too large for %d-bit packed digits"
-                % (d, k))
+                % (d, _K))
         out.append(d)
-        n = (n - d) >> k
+        n = (n - d) >> _K
     return out
 
 
@@ -220,11 +210,6 @@ class XParam(enum.Enum):
         if isinstance(value, XParam):
             return value
         return cls(str(value))
-
-    @property
-    def q_minus_1_minus_x(self) -> QPolynomial:
-        """The factor (q-1-x) after substitution: q for x=-1, -1 for x=q."""
-        return Q if self is XParam.MINUS_ONE else QPolynomial((-1,))
 
 
 class KLContext:
@@ -247,7 +232,7 @@ class KLContext:
         self.system = system
         self.H = H
         self.x = XParam.parse(x)
-        self._qm1mx = _pack(self.x.q_minus_1_minus_x.coeffs)
+        self._qm1mx = _Q if self.x is XParam.MINUS_ONE else -1
         self._R: defaultdict = defaultdict(dict)
         self._P: defaultdict = defaultdict(dict)
         self._values: dict = {}

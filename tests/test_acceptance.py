@@ -301,7 +301,10 @@ def check_P_degree_and_resubstitution(sys_, counts):
                     for z in below + [w]:
                         if z is not u and sys_.bruhat_leq(u, z):
                             acc = acc + ctx.R(u, z) * ctx.P(z, w)
-                    if p.reversed_to_degree(n) - p != acc:
+                    # q^n p(1/q), defined as deg p <= (n-1)/2 < n
+                    rev = QPolynomial([0] * (n - p.degree)
+                                      + list(reversed(p.coeffs)))
+                    if rev - p != acc:
                         return "defining identity fails at (%s,%s)" % (u, w)
     return None
 

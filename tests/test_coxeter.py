@@ -118,7 +118,15 @@ def test_label_sets_must_decode_uniquely():
     assert a12.element_from_labels(w.label_str()) is w
     a3 = CoxeterSystem.A(3).matrix
     a4 = CoxeterSystem.A(4).matrix
-    CoxeterSystem(a3, generator_names=["a", "ab", "bc"])
+    # not prefix-free, but uniquely decodable: words still read back
+    abc = CoxeterSystem(a3, generator_names=["a", "ab", "bc"])
+    for text in ("abc", "aab", "abbca", "ab,a bc"):
+        w = abc.element_from_labels(text)
+        assert abc.element_from_labels(w.label_str()) is w
+    assert abc.element_from_labels("abc").word == (0, 2)
+    assert abc.element_from_labels("aab").word == (0, 1)
+    with pytest.raises(ValueError, match="cannot parse"):
+        abc.element_from_labels("abx")
     for matrix, labels in ((a3, ["a", "b", "ab"]),
                            (a3, ["x", "y", "yxy"]),
                            (a4, ["ab", "c", "a", "bc"])):
