@@ -218,7 +218,7 @@ class KLContext:
     Each table maps a top element w to a row {u: value}, every value a
     polynomial packed as one int (see the module docstring); `R` and `P`
     decode it to a `QPolynomial`.  Rows hold only computed values: u = w
-    and u not below w are answered from the Bruhat memo and never stored.
+    and u not below w are never stored.
     Equal values are stored as one int object through the `_values`
     dict: F4's P(e, w0) fills 395,657 R entries with 436 distinct values
     of about 110 bytes each, and without the dict the `query-f4`
@@ -267,9 +267,9 @@ class KLContext:
         if not sys.bruhat_leq(u, w):
             return 0
         s = _low_bit(w.ldesc)
-        sw = sys.multiply_by_generator(w, s, "left")
+        sw = w._lmul[s] or sys.multiply_by_generator(w, s, "left")
         assert (sw.rdesc & self.H) == 0
-        su = sys.multiply_by_generator(u, s, "left")
+        su = u._lmul[s] or sys.multiply_by_generator(u, s, "left")
         if (u.ldesc >> s) & 1:
             res = self._R_rec(su, sw)
         elif (su.rdesc & self.H) == 0:

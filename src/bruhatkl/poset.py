@@ -3,11 +3,9 @@
 An interval is materialized once per system and cached: its elements get
 dense integer ids sorted by (length, word), covers are stored as adjacency
 lists, and the full order relation is kept as per-element bitmasks so
-comparisons inside an interval are O(1).
-
-Coatoms come from the subword property: every element covered by u is
-obtained by deleting one letter of a reduced word of u, so single-letter
-deletions of the canonical word enumerate them completely.
+comparisons inside an interval are O(1).  A lower interval [e, w] takes
+its members from the down-set of w and its covers from the coatoms of
+each member, both kept by the `CoxeterSystem`.
 
 Marked intervals attach the parabolic-quotient membership flag
 (no right descent inside H) to each element.
@@ -31,21 +29,6 @@ __all__ = [
     "find_order_isomorphism",
     "interval_to_json",
 ]
-
-
-def _coatoms(sys: CoxeterSystem, u: Element) -> tuple[Element, ...]:
-    """Elements covered by u (cached on the element)."""
-    cached = u._coatoms
-    if cached is None:
-        word = u.word
-        seen = set()
-        for i in range(len(word)):
-            c = sys.element_from_word(word[:i] + word[i + 1:])
-            if c.length == u.length - 1:
-                seen.add(c)
-        cached = tuple(sorted(seen))
-        u._coatoms = cached
-    return cached
 
 
 class Interval:
@@ -109,13 +92,7 @@ class Interval:
 
     def member_ids(self, lo: int, hi: int) -> list[int]:
         """Ids of elements z with lo <= z <= hi."""
-        mask = self.above[lo] & self.below[hi]
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length() - 1)
-            mask ^= low
-        return out
+        return list(genset_indices(self.above[lo] & self.below[hi]))
 
     def subinterval(self, lo: int, hi: int):
         """The interval [lo, hi] as its own Interval plus the id map
@@ -151,19 +128,10 @@ def build_lower_interval(sys: CoxeterSystem, w: Element) -> Interval:
     cached = sys._lower_intervals.get(w)
     if cached is not None:
         return cached
-    members = {w}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for c in _coatoms(sys, u):
-                if c not in members:
-                    members.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    elements = sorted(members)
+    by_id = sys._by_id
+    elements = sorted(by_id[i] for i in genset_indices(sys.down_set(w)))
     index = {el: i for i, el in enumerate(elements)}
-    hasse_down = [[index[c] for c in _coatoms(sys, el)] for el in elements]
+    hasse_down = [[index[c] for c in el._coatoms] for el in elements]
     interval = Interval(sys, sys.identity, w, elements, hasse_down)
     return sys._lower_intervals.setdefault(w, interval)
 

@@ -221,6 +221,14 @@ def test_verify_b2_explicit_H_and_x(capsys):
     assert data["x"] == "q"
 
 
+def test_verify_negative_max_length_is_one_error_line(capsys):
+    code, out, err = run(capsys, [
+        "verify", "--group", "F4", "--max-length", "-2"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_byte_identical_across_runs(capsys):
     argv = ["verify", "--group", "B2", "--x", "q", "--format", "json"]
     _, out1, _ = run(capsys, argv)

@@ -13,11 +13,13 @@ from bruhatkl.coxeter import (
     genset,
     genset_indices,
 )
+from bruhatkl.poset import build_lower_interval
 
 from oracles import (
     bruhat_pairs_oracle,
     coset_decompose_left_oracle,
     coset_decompose_right_oracle,
+    deletion_coatoms,
     subword_reachable,
     tits_canonical,
 )
@@ -70,7 +72,10 @@ def test_long_word_interns_only_its_prefixes():
         w = walk.multiply_by_generator(w, s)
         word.append(s)
     fresh = CoxeterSystem(walk.matrix)
-    assert fresh.element_from_word(word).length == 200
+    top = fresh.element_from_word(word)
+    assert top.length == 200
+    # the identity is below everything, so comparing it builds no down-set
+    assert fresh.bruhat_leq(fresh.identity, top)
     assert len(fresh._intern_table) == 201
 
 
@@ -182,6 +187,23 @@ def test_bruhat_leq_matches_subword_oracle(sys):
         below = table[v]
         for u in els:
             assert sys.bruhat_leq(u, v) == (u in below)
+        # the covers below the top of [e, v] are the lifting-property
+        # coatoms, and the letter deletions that stay reduced
+        iv = build_lower_interval(sys, v)
+        coatoms = tuple(iv.elements[j] for j in iv.hasse_down[-1])
+        assert coatoms == deletion_coatoms(sys, v)
+
+
+def test_bruhat_leq_long_dihedral_at_default_recursion_limit():
+    # the down-set of w0 in I2(1500) is filled down a chain of length 1500
+    i2 = CoxeterSystem.I2(1500)
+    w0 = i2.element_from_word([0, 1] * 750)
+    limit = getrecursionlimit()
+    setrecursionlimit(1000)
+    try:
+        assert i2.bruhat_leq(i2.element_from_word([1, 0]), w0)
+    finally:
+        setrecursionlimit(limit)
 
 
 def test_bruhat_examples(b2):

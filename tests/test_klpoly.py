@@ -332,7 +332,15 @@ def test_bruhat_and_R_against_oracles_random_groups():
         pool = sorted(below)
         for v in pool:
             for u in pool:
-                assert sysm.bruhat_leq(u, v) == (u in below[v])
+                want = u in below[v]
+                assert sysm.bruhat_leq(u, v) == want
+                assert oracles.bruhat_leq_oracle(sysm, u, v) == want
+            # the down-set holds exactly the ids of [e, v], and the
+            # lifting coatoms are the letter deletions that stay reduced
+            assert sysm.down_set(v) == sum(1 << z.id for z in below[v])
+            iv = build_lower_interval(sysm, v)
+            assert (tuple(iv.elements[j] for j in iv.hasse_down[-1])
+                    == oracles.deletion_coatoms(sysm, v))
         # a rank-3 group is infinite iff the reciprocal bonds sum to <= 1
         if sysm.rank == 3 and sum(Fraction(1, sysm.matrix[i][j]) for i, j
                                   in ((0, 1), (0, 2), (1, 2))) <= 1:
