@@ -119,10 +119,26 @@ def _identity_matrix(n: int) -> tuple:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _mat_mul(a: tuple, b: tuple) -> tuple:
-    cols = list(zip(*b))
-    return tuple([tuple([sum(map(mul, row, col)) for col in cols])
-                  for row in a])
+# The simple reflection s acts on the root lattice by
+# s(alpha_j) = alpha_j - a_sj alpha_s.  In the basis of simple roots its
+# matrix g differs from the identity in row s only, which is
+# e_s - cartan[s], so a product with g costs O(n^2), not O(n^3).
+
+
+def _gen_times(a: tuple, s: int, cartan_row: tuple) -> tuple:
+    """g @ a for g the matrix of s: only row s of a changes, to
+    a[s] - sum_c cartan[s][c] a[c]."""
+    rows = list(a)
+    rows[s] = tuple([x - sum(map(mul, cartan_row, col))
+                     for x, col in zip(a[s], zip(*a))])
+    return tuple(rows)
+
+
+def _times_gen(a: tuple, s: int, cartan_row: tuple) -> tuple:
+    """a @ g for g the matrix of s: row r of a gains
+    -a[r][s] * cartan[s], which leaves the rows with a[r][s] = 0 alone."""
+    return tuple([tuple([x - row[s] * c for x, c in zip(row, cartan_row)])
+                  if row[s] else row for row in a])
 
 
 def _cartan_from_coxeter(matrix: Sequence[Sequence[int]]) -> tuple:
@@ -169,20 +185,6 @@ def _is_finite_type(cartan: tuple) -> bool:
             for j in range(k, n):
                 a[i][j] -= f * a[k][j]
     return True
-
-
-def _gen_matrix(cartan: tuple, i: int) -> tuple:
-    """Matrix of the simple reflection s_i on the root lattice,
-    s_i(alpha_j) = alpha_j - a_ij alpha_i, in the basis of simple roots."""
-    n = len(cartan)
-    rows = []
-    for r in range(n):
-        if r != i:
-            rows.append(tuple(1 if c == r else 0 for c in range(n)))
-        else:
-            rows.append(tuple(-1 if c == i else -cartan[i][c]
-                              for c in range(n)))
-    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +270,11 @@ class CoxeterSystem:
             self.backend = "dihedral-word"
             self._m = matrix[0][1]
             self._cartan = None
-            self._gens = None
             id_state = (0, 0)
         else:
             self.backend = "crystallographic-root"
             self._m = None
             self._cartan = _cartan_from_coxeter(matrix)
-            self._gens = tuple(_gen_matrix(self._cartan, i)
-                               for i in range(self.rank))
             ident = _identity_matrix(self.rank)
             id_state = (ident, ident)
 
@@ -499,10 +498,10 @@ class CoxeterSystem:
                 return (0, m) if k + 1 == m else (s, k + 1)
         else:
             mat, inv = state
-            g = self._gens[s]
+            c = self._cartan[s]
             if side == "right":
-                return (_mat_mul(mat, g), _mat_mul(g, inv))
-            return (_mat_mul(g, mat), _mat_mul(inv, g))
+                return (_times_gen(mat, s, c), _gen_times(inv, s, c))
+            return (_gen_times(mat, s, c), _times_gen(inv, s, c))
 
     def _state_descents(self, state) -> tuple[int, int]:
         """Return (ldesc, rdesc) bitmasks for a backend state."""

@@ -21,11 +21,15 @@ so (q-1-x) becomes the polynomial q when x = -1 and the constant -1 when
 x = q.
 
 A `KLContext` owns the memoized R- and P-tables for one choice of
-(system, H, x); `get_context` keeps one per system.  R follows the
-three-branch recursion on the smallest left descent of the top element;
-P is solved by descending induction from the top element, extracting the
-unknown polynomial from the reversal identity under the degree bound and
-re-substituting as a consistency check.
+(system, H, x); `get_context` keeps one per system.  Both are filled one
+top element w at a time, in loops that never recurse, as Coxeter3 fills
+its tables (du Cloux, Experiment. Math. 11 (2002)).  The row R(., w) over
+[e, w]^H comes from the row of sw alone by the three-branch recursion, s
+the smallest left descent of w; missing rows along the chain w, sw, ...
+are filled bottom-up.  The column P(., w) is solved by descending
+induction over [e, w]^H: each P(z, w) is extracted from its accumulated
+sum of R(z, z') P(z', w) under the degree bound, re-substituted as a
+consistency check, and then R(., z) P(z, w) is added to the sums below z.
 
 `R_step_via_matching` applies the three-branch matching recurrence that an
 H-special matching of [e,w] induces, reading sub-interval values from a
@@ -36,7 +40,7 @@ every quotient element of the interval.
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
+from operator import attrgetter
 from typing import Optional
 
 from .coxeter import (
@@ -45,7 +49,7 @@ from .coxeter import (
     QuotientMembershipError,
     _low_bit,
 )
-from .poset import MarkedInterval, build_lower_interval
+from .poset import MarkedInterval
 from .matchings import Matching, is_H_special
 
 __all__ = [
@@ -215,14 +219,15 @@ class XParam(enum.Enum):
 class KLContext:
     """Memoized R- and P-tables for one (system, H, x).
 
-    Each table maps a top element w to a row {u: value}, every value a
-    polynomial packed as one int (see the module docstring); `R` and `P`
-    decode it to a `QPolynomial`.  Rows hold only computed values: u = w
-    and u not below w are never stored.
-    Equal values are stored as one int object through the `_values`
-    dict: F4's P(e, w0) fills 395,657 R entries with 436 distinct values
-    of about 110 bytes each, and without the dict the `query-f4`
-    benchmark's peak RSS rises by about 13%."""
+    `_R[w]` is the complete row {u: R(u, w)} and `_P[w]` the complete
+    column {u: P(u, w)}, u running over [e, w]^H with w itself included;
+    a u missing from a row or column is not below w and reads 0.  Every
+    value is a polynomial packed as one int (see the module docstring);
+    `R` and `P` decode it to a `QPolynomial`.  Equal values are stored as
+    one int object through the `_values` dict: F4's P(e, w0) fills 1152
+    rows with 396,809 R entries, one per Bruhat pair, and 436 distinct
+    values, and without the dict the `query-f4` benchmark's peak RSS
+    rises by about 13%."""
 
     __slots__ = ("system", "H", "x", "_R", "_P", "_values", "_qm1mx")
 
@@ -233,8 +238,8 @@ class KLContext:
         self.H = H
         self.x = XParam.parse(x)
         self._qm1mx = _Q if self.x is XParam.MINUS_ONE else -1
-        self._R: defaultdict = defaultdict(dict)
-        self._P: defaultdict = defaultdict(dict)
+        self._R: dict = {}
+        self._P: dict = {}
         self._values: dict = {}
 
     def _require(self, u: Element) -> None:
@@ -244,72 +249,90 @@ class KLContext:
         if bad:
             raise QuotientMembershipError(u, self.H, _low_bit(bad))
 
-    def _store(self, row: dict, u: Element, value: int) -> int:
-        value = self._values.setdefault(value, value)
-        row[u] = value
-        return value
-
     # -- R ------------------------------------------------------------
 
     def R(self, u: Element, w: Element) -> QPolynomial:
         self._require(u)
         self._require(w)
-        return _decode(self._R_rec(u, w))
+        return _decode(self._R_row(w).get(u, 0))
 
-    def _R_rec(self, u: Element, w: Element) -> int:
-        if u is w:
-            return 1
-        row = self._R[w]
-        hit = row.get(u)
-        if hit is not None:
-            return hit
-        sys = self.system
-        if not sys.bruhat_leq(u, w):
-            return 0
-        s = _low_bit(w.ldesc)
-        sw = w._lmul[s] or sys.multiply_by_generator(w, s, "left")
-        assert (sw.rdesc & self.H) == 0
-        su = u._lmul[s] or sys.multiply_by_generator(u, s, "left")
-        if (u.ldesc >> s) & 1:
-            res = self._R_rec(su, sw)
-        elif (su.rdesc & self.H) == 0:
-            res = _Q_MINUS_ONE * self._R_rec(u, sw) \
-                + _Q * self._R_rec(su, sw)
-        else:
-            res = self._qm1mx * self._R_rec(u, sw)
-        return self._store(row, u, res)
+    def _R_row(self, w: Element) -> dict:
+        """The row of R(., w), filled with the rows of the chain w, sw,
+        ... (s the smallest left descent at each step) that are missing,
+        bottom-up from an explicit list."""
+        rows = self._R
+        row = rows.get(w)
+        if row is not None:
+            return row
+        sys, H, qm1mx = self.system, self.H, self._qm1mx
+        intern = self._values.setdefault
+        chain = []
+        v = w
+        while v not in rows:
+            if not v.length:
+                rows[v] = {v: 1}
+                break
+            chain.append(v)
+            s = _low_bit(v.ldesc)
+            v = v._lmul[s] or sys.multiply_by_generator(v, s, "left")
+        for v in reversed(chain):
+            # The row of v by the three-branch recursion, from the row of
+            # sv alone.  [e, v] is [e, sv] together with the sz for z in
+            # [e, sv] (lifting property), and an sz > z of W^H that is not
+            # below sv has R(sz, v) = R(z, sv).
+            s = _low_bit(v.ldesc)
+            below = rows[v._lmul[s]]
+            get = below.get
+            row = {}
+            for z, r in below.items():
+                sz = z._lmul[s] or sys.multiply_by_generator(z, s, "left")
+                if (z.ldesc >> s) & 1:
+                    row[z] = below[sz]
+                    continue
+                if sz.rdesc & H:
+                    res = qm1mx * r
+                else:
+                    r_sz = get(sz)
+                    if r_sz is None:
+                        row[sz] = r
+                        r_sz = 0
+                    res = _Q_MINUS_ONE * r + _Q * r_sz
+                row[z] = intern(res, res)
+            rows[v] = row
+        return rows[w]
 
     # -- P ------------------------------------------------------------
 
     def P(self, u: Element, w: Element) -> QPolynomial:
         self._require(u)
         self._require(w)
-        return _decode(self._P_rec(u, w))
+        return _decode(self._P_column(w).get(u, 0))
 
-    def _P_rec(self, u: Element, w: Element) -> int:
-        if u is w:
-            return 1
-        row = self._P[w]
-        hit = row.get(u)
-        if hit is not None:
-            return hit
-        if not self.system.bruhat_leq(u, w):
-            return 0
-        iv = build_lower_interval(self.system, w)
-        iu = iv.id_of(u)
-        n = w.length - u.length
-        acc = 0
-        mask = iv.above[iu] & ~(1 << iu)
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            z = iv.elements[low.bit_length() - 1]
-            if z.rdesc & self.H:
-                continue
-            p_zw = self._P_rec(z, w)
-            if p_zw:
-                acc += self._R_rec(u, z) * p_zw
-        return self._store(row, u, self._extract_P(acc, n, u, w))
+    def _P_column(self, w: Element) -> dict:
+        """The column of P(., w) by descending induction: each z of
+        [e, w]^H, longest first, has every z' > z done, so its sum of
+        R(z, z') P(z', w) is complete; P(z, w) is extracted from it and
+        R(., z) P(z, w) is pushed into the sums of the elements below z."""
+        col = self._P.get(w)
+        if col is not None:
+            return col
+        intern = self._values.setdefault
+        members = sorted(self._R_row(w), key=attrgetter("length"),
+                         reverse=True)
+        acc = dict.fromkeys(members, 0)
+        col = {}
+        for z in members:
+            if z is w:
+                p = 1
+            else:
+                p = self._extract_P(acc[z], w.length - z.length, z, w)
+                p = intern(p, p)
+            col[z] = p
+            # z's own entry lands in acc[z], which has been read already
+            for u, r in self._R_row(z).items():
+                acc[u] += r * p
+        self._P[w] = col
+        return col
 
     def _extract_P(self, acc: int, n: int, u: Element, w: Element) -> int:
         # acc = q^n P(1/q) - P with deg(P) <= m = (n-1)//2, so the top half
@@ -337,17 +360,31 @@ def get_context(sys: CoxeterSystem, H: int, x) -> KLContext:
     return ctx
 
 
-def _formula_step(marked: MarkedInterval, M: Matching, u_id: int,
-                  table: KLContext) -> int:
-    els, pairing = marked.interval.elements, M.pairing
-    u = els[u_id]
-    Mu = els[pairing[u_id]]
-    Mw = els[pairing[-1]]   # the top element has the last id
-    if Mu.length < u.length:
-        return table._R_rec(Mu, Mw)
-    if marked.marks[pairing[u_id]]:
-        return _Q_MINUS_ONE * table._R_rec(u, Mw) + _Q * table._R_rec(Mu, Mw)
-    return table._qm1mx * table._R_rec(u, Mw)
+def _first_difference(marked: MarkedInterval, M: Matching,
+                      table: KLContext, ids, want: dict):
+    """The first marked u id in ids at which the three-branch matching
+    recurrence, read from the row of the matched-down top element,
+    differs from want[u], as (u id, packed value); None if there is
+    none.  With want = {u: None} it yields the value at u."""
+    els, pairing, marks = marked.interval.elements, M.pairing, marked.marks
+    below = table._R_row(els[pairing[-1]])  # the top element has the last id
+    get = below.get
+    qm1mx = table._qm1mx
+    for u_id in ids:
+        if not marks[u_id]:
+            continue
+        u = els[u_id]
+        m_id = pairing[u_id]
+        Mu = els[m_id]
+        if Mu.length < u.length:
+            got = below[Mu]
+        elif marks[m_id]:
+            got = _Q_MINUS_ONE * get(u, 0) + _Q * get(Mu, 0)
+        else:
+            got = qm1mx * get(u, 0)
+        if got != want[u]:
+            return u_id, got
+    return None
 
 
 def _check_step_inputs(marked: MarkedInterval, x, M: Matching,
@@ -381,7 +418,8 @@ def R_step_via_matching(marked: MarkedInterval, x, M: Matching, u: Element,
     if not marked.marks[u_id]:
         raise QuotientMembershipError(
             u, marked.H, _low_bit(u.rdesc & marked.H))
-    return _decode(_formula_step(marked, M, u_id, table))
+    _, value = _first_difference(marked, M, table, (u_id,), {u: None})
+    return _decode(value)
 
 
 def verify_calculating(marked: MarkedInterval, x, M: Matching,
@@ -402,23 +440,22 @@ def _calculates(marked: MarkedInterval, M: Matching, table: KLContext
     """The comparison loop of `verify_calculating`, for inputs that are
     already known to pass its checks."""
     iv = marked.interval
-    top = iv.top
-    for u_id, is_marked in enumerate(marked.marks):
-        if not is_marked:
-            continue
-        got = _formula_step(marked, M, u_id, table)
-        want = table._R_rec(iv.elements[u_id], top)
-        if got != want:
-            return False, {
-                "u": iv.elements[u_id],
-                "w": top,
-                "H": marked.H,
-                "x": table.x.value,
-                "matching": M,
-                "via_matching": _decode(got),
-                "reference": _decode(want),
-            }
-    return True, None
+    row = table._R_row(iv.top)
+    found = _first_difference(marked, M, table, range(len(iv.elements)),
+                              row)
+    if found is None:
+        return True, None
+    u_id, got = found
+    u = iv.elements[u_id]
+    return False, {
+        "u": u,
+        "w": iv.top,
+        "H": marked.H,
+        "x": table.x.value,
+        "matching": M,
+        "via_matching": _decode(got),
+        "reference": _decode(row[u]),
+    }
 
 
 def deodhar_identity_check(sys: CoxeterSystem, H: int, u: Element,

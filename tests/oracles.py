@@ -7,7 +7,9 @@ by exhaustive search, and matchings by unpruned backtracking or, for
 intervals too large for that, by the recursive backtracker that the
 constraint search in `bruhatkl.matchings` replaced.  The descent rule and
 the deletion rule are the ones the down-set bitmasks and lifting-property
-coatoms of `bruhatkl.coxeter` replaced.
+coatoms of `bruhatkl.coxeter` replaced, and the pull-form R-convolution is
+the per-pair P recursion that the column fill of `bruhatkl.klpoly`
+replaced.
 """
 
 from __future__ import annotations
@@ -396,6 +398,43 @@ def parabolic_P_oracle(sys: CoxeterSystem, H: int, x: str, u: Element,
         bound = (n - 1) // 2
         res = {i: G[n - i] for i in range(bound + 1) if n - i in G}
         # re-substitute: q^n res(1/q) - res must equal G exactly
+        check = poly_add({n - i: v for i, v in res.items()},
+                         {i: -v for i, v in res.items()})
+        assert check == G, "oracle extraction inconsistent at (%s, %s)" % (
+            u.label_str(), w.label_str())
+    pmemo[key] = res
+    return res
+
+
+def convolution_P_oracle(sys: CoxeterSystem, H: int, x: str, u: Element,
+                         w: Element, rmemo: dict, pmemo: dict) -> dict:
+    """P(u, w) in pull form: extracted under the degree bound from the sum
+    of R(u, z) P(z, w) over the z of W^H with u < z <= w.  This was the
+    production recursion before the column fill replaced it.  [u, w] is
+    read off the subwords of w, so infinite groups are covered; pmemo
+    keeps that set of subwords under the key w, next to the pairs."""
+    assert not (u.rdesc & H) and not (w.rdesc & H)
+    key = (u, w)
+    if key in pmemo:
+        return pmemo[key]
+    if u is w:
+        res = P_ONE
+    elif not bruhat_leq_oracle(sys, u, w):
+        res = {}
+    else:
+        below = pmemo.get(w)
+        if below is None:
+            below = pmemo[w] = subword_reachable(sys, w)
+        n = w.length - u.length
+        G: dict = {}
+        for z in below:
+            if z is u or (z.rdesc & H) or not bruhat_leq_oracle(sys, u, z):
+                continue
+            G = poly_add(G, poly_mul(
+                parabolic_R_oracle(sys, H, x, u, z, rmemo),
+                convolution_P_oracle(sys, H, x, z, w, rmemo, pmemo)))
+        bound = (n - 1) // 2
+        res = {i: G[n - i] for i in range(bound + 1) if n - i in G}
         check = poly_add({n - i: v for i, v in res.items()},
                          {i: -v for i, v in res.items()})
         assert check == G, "oracle extraction inconsistent at (%s, %s)" % (

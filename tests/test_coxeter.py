@@ -15,6 +15,7 @@ from bruhatkl.coxeter import (
 )
 from bruhatkl.poset import build_lower_interval
 
+from test_matchings import random_coxeter_matrix
 from oracles import (
     bruhat_pairs_oracle,
     coset_decompose_left_oracle,
@@ -90,6 +91,33 @@ def test_interning_w0_state_at_default_recursion_limit():
         setrecursionlimit(limit)
     assert got.word == w0.word
     assert len(fresh._intern_table) == 2
+
+
+def test_generator_products_match_dense_matrix_products():
+    # a root-backend state is (matrix of w, matrix of w^-1) on the root
+    # lattice; its product by a generator is updated in O(n^2) and must
+    # equal the dense product by the reflection's matrix
+    def dense(a, b):
+        return tuple(tuple(sum(x * y for x, y in zip(row, col))
+                           for col in zip(*b)) for row in a)
+
+    rng = random.Random(1998)
+    for _ in range(10):
+        sys = CoxeterSystem(random_coxeter_matrix(rng, rng.choice((3, 4))))
+        n, cartan = sys.rank, sys._cartan
+        gens = [tuple(tuple((r == c) - (r == s) * cartan[s][c]
+                            for c in range(n)) for r in range(n))
+                for s in range(n)]
+        w = sys.identity
+        for _ in range(12):
+            mat, inv = w._state
+            assert dense(mat, inv) == sys.identity._state[0]
+            for s, g in enumerate(gens):
+                assert sys._state_mult(w._state, s, "right") == (
+                    dense(mat, g), dense(g, inv))
+                assert sys._state_mult(w._state, s, "left") == (
+                    dense(g, mat), dense(inv, g))
+            w = sys.multiply_by_generator(w, rng.randrange(n))
 
 
 def test_canonical_idempotent(b3):

@@ -2,9 +2,11 @@
 oracles, closed forms, the matching-step recurrence, and cross-identities."""
 
 import ast
+import inspect
 import random
 from fractions import Fraction
 from pathlib import Path
+from sys import getrecursionlimit, setrecursionlimit
 
 import pytest
 
@@ -307,13 +309,13 @@ def test_descent_rule_independence():
                                 if c} == want
 
 
-def test_bruhat_and_R_against_oracles_random_groups():
-    # seeded draws of rank-3 and rank-4 groups with bonds in {2, 3, 4},
-    # infinite ones included; one shared context per (H, x) serves every
-    # interval of a group, and pairs u, v not comparable read 0
-    rng = random.Random(20061202)
-    checked = infinite = 0
-    for _ in range(12):
+def random_groups_with_tops(seed, count=12):
+    """``count`` seeded draws of rank-3 and rank-4 groups with bonds in
+    {2, 3, 4}, infinite ones included, each with three tops reached by
+    random upward walks of length <= 6."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
         sysm = CoxeterSystem(random_coxeter_matrix(rng, rng.choice((3, 4))))
         tops = []
         for _ in range(3):
@@ -325,6 +327,21 @@ def test_bruhat_and_R_against_oracles_random_groups():
                     break
                 w = sysm.multiply_by_generator(w, rng.choice(ascents))
             tops.append(w)
+        out.append((sysm, tops))
+    return out
+
+
+def is_infinite_rank3(sysm):
+    # a rank-3 group is infinite iff the reciprocal bonds sum to <= 1
+    return sysm.rank == 3 and sum(Fraction(1, sysm.matrix[i][j]) for i, j
+                                  in ((0, 1), (0, 2), (1, 2))) <= 1
+
+
+def test_bruhat_and_R_against_oracles_random_groups():
+    # one shared context per (H, x) serves every interval of a group, and
+    # pairs u, v not comparable read 0
+    checked = infinite = 0
+    for sysm, tops in random_groups_with_tops(20061202):
         below = {}
         for w in tops:
             for v in oracles.subword_reachable(sysm, w):
@@ -341,9 +358,7 @@ def test_bruhat_and_R_against_oracles_random_groups():
             iv = build_lower_interval(sysm, v)
             assert (tuple(iv.elements[j] for j in iv.hasse_down[-1])
                     == oracles.deletion_coatoms(sysm, v))
-        # a rank-3 group is infinite iff the reciprocal bonds sum to <= 1
-        if sysm.rank == 3 and sum(Fraction(1, sysm.matrix[i][j]) for i, j
-                                  in ((0, 1), (0, 2), (1, 2))) <= 1:
+        if is_infinite_rank3(sysm):
             infinite += 1
         for H in all_H(sysm):
             reps = [v for v in pool if not v.rdesc & H]
@@ -359,6 +374,75 @@ def test_bruhat_and_R_against_oracles_random_groups():
                                 if c} == want, (sysm.matrix, H, x, u, v)
                         checked += 1
     assert checked > 100000 and infinite > 0
+
+
+def table_cases(corpus):
+    """(system, pool of tops) for one corpus, on fresh systems so that
+    every table fills cold."""
+    if corpus == "random":
+        out = []
+        for sysm, tops in random_groups_with_tops(20061202):
+            pool = set()
+            for w in tops:
+                pool |= oracles.subword_reachable(sysm, w)
+            out.append((sysm, sorted(pool)))
+        return out
+    if corpus == "F4":
+        sysm = CoxeterSystem.F4()
+        return [(sysm, sysm.elements_up_to_length(7))]
+    sysm = CoxeterSystem.from_name(corpus)
+    return [(sysm, sysm.group_elements())]
+
+
+@pytest.mark.parametrize("corpus", ["A3", "B3", "A4", "I2(14)", "F4",
+                                    "random"])
+def test_rows_and_columns_against_oracles(corpus):
+    # every R row and P column holds exactly [e, w]^H; R agrees with the
+    # oracle recursion and P with the pull-form convolution that the
+    # column fill replaced.  F4 stops at l(w) = 7, and the random groups
+    # include infinite ones.
+    infinite = 0
+    for sysm, pool in table_cases(corpus):
+        infinite += is_infinite_rank3(sysm)
+        lower = {w: oracles.subword_reachable(sysm, w) for w in pool}
+        for H in all_H(sysm):
+            for x in ("-1", "q"):
+                ctx = get_context(sysm, H, x)
+                rmemo, pmemo = {}, {}
+                for w in pool:
+                    if w.rdesc & H:
+                        continue
+                    want = {u for u in lower[w] if not u.rdesc & H}
+                    row, col = ctx._R_row(w), ctx._P_column(w)
+                    assert set(row) == want and set(col) == want
+                    for u in want:
+                        assert as_dict(_unpack(row[u])) == \
+                            oracles.parabolic_R_oracle(sysm, H, x, u, w,
+                                                       rmemo)
+                        assert as_dict(_unpack(col[u])) == \
+                            oracles.convolution_P_oracle(
+                                sysm, H, x, u, w, rmemo, pmemo), \
+                            (sysm.matrix, H, x, u, w)
+    assert (infinite > 0) == (corpus == "random")
+
+
+def test_R_and_P_fill_without_recursion():
+    # the row and column fills are loops, so a stack 60 frames deep
+    # suffices for (e, w0) in I2(120), whose w0 has length 120; a fill
+    # that went one frame deeper per letter of w0 ends in RecursionError
+    i2 = CoxeterSystem.I2(120)
+    w0 = i2.element_from_word([0, 1] * 60)
+    e = i2.identity
+    ctx = get_context(i2, 0, "-1")
+    limit = getrecursionlimit()
+    setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        r, p = ctx.R(e, w0), ctx.P(e, w0)
+    finally:
+        setrecursionlimit(limit)
+    assert p == ONE
+    assert {i: c for i, c in enumerate(r.coeffs) if c} == \
+        oracles.parabolic_R_oracle(i2, 0, "-1", e, w0, {})
 
 
 def test_x_consistency_without_branch_three(a3):
