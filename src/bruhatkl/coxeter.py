@@ -604,11 +604,14 @@ class CoxeterSystem:
         if side not in ("right", "left"):
             raise ValueError("side must be 'right' or 'left'")
         self._check_owned(w)
-        cache = w._rmul if side == "right" else w._lmul
+        right = side == "right"
+        cache = w._rmul if right else w._lmul
         el = cache[s]
         if el is None:
             el = self._intern(self._state_mult(w._state, s, side))
             cache[s] = el
+            # s is an involution, so el times s on the same side is w
+            (el._rmul if right else el._lmul)[s] = w
         return el
 
     def multiply(self, u: Element, v: Element) -> Element:

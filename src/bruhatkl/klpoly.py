@@ -12,9 +12,9 @@ recurrence bounds every coefficient of an R-value with length difference
 d by the Pell number P(d+1), which is below 2^62 for d <= 48; the largest
 coefficient seen in F4 is 114.  Values are decoded only at the edges: the
 public `KLContext.R`/`.P`, `R_step_via_matching`, counterexample records,
-and the P extraction, which reads the coefficients of its accumulated sum
-and so puts every P-value through the guard.  `QPolynomial`, a dense
-coefficient tuple, is the type every caller sees.
+and the check of each new P column, which decodes every P-value and so
+puts it through the guard.  `QPolynomial`, a dense coefficient tuple, is
+the type every caller sees.
 
 The parameter x takes the two values -1 and q; it is substituted eagerly,
 so (q-1-x) becomes the polynomial q when x = -1 and the constant -1 when
@@ -23,13 +23,24 @@ x = q.
 A `KLContext` owns the memoized R- and P-tables for one choice of
 (system, H, x); `get_context` keeps one per system.  Both are filled one
 top element w at a time, in loops that never recurse, as Coxeter3 fills
-its tables (du Cloux, Experiment. Math. 11 (2002)).  The row R(., w) over
-[e, w]^H comes from the row of sw alone by the three-branch recursion, s
-the smallest left descent of w; missing rows along the chain w, sw, ...
-are filled bottom-up.  The column P(., w) is solved by descending
-induction over [e, w]^H: each P(z, w) is extracted from its accumulated
-sum of R(z, z') P(z', w) under the degree bound, re-substituted as a
-consistency check, and then R(., z) P(z, w) is added to the sums below z.
+its tables (du Cloux, Experiment. Math. 11 (2002)).  With s the smallest
+left descent of w and v = sw:
+
+* the row R(., w) over [e, w]^H comes from the row of v alone by the
+  three-branch recursion; missing rows along the chain w, sw, ... are
+  filled bottom-up.
+* the column P(., w) over [e, w]^H comes from Deodhar's recursion with
+  mu-coefficients (Deodhar, On some geometric aspects of Bruhat orderings
+  II, J. Algebra 111 (1987)), in this module's x convention.  Each y of
+  [e, v]^H, with p = P(y, v), adds q p to both y and sy if sy < y; p to
+  both if sy > y and sy is in W^H; and, when sy is not in W^H, (1+q) p
+  to y for x = -1 and nothing for x = q.  Then mu(z, v) q^((l(w)-l(z))/2)
+  P(., z) is subtracted for every z of [e, v]^H with l(v) - l(z) odd,
+  mu(z, v) != 0 and s descending z: sz < z, or x = -1 and sz not in W^H.
+  mu(z, v) is the coefficient of q^((l(v)-l(z)-1)/2) in P(z, v).  So a
+  column reads the columns of v and of those z, not the R-table.  Every
+  new value must meet P(w, w) = 1 and 2 deg P(y, w) <= l(w) - l(y) - 1,
+  or the fill raises `ArithmeticError`.
 
 `R_step_via_matching` applies the three-branch matching recurrence that an
 H-special matching of [e,w] induces, reading sub-interval values from a
@@ -40,7 +51,6 @@ every quotient element of the interval.
 from __future__ import annotations
 
 import enum
-from operator import attrgetter
 from typing import Optional
 
 from .coxeter import (
@@ -169,14 +179,6 @@ _Q = 1 << _K            # q, packed
 _Q_MINUS_ONE = _Q - 1   # q - 1, packed
 
 
-def _pack(coeffs) -> int:
-    """p(2^K) for the coefficient list of p, constant term first."""
-    n = 0
-    for c in reversed(coeffs):
-        n = (n << _K) + c
-    return n
-
-
 _HALF, _GUARD, _MASK = 1 << (_K - 1), 1 << (_K - 2), _Q - 1
 
 
@@ -221,15 +223,16 @@ class KLContext:
 
     `_R[w]` is the complete row {u: R(u, w)} and `_P[w]` the complete
     column {u: P(u, w)}, u running over [e, w]^H with w itself included;
-    a u missing from a row or column is not below w and reads 0.  Every
-    value is a polynomial packed as one int (see the module docstring);
-    `R` and `P` decode it to a `QPolynomial`.  Equal values are stored as
-    one int object through the `_values` dict: F4's P(e, w0) fills 1152
-    rows with 396,809 R entries, one per Bruhat pair, and 436 distinct
-    values, and without the dict the `query-f4` benchmark's peak RSS
-    rises by about 13%."""
+    a u missing from a row or column is not below w and reads 0.
+    `_mu[w]` lists the (z, mu(z, w)) with mu(z, w) != 0 that the column
+    recursion reads.  Every value is a polynomial packed as one int (see
+    the module docstring); `R` and `P` decode it to a `QPolynomial`.
+    Equal values are stored as one int object through the `_values`
+    dict: R rows hold one entry per Bruhat pair but few distinct values,
+    and without the dict the `query-f4` benchmark's peak RSS rises by
+    about 13%.  P reads no R row: F4's P(e, w0) fills 309 columns."""
 
-    __slots__ = ("system", "H", "x", "_R", "_P", "_values", "_qm1mx")
+    __slots__ = ("system", "H", "x", "_R", "_P", "_mu", "_values", "_qm1mx")
 
     def __init__(self, system: CoxeterSystem, H: int, x):
         if not 0 <= H < (1 << system.rank):
@@ -240,6 +243,7 @@ class KLContext:
         self._qm1mx = _Q if self.x is XParam.MINUS_ONE else -1
         self._R: dict = {}
         self._P: dict = {}
+        self._mu: dict = {}
         self._values: dict = {}
 
     def _require(self, u: Element) -> None:
@@ -309,45 +313,91 @@ class KLContext:
         return _decode(self._P_column(w).get(u, 0))
 
     def _P_column(self, w: Element) -> dict:
-        """The column of P(., w) by descending induction: each z of
-        [e, w]^H, longest first, has every z' > z done, so its sum of
-        R(z, z') P(z', w) is complete; P(z, w) is extracted from it and
-        R(., z) P(z, w) is pushed into the sums of the elements below z."""
-        col = self._P.get(w)
+        """The column of P(., w), with the columns it reads: that of
+        v = sw (s the smallest left descent of w) and those of the z with
+        mu(z, v) != 0 that s descends.  Missing columns are pushed on an
+        explicit stack and filled once everything they read is known."""
+        cols = self._P
+        col = cols.get(w)
         if col is not None:
             return col
-        intern = self._values.setdefault
-        members = sorted(self._R_row(w), key=attrgetter("length"),
-                         reverse=True)
-        acc = dict.fromkeys(members, 0)
-        col = {}
-        for z in members:
-            if z is w:
-                p = 1
-            else:
-                p = self._extract_P(acc[z], w.length - z.length, z, w)
-                p = intern(p, p)
-            col[z] = p
-            # z's own entry lands in acc[z], which has been read already
-            for u, r in self._R_row(z).items():
-                acc[u] += r * p
-        self._P[w] = col
-        return col
+        sys, H, mus = self.system, self.H, self._mu
+        minus_one = self.x is XParam.MINUS_ONE
+        stack = [w]
+        while stack:
+            top = stack[-1]
+            if top in cols:
+                stack.pop()
+                continue
+            if not top.length:
+                cols[top], mus[top] = {top: 1}, ()
+                stack.pop()
+                continue
+            s = _low_bit(top.ldesc)
+            v = top._lmul[s] or sys.multiply_by_generator(top, s, "left")
+            below = cols.get(v)
+            if below is None:
+                stack.append(v)
+                continue
+            # the z of [e, v]^H with mu(z, v) != 0 that s descends: sz < z,
+            # or, for x = -1, sz outside W^H
+            terms = []
+            for z, mu in mus[v]:
+                if not (z.ldesc >> s) & 1:
+                    if not minus_one:
+                        continue
+                    sz = z._lmul[s] or sys.multiply_by_generator(z, s, "left")
+                    if not sz.rdesc & H:
+                        continue
+                terms.append((z, mu))
+            missing = [z for z, _ in terms if z not in cols]
+            if missing:
+                stack += missing
+                continue
+            stack.pop()
+            acc = dict.fromkeys(below, 0)
+            for y, p in below.items():
+                sy = y._lmul[s] or sys.multiply_by_generator(y, s, "left")
+                if (y.ldesc >> s) & 1:
+                    p *= _Q
+                    acc[y] += p
+                    acc[sy] += p
+                elif not sy.rdesc & H:
+                    acc[y] += p
+                    acc[sy] = acc.get(sy, 0) + p
+                elif minus_one:  # sy is not in W^H; for x = q, add nothing
+                    acc[y] += p + p * _Q
+            for z, mu in terms:
+                shift = _K * ((top.length - z.length) >> 1)
+                for y, p in cols[z].items():
+                    acc[y] -= mu * p << shift
+            cols[top] = self._checked(acc, top)
+        return cols[w]
 
-    def _extract_P(self, acc: int, n: int, u: Element, w: Element) -> int:
-        # acc = q^n P(1/q) - P with deg(P) <= m = (n-1)//2, so the top half
-        # of acc determines P and the bottom half must re-substitute exactly
-        digits = _unpack(acc)
-        m = (n - 1) // 2
-        top = [digits[n - i] if n - i < len(digits) else 0
-               for i in range(m + 1)]
-        res = _pack(top)
-        if (_pack(top[::-1]) << (_K * (n - m))) - res != acc:
-            raise ArithmeticError(
-                "no polynomial satisfies the defining identity for "
-                "(%s, %s); the degree-bound extraction is inconsistent"
-                % (u.label_str(), w.label_str()))
-        return res
+    def _checked(self, acc: dict, w: Element) -> dict:
+        """acc as the column of w, its values interned, once each has
+        passed the decoder's guard and the degree bound P(w, w) = 1,
+        2 deg P(y, w) <= l(w) - l(y) - 1; records the mu(y, w) != 0."""
+        intern = self._values.setdefault
+        n = w.length
+        mu = []
+        for y, p in acc.items():
+            d = n - y.length
+            if not d:
+                if p != 1:
+                    raise ArithmeticError(
+                        "P(%s, %s) is not 1" % (y.label_str(), w.label_str()))
+                continue
+            digits = _unpack(p)
+            if 2 * len(digits) > d + 1:
+                raise ArithmeticError(
+                    "P(%s, %s) = %s breaks the degree bound"
+                    % (y.label_str(), w.label_str(), QPolynomial(digits)))
+            if 2 * len(digits) == d + 1:
+                mu.append((y, digits[-1]))
+            acc[y] = intern(p, p)
+        self._mu[w] = mu
+        return acc
 
 
 def get_context(sys: CoxeterSystem, H: int, x) -> KLContext:

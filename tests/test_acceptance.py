@@ -1,6 +1,7 @@
 """Acceptance gate: one test, and one printed PASS/FAIL line, per
 criterion.  All comparisons are exact integer polynomial equalities."""
 
+import hashlib
 import json
 import time
 
@@ -10,8 +11,10 @@ from bruhatkl.cli import main
 from bruhatkl.coxeter import CoxeterSystem, genset
 from bruhatkl.invariance import mongelli_reproduction, sweep_calculating
 from bruhatkl.klpoly import (
+    KLContext,
     QPolynomial,
     XParam,
+    _unpack,
     deodhar_identity_check,
     get_context,
 )
@@ -198,6 +201,46 @@ def test_criterion_4_deodhar_identities(a3, b2, b3):
                         bad += 1
     announce(4, "deodhar-identities", bad == 0,
              "%d pairs, %d failures" % (total, bad))
+
+
+# sha256 of every whole-F4 P column, all 16 H and both x, as recorded from
+# the R-convolution column fill that the mu-recursion replaced
+WHOLE_F4_P_DIGEST = \
+    "e2a561b65b26ed90ea009c0812dabdd33ba369a2b3fbea49606e76a920314cb6"
+
+
+def whole_group_P_digest(sys_):
+    """sha256 over the lines "H x w u coeffs" of every column P(., w),
+    w in W^H, zero entries included, sorted by H, x ("-1" first), w and u,
+    elements in (length, word) order; coeffs are comma-separated,
+    constant term first."""
+    elements = sorted(sys_.group_elements())
+    order = {w: i for i, w in enumerate(elements)}
+    label = {w: w.label_str() for w in elements}
+    coeffs = {}
+    digest = hashlib.sha256()
+    for H in range(1 << sys_.rank):
+        for x in X_VARIANTS:
+            ctx = KLContext(sys_, H, x)
+            for w in elements:
+                if w.rdesc & H:
+                    continue
+                col = ctx._P_column(w)
+                head = "%d %s %s " % (H, x, label[w])
+                for p in col.values():
+                    if p not in coeffs:
+                        coeffs[p] = ",".join(map(str, _unpack(p)))
+                digest.update("".join(
+                    "%s%s %s\n" % (head, label[u], coeffs[col[u]])
+                    for u in sorted(col, key=order.__getitem__)).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.f4sweep
+def test_criterion_4fw_whole_group_P_columns_f4():
+    got = whole_group_P_digest(CoxeterSystem.F4())
+    announce(4, "whole-f4-P-columns", got == WHOLE_F4_P_DIGEST,
+             "sha256 %s" % got[:16])
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,34 @@ def test_generator_products_match_dense_matrix_products():
             w = sys.multiply_by_generator(w, rng.randrange(n))
 
 
+@pytest.mark.parametrize("matrix", [CoxeterSystem.F4().matrix,
+                                    [[1, 4, 4], [4, 1, 4], [4, 4, 1]]])
+def test_generator_products_cache_their_inverse(matrix):
+    # once el = w*s (or s*w) is known, el*s (or s*el) is w without a
+    # lookup in the intern table; ids and words stay those of a system
+    # that never takes the inverse product
+    rng = random.Random(2024)
+    walk = CoxeterSystem(matrix)
+    interned = []
+    intern = walk._intern
+    walk._intern = lambda state: interned.append(state) or intern(state)
+    steps = [(rng.randrange(walk.rank), rng.choice(("right", "left")))
+             for _ in range(300)]
+    w, path = walk.identity, []
+    for s, side in steps:
+        el = walk.multiply_by_generator(w, s, side)
+        del interned[:]
+        assert walk.multiply_by_generator(el, s, side) is w
+        assert not interned
+        w = el
+        path.append(w)
+    fresh = CoxeterSystem(matrix)
+    w = fresh.identity
+    for (s, side), el in zip(steps, path):
+        w = fresh.multiply_by_generator(w, s, side)
+        assert (w.word, w.id) == (el.word, el.id)
+
+
 def test_canonical_idempotent(b3):
     for w in b3.group_elements():
         assert b3.element_from_word(w.word) is w

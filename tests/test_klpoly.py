@@ -25,7 +25,7 @@ from bruhatkl.klpoly import (
     R_step_via_matching,
     verify_calculating,
     deodhar_identity_check,
-    _pack,
+    _K,
     _unpack,
 )
 
@@ -86,6 +86,11 @@ def random_coeffs(rng):
     return coeffs + [rng.choice((-1, 1)) * rng.randint(1, 10**6)]
 
 
+def pack(coeffs):
+    """p(2^K), the packed form of the coefficient list of p."""
+    return sum(c << (_K * i) for i, c in enumerate(coeffs))
+
+
 def as_dict(coeffs):
     return {i: c for i, c in enumerate(coeffs) if c}
 
@@ -94,7 +99,7 @@ def test_packed_arithmetic_against_oracle():
     rng = random.Random(1987)
     for _ in range(500):
         a, b = random_coeffs(rng), random_coeffs(rng)
-        pa, pb = _pack(a), _pack(b)
+        pa, pb = pack(a), pack(b)
         assert _unpack(pa) == a and _unpack(pb) == b
         assert as_dict(_unpack(pa + pb)) == oracles.poly_add(as_dict(a),
                                                              as_dict(b))
@@ -102,19 +107,19 @@ def test_packed_arithmetic_against_oracle():
             as_dict(a), {i: -c for i, c in as_dict(b).items()})
         assert as_dict(_unpack(pa * pb)) == oracles.poly_mul(as_dict(a),
                                                              as_dict(b))
-    assert _pack([]) == 0 and _unpack(0) == []
+    assert pack([]) == 0 and _unpack(0) == []
 
 
 def test_packed_decoder_refuses_large_digits():
     # the guard is 2^62: digits just below it decode, digits at it raise
     # rather than decode as some other polynomial
     big = (1 << 62) - 1
-    assert _unpack(_pack([big, -big, 1])) == [big, -big, 1]
+    assert _unpack(pack([big, -big, 1])) == [big, -big, 1]
     for coeffs in ([1 << 62], [0, -(1 << 62)]):
         with pytest.raises(ArithmeticError):
-            _unpack(_pack(coeffs))
+            _unpack(pack(coeffs))
     # (2^31 q + 2^31)^2 has middle coefficient 2^63
-    p = _pack([1 << 31, 1 << 31])
+    p = pack([1 << 31, 1 << 31])
     with pytest.raises(ArithmeticError):
         _unpack(p * p)
 
@@ -443,6 +448,30 @@ def test_R_and_P_fill_without_recursion():
     assert p == ONE
     assert {i: c for i, c in enumerate(r.coeffs) if c} == \
         oracles.parabolic_R_oracle(i2, 0, "-1", e, w0, {})
+
+
+def test_P_reads_no_R_rows():
+    # the mu-recursion fills the columns along the chain of w0 and those
+    # of the z with mu != 0 only; the R-convolution needed the R row of
+    # every one of the 1152 elements of [e, w0]
+    f4 = CoxeterSystem.F4()
+    w0 = f4.group_elements()[-1]
+    ctx = get_context(f4, 0, "-1")
+    assert ctx.P(f4.identity, w0) == ONE
+    assert not ctx._R
+    assert len(ctx._P) < 1152
+
+
+def test_P_column_guard_refuses_a_corrupt_column():
+    # a stored P(e, s2) = 5q^2 breaks the degree bound of P(e, s1s2),
+    # which is read from it
+    f4 = CoxeterSystem.F4()
+    ctx = get_context(f4, 0, "-1")
+    s2 = el(f4, "s2")
+    assert ctx.P(f4.identity, s2) == ONE
+    ctx._P[s2][f4.identity] = pack([0, 0, 5])
+    with pytest.raises(ArithmeticError):
+        ctx.P(f4.identity, el(f4, "s1s2"))
 
 
 def test_x_consistency_without_branch_three(a3):
