@@ -283,8 +283,6 @@ class CoxeterSystem:
         self._by_id = [self.identity]  # element ids index this list
         self._levels = [[self.identity]]
         self._levels_complete = False
-        self._lower_intervals: dict = {}
-        self._intervals: dict = {}
         self._kl_contexts: dict = {}
         self._parabolic_groups: dict = {}
 

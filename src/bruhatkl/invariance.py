@@ -125,27 +125,6 @@ def _record_json(sys: CoxeterSystem, rec: dict) -> dict:
     }
 
 
-def _sweep_unit(sys: CoxeterSystem, w: Element, H: int,
-                x: XParam) -> tuple[int, int, int, list[dict]]:
-    """One (w, H) work unit.  Returns (matchings, h-special, calculating,
-    counterexample records)."""
-    interval = build_lower_interval(sys, w)
-    marked = mark_interval(interval, H)
-    all_special = enumerate_special_matchings(interval)
-    h_special = [M for M in all_special if is_H_special(marked, M)]
-    records = []
-    calculating = 0
-    for M in h_special:
-        # the filter above is the H-special test verify_calculating
-        # would repeat; every other input check holds by construction
-        ok, rec = _calculates(marked, M, get_context(sys, H, x))
-        if ok:
-            calculating += 1
-        else:
-            records.append(_record_json(sys, rec))
-    return len(all_special), len(h_special), calculating, records
-
-
 def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
                       H_set: Optional[Sequence[int]] = None,
                       x=XParam.MINUS_ONE) -> VerificationReport:
@@ -167,18 +146,30 @@ def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
         if not 0 <= H < (1 << sys.rank):
             raise ValueError("H is not a subset of the generators")
 
-    units = [(w, H)
-             for w in sys.elements_up_to_length(max_length)
-             for H in H_set
-             if (w.rdesc & H) == 0]
-
     started = time.perf_counter()
-    results = [_sweep_unit(sys, w, H, x) for w, H in units]
-
-    matchings = sum(r[0] for r in results)
-    h_special = sum(r[1] for r in results)
-    calculating = sum(r[2] for r in results)
-    counterexamples = [rec for r in results for rec in r[3]]
+    scanned = matchings = h_special = calculating = 0
+    counterexamples = []
+    for w in sys.elements_up_to_length(max_length):
+        Hs = [H for H in H_set if (w.rdesc & H) == 0]
+        if not Hs:
+            continue
+        interval = build_lower_interval(sys, w)
+        all_special = enumerate_special_matchings(interval)
+        for H in Hs:
+            marked = mark_interval(interval, H)
+            scanned += 1
+            matchings += len(all_special)
+            for M in all_special:
+                if not is_H_special(marked, M):
+                    continue
+                h_special += 1
+                # the filter above is the H-special test verify_calculating
+                # would repeat; every other input check holds by construction
+                ok, rec = _calculates(marked, M, get_context(sys, H, x))
+                if ok:
+                    calculating += 1
+                else:
+                    counterexamples.append(_record_json(sys, rec))
     group_id = sys.name or ("rank%d" % sys.rank)
     report = VerificationReport(
         campaign="calculating:%s:x=%s:len<=%d" % (group_id, x.value,
@@ -187,7 +178,7 @@ def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
         x=x.value,
         max_length=max_length,
         H_set=[format_genset(sys, H) for H in H_set],
-        intervals_scanned=len(units),
+        intervals_scanned=scanned,
         matchings_enumerated=matchings,
         h_special_count=h_special,
         calculating_count=calculating,
@@ -250,9 +241,11 @@ class ScanRecord:
         }
 
 
-def _scan_entry(sys: CoxeterSystem, H: int, w: Element):
+def _scan_entry(sys: CoxeterSystem, H: int, w: Element, intervals: dict):
     sys.check_min_coset_rep(w, H)
-    marked = mark_interval(build_lower_interval(sys, w), H)
+    if w not in intervals:
+        intervals[w] = build_lower_interval(sys, w)
+    marked = mark_interval(intervals[w], H)
     descriptor = {
         "group": sys.spec,
         "H": format_genset(sys, H),
@@ -291,7 +284,8 @@ def invariance_scan(pairs: Sequence[tuple[CoxeterSystem, int, Element]],
     [e, w] and, when found, compare the parabolic R- and P-polynomials
     at corresponding quotient elements for every x in ``xs``."""
     xs = tuple(XParam.parse(x) for x in xs)
-    entries = [_scan_entry(sys, H, w) for sys, H, w in pairs]
+    intervals: dict = {}  # entries with the same w share one interval
+    entries = [_scan_entry(sys, H, w, intervals) for sys, H, w in pairs]
     out = []
     for i in range(len(entries)):
         for j in range(i, len(entries)):

@@ -53,12 +53,7 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-from .coxeter import (
-    CoxeterSystem,
-    Element,
-    QuotientMembershipError,
-    _low_bit,
-)
+from .coxeter import CoxeterSystem, Element, _low_bit
 from .poset import MarkedInterval
 from .matchings import Matching, is_H_special
 
@@ -249,9 +244,7 @@ class KLContext:
     def _require(self, u: Element) -> None:
         if u.system is not self.system:
             raise ValueError("element belongs to a different system")
-        bad = u.rdesc & self.H
-        if bad:
-            raise QuotientMembershipError(u, self.H, _low_bit(bad))
+        self.system.check_min_coset_rep(u, self.H)
 
     # -- R ------------------------------------------------------------
 
@@ -440,7 +433,7 @@ def _first_difference(marked: MarkedInterval, M: Matching,
 def _check_step_inputs(marked: MarkedInterval, x, M: Matching,
                        table: KLContext) -> None:
     iv = marked.interval
-    if M.interval is not iv:
+    if M.interval != iv:
         raise ValueError("matching belongs to a different interval")
     if iv.bottom is not iv.system.identity:
         raise ValueError("matching recurrences apply to lower intervals")
@@ -448,10 +441,7 @@ def _check_step_inputs(marked: MarkedInterval, x, M: Matching,
     if table.system is not iv.system or table.H != marked.H \
             or table.x is not x:
         raise ValueError("reference table does not match (system, H, x)")
-    top_id = len(iv.elements) - 1
-    if not marked.marks[top_id]:
-        raise QuotientMembershipError(
-            iv.top, marked.H, _low_bit(iv.top.rdesc & marked.H))
+    iv.system.check_min_coset_rep(iv.top, marked.H)
     if not is_H_special(marked, M):
         raise ValueError("matching is not H-special; the recurrence "
                          "branches are undefined")
@@ -465,9 +455,7 @@ def R_step_via_matching(marked: MarkedInterval, x, M: Matching, u: Element,
     _check_step_inputs(marked, x, M, table)
     iv = marked.interval
     u_id = iv.id_of(u)
-    if not marked.marks[u_id]:
-        raise QuotientMembershipError(
-            u, marked.H, _low_bit(u.rdesc & marked.H))
+    iv.system.check_min_coset_rep(u, marked.H)
     _, value = _first_difference(marked, M, table, (u_id,), {u: None})
     return _decode(value)
 

@@ -73,11 +73,11 @@ class Matching:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matching)
-                and self.interval is other.interval
+                and self.interval == other.interval
                 and self.pairing == other.pairing)
 
     def __hash__(self) -> int:
-        return hash((id(self.interval), self.pairing))
+        return hash((self.interval, self.pairing))
 
     def __repr__(self) -> str:
         return "Matching(%s on %r)" % (self.source, self.interval)
@@ -147,15 +147,10 @@ def enumerate_special_matchings(interval: Interval) -> list[Matching]:
     only if each endpoint is in the other's domain.  An element left with
     one candidate is matched at once, and an empty domain ends the branch.
     Otherwise the search branches, on an explicit stack, over the free
-    element with the fewest candidates.  The result is cached on the
-    interval.
+    element with the fewest candidates.
     """
-    cached = interval._special_matchings
-    if cached is not None:
-        return list(cached)
     n = len(interval.elements)
     if n < 2:
-        interval._special_matchings = ()
         return []
     up = interval.hasse_up
     down = interval.hasse_down
@@ -255,15 +250,14 @@ def enumerate_special_matchings(interval: Interval) -> list[Matching]:
             child_free = settle(child, free, [best])
             if child_free != -1:
                 stack.append((child, child_free))
-    out = tuple(Matching(interval, p) for p in sorted(found))
-    interval._special_matchings = out
-    return list(out)
+    return [Matching(interval, p) for p in sorted(found)]
 
 
 def is_H_special(marked: MarkedInterval, M: Matching) -> bool:
     """True iff M maps every marked element that it moves down to a marked
     element."""
-    if M.interval is not marked.interval:
+    # identity first: a sweep makes this check once per (matching, H)
+    if M.interval is not marked.interval and M.interval != marked.interval:
         raise ValueError("matching belongs to a different interval")
     marks = marked.marks
     for i, m in enumerate(marks):
@@ -275,7 +269,7 @@ def is_H_special(marked: MarkedInterval, M: Matching) -> bool:
 def orbit(M: Matching, N: Matching, u: Element) -> tuple[Element, ...]:
     """The orbit of u under the group generated by two matchings, as the
     cycle (u, M(u), N(M(u)), ...)."""
-    if M.interval is not N.interval:
+    if M.interval != N.interval:
         raise ValueError("matchings live on different intervals")
     iv = M.interval
     i = iv.id_of(u)
@@ -293,7 +287,7 @@ def orbit(M: Matching, N: Matching, u: Element) -> tuple[Element, ...]:
 
 def commutes(M: Matching, N: Matching) -> bool:
     """Pointwise commutation MN == NM on the whole interval."""
-    if M.interval is not N.interval:
+    if M.interval != N.interval:
         raise ValueError("matchings live on different intervals")
     mp, np_ = M.pairing, N.pairing
     return all(mp[np_[i]] == np_[mp[i]] for i in range(len(mp)))

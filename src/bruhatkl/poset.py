@@ -1,11 +1,12 @@
 """Bruhat intervals as graded posets.
 
-An interval is materialized once per system and cached: its elements get
-dense integer ids sorted by (length, word), covers are stored as adjacency
-lists, and the full order relation is kept as per-element bitmasks so
-comparisons inside an interval are O(1).  A lower interval [e, w] takes
-its members from the down-set of w and its covers from the coatoms of
-each member, both kept by the `CoxeterSystem`.
+An interval is a plain value that a caller builds, uses and drops: its
+elements get dense integer ids sorted by (length, word), covers are stored
+as adjacency lists, and the full order relation is kept as per-element
+bitmasks so comparisons inside an interval are O(1).  Two intervals are
+equal when they have the same bottom and the same top.  A lower interval
+[e, w] takes its members from the down-set of w and its covers from the
+coatoms of each member, both kept by the `CoxeterSystem`.
 
 Marked intervals attach the parabolic-quotient membership flag
 (no right descent inside H) to each element.
@@ -71,7 +72,15 @@ class Interval:
             below[i] = m
         self.above = tuple(above)
         self.below = tuple(below)
-        self._special_matchings = None
+
+    def __eq__(self, other) -> bool:
+        # elements are interned per system, so identity compares them
+        return self is other or (isinstance(other, Interval)
+                                 and self.bottom is other.bottom
+                                 and self.top is other.top)
+
+    def __hash__(self) -> int:
+        return hash((self.bottom.id, self.top.id))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -122,30 +131,23 @@ class MarkedInterval:
 
 
 def build_lower_interval(sys: CoxeterSystem, w: Element) -> Interval:
-    """The interval [e, w], cached per system."""
+    """The interval [e, w], built afresh."""
     if w.system is not sys:
         raise ValueError("element belongs to a different system")
-    cached = sys._lower_intervals.get(w)
-    if cached is not None:
-        return cached
     by_id = sys._by_id
     elements = sorted(by_id[i] for i in genset_indices(sys.down_set(w)))
     index = {el: i for i, el in enumerate(elements)}
     hasse_down = [[index[c] for c in el._coatoms] for el in elements]
-    interval = Interval(sys, sys.identity, w, elements, hasse_down)
-    return sys._lower_intervals.setdefault(w, interval)
+    return Interval(sys, sys.identity, w, elements, hasse_down)
 
 
 def build_interval(sys: CoxeterSystem, u: Element, v: Element) -> Interval:
-    """The general interval [u, v] (u must be <= v), cached per system."""
-    cached = sys._intervals.get((u, v))
-    if cached is not None:
-        return cached
+    """The general interval [u, v] (u must be <= v), built afresh."""
     if not sys.bruhat_leq(u, v):
         raise ValueError("%r is not below %r" % (u, v))
     lower = build_lower_interval(sys, v)
     sub, _ = lower.subinterval(lower.id_of(u), lower.id_of(v))
-    return sys._intervals.setdefault((u, v), sub)
+    return sub
 
 
 def mark_interval(interval: Interval, H: int) -> MarkedInterval:

@@ -65,7 +65,7 @@ def commutes_on_lower_dihedral(M: Matching, N: Matching) -> bool:
     """Commutation tested only on lower dihedral intervals containing the
     atoms M(e) and N(e); equivalent to full commutation for special
     matchings (checked empirically in the test suite)."""
-    if M.interval is not N.interval:
+    if M.interval != N.interval:
         raise ValueError("matchings live on different intervals")
     iv = M.interval
     sys = iv.system

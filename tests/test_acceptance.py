@@ -3,10 +3,14 @@ criterion.  All comparisons are exact integer polynomial equalities."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import bruhatkl
 from bruhatkl.cli import main
 from bruhatkl.coxeter import CoxeterSystem, genset
 from bruhatkl.invariance import mongelli_reproduction, sweep_calculating
@@ -143,6 +147,41 @@ def test_criterion_2fw_whole_group_sweep_f4(f4):
              ",".join(bad) if bad else "F4 pinned, both x")
 
 
+# the whole-F4 sweep for x = -1 in a fresh process; prints its totals and
+# its peak RSS in KiB.  A process started by exec keeps the ru_maxrss of
+# the process that started it (here pytest's), so the child reads VmHWM,
+# the peak RSS of its own memory.
+WHOLE_F4_SWEEP_SCRIPT = """
+from bruhatkl.coxeter import CoxeterSystem
+from bruhatkl.invariance import sweep_calculating
+f4 = CoxeterSystem.F4()
+r = sweep_calculating(f4, max_length=f4.longest_length(), x="-1")
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status
+                if line.startswith("VmHWM:"))
+print(r.ok, r.intervals_scanned, r.matchings_enumerated, r.h_special_count,
+      r.calculating_count, peak)
+"""
+
+
+@pytest.mark.f4sweep
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="reads the peak RSS from /proc/self/status")
+def test_criterion_2fm_whole_group_sweep_f4_memory():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bruhatkl.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", WHOLE_F4_SWEEP_SCRIPT],
+                         env=env, capture_output=True, text=True,
+                         check=True).stdout.split()
+    ok = out[0] == "True"
+    totals = tuple(map(int, out[1:5]))
+    peak_mb = int(out[5]) / 1024
+    announce(2, "whole-f4-sweep-memory",
+             ok and totals == WHOLE_GROUP_TOTALS["F4"] and peak_mb <= 100,
+             "x=-1 %s, peak RSS %.1f MB (at most 100)"
+             % ("/".join(map(str, totals)), peak_mb))
+
+
 # ---------------------------------------------------------------------------
 # 3. dihedral groups: sweeps plus the chain-quotient closed form
 
@@ -267,7 +306,8 @@ def check_orbits(sys_, counts):
     left-by-s1 and right-by-s3 on [e, s1s2s1s3s2] in A3: the four elements
     below s1s3 form one orbit of size 4 while s2s1s3s2 sits in an orbit of
     size 2.)"""
-    dihedral = {}  # verdict per distinct Interval object
+    # (elements, verdict) per (bottom, top): orbits repeat few intervals
+    dihedral = {}
     for w in sys_.group_elements():
         interval = build_lower_interval(sys_, w)
         matchings = enumerate_special_matchings(interval)
@@ -283,12 +323,14 @@ def check_orbits(sys_, counts):
                         orbits[v] = len(elements)
                     bottom = min(elements)
                     top = max(elements)
-                    sub = build_interval(sys_, bottom, top)
-                    if sub not in dihedral:
-                        dihedral[sub] = is_dihedral_interval(sub)
+                    key = (bottom, top)
+                    if key not in dihedral:
+                        sub = build_interval(sys_, bottom, top)
+                        dihedral[key] = (set(sub.elements),
+                                         is_dihedral_interval(sub))
+                    members, is_dihedral = dihedral[key]
                     counts["orbits"] += 1
-                    if set(sub.elements) != set(elements) \
-                            or not dihedral[sub]:
+                    if members != set(elements) or not is_dihedral:
                         return "orbit of %s under a pair on [e,%s]" % (u, w)
                 s_el = M.image(sys_.identity)
                 t_el = N.image(sys_.identity)

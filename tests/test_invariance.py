@@ -1,6 +1,7 @@
 """Verification campaigns: sweeps, invariance scans, and the rank-4
 quotient counterexample."""
 
+import gc
 import json
 
 import pytest
@@ -19,7 +20,7 @@ from bruhatkl.invariance import (
 )
 from bruhatkl.klpoly import KLContext, QPolynomial, R_step_via_matching
 from bruhatkl.matchings import enumerate_special_matchings, is_H_special
-from bruhatkl.poset import build_lower_interval, mark_interval
+from bruhatkl.poset import Interval, build_lower_interval, mark_interval
 
 from oracles import brute_special_matchings
 
@@ -147,6 +148,15 @@ def test_sweep_restricted_length(b2):
     # intervals: e, s1, s2, s1s2, s2s1
     assert report.intervals_scanned == 5
     assert report.ok
+
+
+def test_sweep_keeps_no_interval_alive():
+    b3 = CoxeterSystem.B(3)
+    assert sweep_calculating(b3, x="-1").ok
+    gc.collect()
+    alive = [o for o in gc.get_objects()
+             if isinstance(o, Interval) and o.system is b3]
+    assert alive == []
 
 
 # ---------------------------------------------------------------------------

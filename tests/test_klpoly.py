@@ -12,7 +12,11 @@ import pytest
 
 from bruhatkl.coxeter import CoxeterSystem, QuotientMembershipError, genset
 from bruhatkl.poset import build_lower_interval, mark_interval
-from bruhatkl.matchings import multiplication_matching, enumerate_special_matchings
+from bruhatkl.matchings import (
+    enumerate_special_matchings,
+    is_H_special,
+    multiplication_matching,
+)
 from bruhatkl.klpoly import (
     QPolynomial,
     ZERO,
@@ -649,13 +653,29 @@ def test_verify_calculating_all_matchings_sample(b2):
                 continue
             iv = build_lower_interval(b2, w)
             marked = mark_interval(iv, H)
-            from bruhatkl.matchings import is_H_special
             for M in enumerate_special_matchings(iv):
                 if not is_H_special(marked, M):
                     continue
                 for x in ("-1", "q"):
                     ok, cex = verify_calculating(marked, x, M)
                     assert ok, cex
+
+
+def test_matching_and_marks_from_separate_builds(b3):
+    # a matching enumerated on one build of [e, w] is checked against a
+    # marked interval taken from another build of it
+    H = genset([0])
+    w = max(quotient(b3, H))
+    marked = mark_interval(build_lower_interval(b3, w), H)
+    matchings = enumerate_special_matchings(build_lower_interval(b3, w))
+    assert matchings[0].interval is not marked.interval
+    assert matchings == enumerate_special_matchings(
+        build_lower_interval(b3, w))
+    special = [M for M in matchings if is_H_special(marked, M)]
+    assert special
+    for M in special:
+        for x in ("-1", "q"):
+            assert verify_calculating(marked, x, M) == (True, None)
 
 
 # ---------------------------------------------------------------------------
