@@ -284,7 +284,6 @@ class CoxeterSystem:
         self._levels = [[self.identity]]
         self._levels_complete = False
         self._kl_contexts: dict = {}
-        self._parabolic_groups: dict = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -300,7 +299,8 @@ class CoxeterSystem:
             if len(row) != n:
                 raise ValueError("Coxeter matrix must be square")
             for j, m in enumerate(row):
-                if not isinstance(m, int):
+                # bool is an int subclass: JSON true must not read as 1
+                if not isinstance(m, int) or isinstance(m, bool):
                     raise ValueError(
                         "bond orders must be finite integers; got %r" % (m,))
                 if i == j:
@@ -665,7 +665,7 @@ class CoxeterSystem:
             stack.pop()
         return w._down
 
-    # -- parabolic quotients and subgroups --------------------------------------
+    # -- parabolic quotients ---------------------------------------------------
 
     def is_min_coset_rep(self, u: Element, H: int) -> bool:
         """True iff u has no right descent inside H, i.e. u is the shortest
@@ -676,87 +676,6 @@ class CoxeterSystem:
     def check_min_coset_rep(self, u: Element, H: int) -> None:
         if u.rdesc & H:
             raise QuotientMembershipError(u, H, _low_bit(u.rdesc & H))
-
-    def coset_decompose_right(self, u: Element, J: int):
-        """Unique decomposition u = a * b with b in W_J, a with no right
-        descent in J, and l(u) = l(a) + l(b).  Returns (a, b)."""
-        self._check_owned(u)
-        parts = []
-        cur = u
-        while cur.rdesc & J:
-            s = _low_bit(cur.rdesc & J)
-            cur = self.multiply_by_generator(cur, s, "right")
-            parts.append(s)
-        return cur, self.element_from_word(reversed(parts))
-
-    def coset_decompose_left(self, u: Element, J: int):
-        """Unique decomposition u = b * a with b in W_J, a with no left
-        descent in J, and l(u) = l(b) + l(a).  Returns (b, a)."""
-        self._check_owned(u)
-        parts = []
-        cur = u
-        while cur.ldesc & J:
-            s = _low_bit(cur.ldesc & J)
-            cur = self.multiply_by_generator(cur, s, "left")
-            parts.append(s)
-        return self.element_from_word(parts), cur
-
-    def max_parabolic_below(self, w: Element, J: int) -> Element:
-        """The maximum of W_J intersected with [e, w] (it has a unique
-        maximum).  Enumerates the intersection by ascending BFS; every such
-        element is reachable through its own reduced-word prefixes."""
-        self._check_owned(w)
-        seen = {self.identity}
-        frontier = [self.identity]
-        best = self.identity
-        while frontier:
-            nxt = []
-            for z in frontier:
-                for s in genset_indices(J):
-                    if (z.rdesc >> s) & 1:
-                        continue
-                    zs = self.multiply_by_generator(z, s)
-                    if zs not in seen and self.bruhat_leq(zs, w):
-                        seen.add(zs)
-                        nxt.append(zs)
-            frontier = nxt
-            for z in frontier:
-                if z.length > best.length:
-                    best = z
-        for z in seen:
-            if not self.bruhat_leq(z, best):
-                raise AssertionError(
-                    "W_J cap [e,w] has no unique maximum; got %r vs %r"
-                    % (z, best))
-        return best
-
-    def parabolic_group(self, H: int, cap: int = 200000) -> tuple:
-        """All elements of the standard parabolic subgroup W_H, sorted by
-        (length, word).  Raises if |W_H| exceeds cap."""
-        cached = self._parabolic_groups.get(H)
-        if cached is not None:
-            return cached
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for z in frontier:
-                for s in genset_indices(H):
-                    if (z.rdesc >> s) & 1:
-                        continue
-                    zs = self.multiply_by_generator(z, s)
-                    if zs not in seen:
-                        seen.add(zs)
-                        nxt.append(zs)
-            if len(seen) > cap:
-                raise ValueError("parabolic subgroup exceeds %d elements" % cap)
-            frontier = nxt
-        out = tuple(sorted(seen))
-        return self._parabolic_groups.setdefault(H, out)
-
-    def longest_element_of_parabolic(self, H: int) -> Element:
-        """The longest element of W_H (W_H must be finite)."""
-        return self.parabolic_group(H)[-1]
 
     # -- enumeration -------------------------------------------------------------
 

@@ -98,13 +98,18 @@ class VerificationReport:
         }
 
 
-def default_max_length(sys: CoxeterSystem, cap: int = 400) -> int:
+# groups with at most this many elements are swept whole by default
+_WHOLE_GROUP_CAP = 400
+
+
+def default_max_length(sys: CoxeterSystem) -> int:
     """The default sweep bound: the full group when it has at most
-    ``cap`` elements, length 9 otherwise (large or infinite groups)."""
+    ``_WHOLE_GROUP_CAP`` elements, length 9 otherwise (large or infinite
+    groups)."""
     length = 0
     while True:
         els = sys.elements_up_to_length(length + 1)
-        if len(els) > cap:
+        if len(els) > _WHOLE_GROUP_CAP:
             return 9
         if els[-1].length <= length:
             return els[-1].length

@@ -68,7 +68,6 @@ __all__ = [
     "get_context",
     "R_step_via_matching",
     "verify_calculating",
-    "deodhar_identity_check",
 ]
 
 
@@ -495,23 +494,3 @@ def _calculates(marked: MarkedInterval, M: Matching, table: KLContext
         "reference": _decode(row[u]),
     }
 
-
-def deodhar_identity_check(sys: CoxeterSystem, H: int, u: Element,
-                           v: Element) -> bool:
-    """Both translations between parabolic and ordinary P-polynomials:
-    the alternating sum over W_H for the x=q family, and the longest-
-    element shift for the x=-1 family (W_H must be finite)."""
-    ctx_q = get_context(sys, H, XParam.Q)
-    ctx_m = get_context(sys, H, XParam.MINUS_ONE)
-    ordinary = get_context(sys, 0, XParam.MINUS_ONE)
-    ctx_q._require(u)
-    ctx_q._require(v)
-    alt = ZERO
-    for wh in sys.parabolic_group(H):
-        term = ordinary.P(sys.multiply(u, wh), v)
-        alt = alt + (term * (-1 if wh.length % 2 else 1))
-    if ctx_q.P(u, v) != alt:
-        return False
-    w0 = sys.longest_element_of_parabolic(H)
-    shifted = ordinary.P(sys.multiply(u, w0), sys.multiply(v, w0))
-    return ctx_m.P(u, v) == shifted

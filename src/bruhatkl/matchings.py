@@ -13,22 +13,14 @@ neighbours through the special condition, and the search branches only
 where no element is forced.  Outside dihedral intervals a special matching
 is pinned down by its restriction to the lowest ranks, so the search stays
 small even on the 1152-element interval [e, w0] of F4.
-
-General special matchings are produced from *dihedral systems*: the data
-(side, J, s, t, M_st) of a parabolic subset J containing s, a generator t
-outside J, and a special matching M_st of the largest {s,t}-dihedral
-element below the top.  The associated matching conjugates M_st through
-coset decompositions; `verify_system` checks the five defining axioms and
-`matching_from_system` builds the matching.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .coxeter import CoxeterSystem, Element, genset, genset_indices
-from .poset import Interval, MarkedInterval, build_lower_interval
+from .coxeter import Element
+from .poset import Interval, MarkedInterval
 
 __all__ = [
     "Matching",
@@ -38,10 +30,6 @@ __all__ = [
     "is_H_special",
     "orbit",
     "commutes",
-    "DihedralSystem",
-    "verify_system",
-    "matching_from_system",
-    "enumerate_verified_systems",
     "matching_from_json",
 ]
 
@@ -292,248 +280,3 @@ def commutes(M: Matching, N: Matching) -> bool:
     mp, np_ = M.pairing, N.pairing
     return all(mp[np_[i]] == np_[mp[i]] for i in range(len(mp)))
 
-
-# ---------------------------------------------------------------------------
-# dihedral systems
-
-
-@dataclass(frozen=True)
-class DihedralSystem:
-    """The data (side, J, s, t, M_st) inducing a special matching of [e, w].
-
-    `M_st` is a special matching of [e, m], where m is the maximum of
-    W_{s,t} inside [e, w].  On the right side M_st must send e to s and t
-    to ts; on the left side e to s and t to st.
-    """
-
-    side: str  # "right" or "left"
-    J: int
-    s: int
-    t: int
-    M_st: Matching
-
-    def describe(self, sys: CoxeterSystem) -> str:
-        names = sys.generator_names
-        return "%s-system(J={%s}, s=%s, t=%s)" % (
-            self.side,
-            ",".join(names[i] for i in genset_indices(self.J)),
-            names[self.s], names[self.t])
-
-
-def _associated_image(sys: CoxeterSystem, system: DihedralSystem,
-                      u: Element) -> Optional[Element]:
-    """Image of u under the matching associated with the system, or None
-    when the dihedral part falls outside the domain of M_st."""
-    J, s, t = system.J, system.s, system.t
-    st_mask = genset([s, t])
-    s_mask = 1 << s
-    dom = system.M_st.interval
-    if system.side == "right":
-        uJ_top, uJ = sys.coset_decompose_right(u, J)
-        outer, mid = sys.coset_decompose_right(uJ_top, st_mask)
-        head, tail = sys.coset_decompose_left(uJ, s_mask)
-        arg = sys.multiply(mid, head)
-        if arg not in dom.index:
-            return None
-        img = system.M_st.image(arg)
-        return sys.multiply(sys.multiply(outer, img), tail)
-    else:
-        uJ, uJ_bot = sys.coset_decompose_left(u, J)
-        outer, mid = sys.coset_decompose_right(uJ, s_mask)
-        head, tail = sys.coset_decompose_left(uJ_bot, st_mask)
-        arg = sys.multiply(mid, head)
-        if arg not in dom.index:
-            return None
-        img = system.M_st.image(arg)
-        return sys.multiply(sys.multiply(outer, img), tail)
-
-
-def _commutes_with_mult_on(dom: Interval, M_st: Matching, g: int,
-                           side: str) -> bool:
-    """M_st commutes with multiplication by g on its whole domain; the
-    multiplication map must itself be a matching of the domain."""
-    top = dom.top
-    desc = top.rdesc if side == "right" else top.ldesc
-    if not (desc >> g) & 1:
-        return False
-    return commutes(M_st, multiplication_matching(dom, g, side))
-
-
-def _commutes_with_mult_below(dom: Interval, M_st: Matching, g: int,
-                              side: str, v0: Element) -> bool:
-    """M_st commutes with multiplication by g on [e, v0] inside dom; any
-    application that escapes the domain counts as failure."""
-    sys = dom.system
-    mask = dom.below[dom.id_of(v0)]
-    while mask:
-        low = mask & -mask
-        i = low.bit_length() - 1
-        mask ^= low
-        z = dom.elements[i]
-        zg = sys.multiply_by_generator(z, g, side)
-        if zg not in dom.index:
-            return False
-        lhs = M_st.image(zg)
-        rhs = sys.multiply_by_generator(M_st.image(z), g, side)
-        if lhs is not rhs:
-            return False
-    return True
-
-
-def verify_system(sys: CoxeterSystem, w: Element,
-                  system: DihedralSystem) -> tuple[bool, list[str]]:
-    """Check the five axioms of a dihedral system over [e, w]; returns
-    (ok, violated axiom ids)."""
-    side, J, s, t, M_st = (system.side, system.J, system.s, system.t,
-                           system.M_st)
-    if side not in ("right", "left"):
-        raise ValueError("side must be 'right' or 'left'")
-    tag = "R" if side == "right" else "L"
-    bad: list[str] = []
-    interval = build_lower_interval(sys, w)
-    st_mask = genset([s, t])
-    dom = M_st.interval
-
-    # axiom 1: shape of M_st
-    ax1 = ((J >> s) & 1 and not (J >> t) & 1 and s != t
-           and dom.bottom is sys.identity
-           and dom.top is sys.max_parabolic_below(w, st_mask))
-    if ax1:
-        try:
-            ax1 = is_special(dom, M_st)
-        except ValueError:
-            ax1 = False
-    if ax1:
-        s_el = sys.generator(s)
-        t_el = sys.generator(t)
-        if M_st.image(sys.identity) is not s_el:
-            ax1 = False
-        elif t_el in dom.index:
-            want = (sys.multiply(t_el, s_el) if side == "right"
-                    else sys.multiply(s_el, t_el))
-            ax1 = M_st.image(t_el) is want
-    if not ax1:
-        return False, [tag + "1"]
-
-    # axiom 2: the associated map is defined on [e,w] and lands in [e,w]
-    for u in interval.elements:
-        img = _associated_image(sys, system, u)
-        if img is None or img not in interval.index:
-            bad.append(tag + "2")
-            break
-
-    # axiom 3: generators of J occurring in the outer part commute with s
-    if side == "right":
-        outer_part = sys.coset_decompose_right(w, J)[0]
-    else:
-        outer_part = sys.coset_decompose_left(w, J)[1]
-    for r in genset_indices(J):
-        if (outer_part.support >> r) & 1 and r != s \
-                and sys.matrix[r][s] != 2:
-            bad.append(tag + "3")
-            break
-
-    # axiom 4: conditions forced by the {s,t}-free part of the top
-    if side == "right":
-        free = sys.coset_decompose_right(
-            sys.coset_decompose_right(w, J)[0], st_mask)[0]
-    else:
-        free = sys.coset_decompose_left(
-            sys.coset_decompose_left(w, J)[1], st_mask)[1]
-    has_s = bool((free.support >> s) & 1)
-    has_t = bool((free.support >> t) & 1)
-    mult_side = "right" if side == "right" else "left"
-    other_side = "left" if side == "right" else "right"
-    if has_s and has_t:
-        ok4 = False
-        desc = dom.top.rdesc if mult_side == "right" else dom.top.ldesc
-        if (desc >> s) & 1:
-            ok4 = M_st == multiplication_matching(dom, s, mult_side)
-        if not ok4:
-            bad.append(tag + "4")
-    elif has_s:
-        if not _commutes_with_mult_on(dom, M_st, s, other_side):
-            bad.append(tag + "4")
-    elif has_t:
-        if not _commutes_with_mult_on(dom, M_st, t, other_side):
-            bad.append(tag + "4")
-
-    # axiom 5: commutation below smaller tops forced by the J-parts
-    for v in interval.elements:
-        if side == "right":
-            vJ = sys.coset_decompose_right(v, J)[1]
-            part = sys.coset_decompose_left(vJ, 1 << s)[1]
-        else:
-            vJ = sys.coset_decompose_left(v, J)[0]
-            part = sys.coset_decompose_right(vJ, 1 << s)[0]
-        if not (part.support >> s) & 1:
-            continue
-        v0 = sys.max_parabolic_below(v, st_mask)
-        if not _commutes_with_mult_below(dom, M_st, s, mult_side, v0):
-            bad.append(tag + "5")
-            break
-
-    return not bad, bad
-
-
-def matching_from_system(sys: CoxeterSystem, w: Element,
-                         system: DihedralSystem) -> Matching:
-    """The special matching of [e, w] associated with a verified system."""
-    interval = build_lower_interval(sys, w)
-    pairing = []
-    for u in interval.elements:
-        img = _associated_image(sys, system, u)
-        if img is None or img not in interval.index:
-            raise ValueError("system does not induce a matching of [e, %s]"
-                             % w.label_str())
-        pairing.append(interval.id_of(img))
-    out = Matching(interval, pairing, "from-%s-system" % system.side)
-    if not is_special(interval, out):
-        raise AssertionError("associated matching is not special")
-    return out
-
-
-def enumerate_verified_systems(sys: CoxeterSystem, w: Element
-                               ) -> list[tuple[DihedralSystem, Matching]]:
-    """All verified dihedral systems over [e, w] and their matchings.
-
-    J ranges over subsets of the support of w (enlarging J by generators
-    not below w never changes the associated matching), s over J, t over
-    the remaining generators.
-    """
-    out = []
-    sup = w.support
-    sup_indices = genset_indices(sup)
-    subsets = []
-    for bits in range(1, 1 << len(sup_indices)):
-        mask = 0
-        for k, i in enumerate(sup_indices):
-            if (bits >> k) & 1:
-                mask |= 1 << i
-        subsets.append(mask)
-    subsets.sort()
-    for side in ("right", "left"):
-        for J in subsets:
-            for s in genset_indices(J):
-                for t in range(sys.rank):
-                    if (J >> t) & 1 or t == s:
-                        continue
-                    top0 = sys.max_parabolic_below(w, genset([s, t]))
-                    dom = build_lower_interval(sys, top0)
-                    s_el = sys.generator(s)
-                    t_el = sys.generator(t)
-                    for M_st in enumerate_special_matchings(dom):
-                        if M_st.image(sys.identity) is not s_el:
-                            continue
-                        if t_el in dom.index:
-                            want = (sys.multiply(t_el, s_el)
-                                    if side == "right"
-                                    else sys.multiply(s_el, t_el))
-                            if M_st.image(t_el) is not want:
-                                continue
-                        cand = DihedralSystem(side, J, s, t, M_st)
-                        ok, _ = verify_system(sys, w, cand)
-                        if ok:
-                            out.append(
-                                (cand, matching_from_system(sys, w, cand)))
-    return out

@@ -9,7 +9,8 @@ constraint search in `bruhatkl.matchings` replaced.  The descent rule and
 the deletion rule are the ones the down-set bitmasks and lifting-property
 coatoms of `bruhatkl.coxeter` replaced, and the pull-form R-convolution is
 the per-pair P recursion that the column fill of `bruhatkl.klpoly`
-replaced.
+replaced.  `deodhar_identity_check` reads the production P tables, but
+takes its alternating sums in the oracle arithmetic here.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import weakref
 
 from bruhatkl.coxeter import CoxeterSystem, Element, genset_indices
+
+from matching_helpers import longest_element_of_parabolic, parabolic_group
 
 
 def _braid_word(s: int, t: int, m: int) -> tuple[int, ...]:
@@ -117,7 +120,7 @@ def coset_decompose_right_oracle(sys: CoxeterSystem, u: Element, J: int):
     """The unique (a, b) with b in W_J, a*b == u, l(a)+l(b) == l(u), and a
     minimal in a W_J; found by exhaustive search over W_J."""
     found = []
-    for b in sys.parabolic_group(J):
+    for b in parabolic_group(sys, J):
         if b.length > u.length:
             continue
         binv = sys.inverse(b)
@@ -131,7 +134,7 @@ def coset_decompose_right_oracle(sys: CoxeterSystem, u: Element, J: int):
 
 def coset_decompose_left_oracle(sys: CoxeterSystem, u: Element, J: int):
     found = []
-    for b in sys.parabolic_group(J):
+    for b in parabolic_group(sys, J):
         if b.length > u.length:
             continue
         binv = sys.inverse(b)
@@ -441,3 +444,26 @@ def convolution_P_oracle(sys: CoxeterSystem, H: int, x: str, u: Element,
             u.label_str(), w.label_str())
     pmemo[key] = res
     return res
+
+
+def deodhar_identity_check(contexts, H: int, u: Element, v: Element
+                           ) -> bool:
+    """Both translations between parabolic and ordinary P-polynomials, on
+    the tables `contexts(H, x)` of the system of u and v (for instance
+    `functools.partial(get_context, sys)`): P^H(u, v) for x = q is the
+    alternating sum of P(u z, v) over z in W_H, and P^H(u, v) for x = -1
+    is P(u w_H, v w_H), w_H the longest element of W_H (W_H must be
+    finite).  Raises unless u and v are in W^H."""
+    sys = u.system
+    ordinary = contexts(0, "-1")
+    want = contexts(H, "q").P(u, v).coeffs
+    alt: dict = {}
+    for z in parabolic_group(sys, H):
+        sign = -1 if z.length % 2 else 1
+        term = ordinary.P(sys.multiply(u, z), v).coeffs
+        alt = poly_add(alt, {i: sign * c for i, c in enumerate(term)})
+    if alt != {i: c for i, c in enumerate(want) if c}:
+        return False
+    w0 = longest_element_of_parabolic(sys, H)
+    shifted = ordinary.P(sys.multiply(u, w0), sys.multiply(v, w0))
+    return contexts(H, "-1").P(u, v) == shifted

@@ -70,6 +70,8 @@ def test_load_group_unknown():
     '{"type":"matrix","m":[[1,3],[3,1]],"labels":["s","s"]}',
     '{"type":"matrix","m":[[1,3],[3,1]],"labels":[1,2]}',
     '{"type":"matrix","m":[[1,3],[3,1]],"labels":["s,t","u"]}',
+    # JSON true is not the integer 1
+    '[[true,3],[3,true]]',
     # "ab" reads as a,b or as ab
     '{"type":"matrix","m":[[1,3,2],[3,1,3],[2,3,1]],'
     '"labels":["a","b","ab"]}',

@@ -15,6 +15,13 @@ from bruhatkl.coxeter import (
 )
 from bruhatkl.poset import build_lower_interval
 
+from matching_helpers import (
+    coset_decompose_left,
+    coset_decompose_right,
+    longest_element_of_parabolic,
+    max_parabolic_below,
+    parabolic_group,
+)
 from test_matchings import random_coxeter_matrix
 from oracles import (
     bruhat_pairs_oracle,
@@ -288,12 +295,12 @@ def test_coset_decompositions_match_oracle(sys, Js):
     masks = range(1 << sys.rank) if Js is None else Js
     for J in masks:
         for u in els:
-            a, b = sys.coset_decompose_right(u, J)
+            a, b = coset_decompose_right(sys, u, J)
             oa, ob = coset_decompose_right_oracle(sys, u, J)
             assert (a, b) == (oa, ob)
             assert a.length + b.length == u.length
             assert (a.rdesc & J) == 0
-            c, d = sys.coset_decompose_left(u, J)
+            c, d = coset_decompose_left(sys, u, J)
             oc, od = coset_decompose_left_oracle(sys, u, J)
             assert (c, d) == (oc, od)
             assert c.length + d.length == u.length
@@ -305,11 +312,11 @@ def test_coset_decomposition_frozen_examples(a2, b2):
     s, t = a2.generator(0), a2.generator(1)
     st = a2.element_from_labels("s1s2")
     # right split along J={s}: sts = (st) * s
-    assert a2.coset_decompose_right(sts, genset([0])) == (st, s)
+    assert coset_decompose_right(a2, sts, genset([0])) == (st, s)
     # left split along J={t}: sts = t * (st)  (t is a left descent of sts)
-    assert a2.coset_decompose_left(sts, genset([1])) == (t, st)
+    assert coset_decompose_left(a2, sts, genset([1])) == (t, st)
     tst = b2.element_from_labels("s2s1s2")
-    assert b2.coset_decompose_left(tst, genset([0])) == (b2.identity, tst)
+    assert coset_decompose_left(b2, tst, genset([0])) == (b2.identity, tst)
 
 
 def test_min_coset_rep(f4):
@@ -326,7 +333,8 @@ def test_min_coset_rep(f4):
 def test_quotient_characterization(b3):
     # W^J is exactly the set of elements with no right descent in J
     for J in range(1 << 3):
-        reps = {b3.coset_decompose_right(u, J)[0] for u in b3.group_elements()}
+        reps = {coset_decompose_right(b3, u, J)[0]
+                for u in b3.group_elements()}
         chars = {u for u in b3.group_elements() if (u.rdesc & J) == 0}
         assert reps == chars
 
@@ -337,22 +345,22 @@ def test_quotient_characterization(b3):
 def test_max_parabolic_below_oracle(b3, f4):
     for w in b3.group_elements():
         for J in range(1 << 3):
-            got = b3.max_parabolic_below(w, J)
-            members = [z for z in b3.parabolic_group(J)
+            got = max_parabolic_below(b3, w, J)
+            members = [z for z in parabolic_group(b3, J)
                        if b3.bruhat_leq(z, w)]
             assert got in members
             assert all(b3.bruhat_leq(z, got) for z in members)
     v = f4.element_from_labels("s3s4s2s3s1s2s3s4")
-    got = f4.max_parabolic_below(v, genset([1, 2]))
+    got = max_parabolic_below(f4, v, genset([1, 2]))
     assert got is f4.element_from_labels("s2s3s2s3")
 
 
 def test_longest_element_of_parabolic(b3, b2):
-    w = b3.longest_element_of_parabolic(genset([0, 1]))
+    w = longest_element_of_parabolic(b3, genset([0, 1]))
     assert w is b3.element_from_labels("s1s2s1")
-    assert b2.longest_element_of_parabolic(genset([0, 1])) is \
+    assert longest_element_of_parabolic(b2, genset([0, 1])) is \
         b2.element_from_labels("s1s2s1s2")
-    assert b3.longest_element_of_parabolic(0) is b3.identity
+    assert longest_element_of_parabolic(b3, 0) is b3.identity
 
 
 # -- constructors ------------------------------------------------------------------

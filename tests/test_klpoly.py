@@ -5,6 +5,7 @@ import ast
 import inspect
 import random
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from sys import getrecursionlimit, setrecursionlimit
 
@@ -28,7 +29,6 @@ from bruhatkl.klpoly import (
     get_context,
     R_step_via_matching,
     verify_calculating,
-    deodhar_identity_check,
     _K,
     _unpack,
 )
@@ -685,7 +685,8 @@ def test_matching_and_marks_from_separate_builds(b3):
 def test_deodhar_identity_trivial_H(a3):
     for v in a3.group_elements():
         for u in a3.group_elements():
-            assert deodhar_identity_check(a3, 0, u, v)
+            assert oracles.deodhar_identity_check(
+                partial(get_context, a3), 0, u, v)
 
 
 def test_deodhar_identities_b2_all_H(b2):
@@ -693,13 +694,15 @@ def test_deodhar_identities_b2_all_H(b2):
         reps = quotient(b2, H)
         for v in reps:
             for u in reps:
-                assert deodhar_identity_check(b2, H, u, v)
+                assert oracles.deodhar_identity_check(
+                    partial(get_context, b2), H, u, v)
 
 
 def test_deodhar_identity_requires_membership(b2):
     with pytest.raises(QuotientMembershipError):
-        deodhar_identity_check(
-            b2, genset([0]), b2.generator(0), el(b2, "s1 s2"))
+        oracles.deodhar_identity_check(
+            partial(get_context, b2), genset([0]), b2.generator(0),
+            el(b2, "s1 s2"))
 
 
 # ---------------------------------------------------------------------------

@@ -17,18 +17,20 @@ from bruhatkl.matchings import (
     is_H_special,
     orbit,
     commutes,
-    DihedralSystem,
-    verify_system,
-    matching_from_system,
-    enumerate_verified_systems,
     matching_from_json,
 )
 
+import matching_helpers
 import oracles
 from matching_helpers import (
+    DihedralSystem,
     commutes_on_lower_dihedral,
+    enumerate_verified_systems,
     find_commuting_multiplication_matching,
+    matching_from_system,
+    max_parabolic_below,
     restrict_matching,
+    verify_system,
 )
 
 
@@ -260,7 +262,7 @@ def test_orbit_sizes_have_dihedral_witness(b3):
             t = N.image(b3.identity)
             if s is t:
                 continue
-            top0 = b3.max_parabolic_below(w, s.support | t.support)
+            top0 = max_parabolic_below(b3, w, s.support | t.support)
             dihedral_sizes = set()
             for u in build_lower_interval(b3, top0).elements:
                 dihedral_sizes.add(len(orbit(M, N, u)))
@@ -350,13 +352,13 @@ def test_trivial_right_system_is_right_multiplication(a3):
     w = el(a3, "s2 s1 s3 s2")
     assert w.rdesc == genset([1])
     dom = build_lower_interval(
-        a3, a3.max_parabolic_below(w, genset([1, 0])))
+        a3, max_parabolic_below(a3, w, genset([1, 0])))
     M_st = multiplication_matching(dom, 1, "right")
     system = DihedralSystem("right", genset([1]), 1, 0, M_st)
-    ok, bad = verify_system(a3, w, system)
-    assert ok, bad
-    M = matching_from_system(a3, w, system)
     iv = build_lower_interval(a3, w)
+    ok, bad = verify_system(iv, system)
+    assert ok, bad
+    M = matching_from_system(iv, system)
     assert M.pairing == multiplication_matching(iv, 1, "right").pairing
 
 
@@ -364,13 +366,13 @@ def test_trivial_left_system_is_left_multiplication(b3):
     w = el(b3, "s2 s3 s2 s1")
     assert w.ldesc == genset([1])
     dom = build_lower_interval(
-        b3, b3.max_parabolic_below(w, genset([1, 2])))
+        b3, max_parabolic_below(b3, w, genset([1, 2])))
     M_st = multiplication_matching(dom, 1, "left")
     system = DihedralSystem("left", genset([1]), 1, 2, M_st)
-    ok, bad = verify_system(b3, w, system)
-    assert ok, bad
-    M = matching_from_system(b3, w, system)
     iv = build_lower_interval(b3, w)
+    ok, bad = verify_system(iv, system)
+    assert ok, bad
+    M = matching_from_system(iv, system)
     assert M.pairing == multiplication_matching(iv, 1, "left").pairing
 
 
@@ -379,7 +381,7 @@ def test_verify_system_rejects_bad_shape(b2):
     dom = build_lower_interval(b2, w)
     M_st = multiplication_matching(dom, 1, "right")  # sends e to t, not s
     system = DihedralSystem("right", genset([0]), 0, 1, M_st)
-    ok, bad = verify_system(b2, w, system)
+    ok, bad = verify_system(dom, system)
     assert not ok and bad == ["R1"]
 
 
@@ -409,7 +411,7 @@ def test_triangle_group_system_without_distinguishing_left_matching(
     W = triangle443
     w = W.element_from_word((1, 0, 1, 2, 0))
     assert w.length == 5
-    top0 = W.max_parabolic_below(w, genset([0, 1]))
+    top0 = max_parabolic_below(W, w, genset([0, 1]))
     assert top0 is W.element_from_word((0, 1, 0, 1))
     dom = build_lower_interval(W, top0)
     s, t = W.generator(0), W.generator(1)
@@ -421,10 +423,10 @@ def test_triangle_group_system_without_distinguishing_left_matching(
     ])
     assert is_special(dom, M_st)
     system = DihedralSystem("right", genset([0, 2]), 0, 1, M_st)
-    ok, bad = verify_system(W, w, system)
-    assert ok, bad
-    M = matching_from_system(W, w, system)
     iv = build_lower_interval(W, w)
+    ok, bad = verify_system(iv, system)
+    assert ok, bad
+    M = matching_from_system(iv, system)
 
     assert w.ldesc == genset([1])  # the only left multiplication matching
     lam_t = multiplication_matching(iv, 1, "left")
@@ -445,6 +447,26 @@ def test_system_matchings_are_special_everywhere(b2):
         for system, M in enumerate_verified_systems(b2, w):
             assert is_special(iv, M)
             assert M.image(iv.bottom) is b2.generator(system.s)
+
+
+def test_verified_systems_build_each_interval_once(b3, monkeypatch):
+    # [e, w] is built once per top, and the domain of M_st once per
+    # {s, t}; the special matchings of B3 are those of verified systems
+    builds = []
+    build = matching_helpers.build_lower_interval
+
+    def counting(sys_, w):
+        builds.append(w)
+        return build(sys_, w)
+
+    monkeypatch.setattr(matching_helpers, "build_lower_interval", counting)
+    tops = [w for w in b3.group_elements() if w.length]
+    for w in tops:
+        induced = {M for _, M in enumerate_verified_systems(b3, w)}
+        assert set(enumerate_special_matchings(
+            build_lower_interval(b3, w))) == induced
+    assert len(tops) == 47
+    assert len(builds) <= len(tops) * (1 + b3.rank * (b3.rank - 1))
 
 
 # ---------------------------------------------------------------------------
