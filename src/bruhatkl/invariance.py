@@ -37,6 +37,7 @@ from .klpoly import (
     XParam,
     R_step_via_matching,
     _calculates,
+    _unpack,
     get_context,
 )
 from .matchings import enumerate_special_matchings, is_H_special, \
@@ -48,6 +49,7 @@ from .poset import (
     find_marked_isomorphism,
     find_order_isomorphism,
     mark_interval,
+    marked_colors,
 )
 
 
@@ -246,7 +248,8 @@ class ScanRecord:
         }
 
 
-def _scan_entry(sys: CoxeterSystem, H: int, w: Element, intervals: dict):
+def _scan_entry(sys: CoxeterSystem, H: int, w: Element, intervals: dict,
+                palette: dict):
     sys.check_min_coset_rep(w, H)
     if w not in intervals:
         intervals[w] = build_lower_interval(sys, w)
@@ -256,28 +259,34 @@ def _scan_entry(sys: CoxeterSystem, H: int, w: Element, intervals: dict):
         "H": format_genset(sys, H),
         "w": w.label_str(),
     }
-    return sys, H, w, marked, descriptor
+    return sys, H, w, marked, marked_colors(marked, palette), descriptor
 
 
 def _scan_pair(a, b, xs) -> ScanRecord:
-    sys_a, H_a, w_a, marked_a, desc_a = a
-    sys_b, H_b, w_b, marked_b, desc_b = b
-    psi = find_marked_isomorphism(marked_a, marked_b)
+    sys_a, H_a, w_a, marked_a, colors_a, desc_a = a
+    sys_b, H_b, w_b, marked_b, colors_b, desc_b = b
+    psi = find_marked_isomorphism(marked_a, marked_b, (colors_a, colors_b))
     if psi is None:
         return ScanRecord(desc_a, desc_b, False, None)
-    iv_a, iv_b = marked_a.interval, marked_b.interval
+    els_a, els_b = marked_a.interval.elements, marked_b.interval.elements
     equal = True
     checked = 0
     for x in xs:
-        ctx_a = get_context(sys_a, H_a, x)
-        ctx_b = get_context(sys_b, H_b, x)
+        # packed values, equal iff their polynomials are; P values passed
+        # the decoder's guard when their column was filled, R values below
+        ctx_a, ctx_b = get_context(sys_a, H_a, x), get_context(sys_b, H_b, x)
+        R_a, P_a = ctx_a._R_row(w_a), ctx_a._P_column(w_a)
+        R_b, P_b = ctx_b._R_row(w_b), ctx_b._P_column(w_b)
+        r_values = set()
         for ua_id in marked_a.marked_ids():
-            ua = iv_a.elements[ua_id]
-            ub = iv_b.elements[psi[ua_id]]
+            ua, ub = els_a[ua_id], els_b[psi[ua_id]]
+            ra, rb = R_a.get(ua, 0), R_b.get(ub, 0)
+            r_values.update((ra, rb))
             checked += 1
-            if ctx_a.R(ua, w_a) != ctx_b.R(ub, w_b) \
-                    or ctx_a.P(ua, w_a) != ctx_b.P(ub, w_b):
+            if ra != rb or P_a.get(ua, 0) != P_b.get(ub, 0):
                 equal = False
+        for r in r_values:
+            _unpack(r)
     return ScanRecord(desc_a, desc_b, True, equal, checked)
 
 
@@ -290,7 +299,10 @@ def invariance_scan(pairs: Sequence[tuple[CoxeterSystem, int, Element]],
     at corresponding quotient elements for every x in ``xs``."""
     xs = tuple(XParam.parse(x) for x in xs)
     intervals: dict = {}  # entries with the same w share one interval
-    entries = [_scan_entry(sys, H, w, intervals) for sys, H, w in pairs]
+    palette: dict = {}    # each entry is colored once, all under one palette
+    entries = [_scan_entry(sys, H, w, intervals, palette)
+               for sys, H, w in pairs]
+    del palette  # before the tables fill: five F4 entries leave 0.3 MB of keys
     out = []
     for i in range(len(entries)):
         for j in range(i, len(entries)):

@@ -10,12 +10,16 @@ coatoms of each member, both kept by the `CoxeterSystem`.
 
 Marked intervals attach the parabolic-quotient membership flag
 (no right descent inside H) to each element.
+
+Isomorphism search colors each poset once, on its own, under a palette of
+color ids shared by every poset being compared, so a caller comparing one
+poset with many colors it once (`marked_colors`) and passes the colors in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .coxeter import CoxeterSystem, Element, genset_indices
 
@@ -25,6 +29,7 @@ __all__ = [
     "build_lower_interval",
     "build_interval",
     "mark_interval",
+    "marked_colors",
     "find_marked_isomorphism",
     "find_isomorphism",
     "find_order_isomorphism",
@@ -159,57 +164,50 @@ def mark_interval(interval: Interval, H: int) -> MarkedInterval:
 # isomorphism search
 
 
-def _refine_colors(labels, up, down) -> list[int]:
-    """Iterated neighborhood refinement of the coloring by (label,
-    up-degree, down-degree); returns a stable coloring."""
-    palette: dict = {}
-    color = [palette.setdefault((lab, len(up[v]), len(down[v])), len(palette))
-             for v, lab in enumerate(labels)]
-    ncls = len(palette)
-    while True:
-        palette = {}
-        # fixed iteration order keeps colors deterministic
-        new = [palette.setdefault(
-                   (color[v],
-                    tuple(sorted(color[x] for x in up[v])),
-                    tuple(sorted(color[x] for x in down[v]))),
-                   len(palette))
-               for v in range(len(color))]
-        if len(palette) == ncls:
-            return new
-        ncls = len(palette)
-        color = new
-
-
-def _isomorphism(labels_a: Sequence, down_a: Sequence[Sequence[int]],
-                 labels_b: Sequence, down_b: Sequence[Sequence[int]]
-                 ) -> Optional[tuple[int, ...]]:
-    """A label- and cover-preserving bijection between two finite posets,
-    as a tuple mapping a-ids to b-ids, or None.
-
-    Each poset is given on ids 0..n-1 by a label per id and the lower
-    covers of each id, every id listed after its lower covers.  Color
-    refinement on the disjoint union prunes the candidates; backtracking
-    then maps a-ids in increasing order, so the covers below an id are
-    mapped before it, trying b-candidates in id order.  The backtracking
-    keeps its state in flat lists rather than on the call stack, so the
-    poset size is not bounded by the recursion limit.
-    """
-    n = len(down_a)
-    if n != len(down_b):
-        return None
-    down = list(down_a) + [[n + j for j in d] for d in down_b]
-    up: list[list[int]] = [[] for _ in range(2 * n)]
+def _stable_colors(labels: Sequence, down: Sequence[Sequence[int]],
+                   palette: dict) -> list[int]:
+    """The stable coloring of one poset (a label and the lower covers per
+    id) by neighborhood refinement, ids interned in the shared `palette`.
+    Keys are (label, up-degree, down-degree), then (color, *sorted up
+    colors, -1, *sorted down colors), flat to keep the palette small, until
+    the partition stops splitting.  No color or degree is -1, so ids of
+    different rounds never collide and every isomorphism preserves colors."""
+    up: list[list[int]] = [[] for _ in labels]
     for v, covers in enumerate(down):
         for d in covers:
             up[d].append(v)
-    color = _refine_colors(list(labels_a) + list(labels_b), up, down)
-    if sorted(color[:n]) != sorted(color[n:]):
+    intern = palette.setdefault
+    color = [intern((lab, len(up[v]), len(down[v])), len(palette))
+             for v, lab in enumerate(labels)]
+    while True:
+        # fixed iteration order keeps colors deterministic
+        new = [intern((color[v], *sorted(color[x] for x in up[v]), -1,
+                       *sorted(color[x] for x in down[v])), len(palette))
+               for v in range(len(color))]
+        if len(set(new)) == len(set(color)):
+            return new
+        color = new
+
+
+def _isomorphism(color_a: Sequence[int], down_a: Sequence[Sequence[int]],
+                 color_b: Sequence[int], down_b: Sequence[Sequence[int]]
+                 ) -> Optional[tuple[int, ...]]:
+    """The lexicographically first color- and cover-preserving bijection
+    between two finite posets, as a tuple mapping a-ids to b-ids, or None.
+
+    Each poset is given on ids 0..n-1 by its `_stable_colors` under one
+    shared palette (each poset refined once, on its own) and the lower
+    covers of each id, listed after them.  Backtracking maps a-ids in
+    increasing order, trying b-candidates of the same color in id order,
+    with its state in flat lists, so the recursion limit does not bound n.
+    """
+    if sorted(color_a) != sorted(color_b):
         return None
+    n = len(color_a)
     candidates: dict[int, list[int]] = {}
     for y in range(n):
-        candidates.setdefault(color[n + y], []).append(y)
-    options = [candidates[color[i]] for i in range(n)]
+        candidates.setdefault(color_b[y], []).append(y)
+    options = [candidates[color_a[i]] for i in range(n)]
     covers_b = [frozenset(d) for d in down_b]
     mapping = [-1] * n
     used = [False] * n
@@ -235,15 +233,26 @@ def _isomorphism(labels_a: Sequence, down_a: Sequence[Sequence[int]],
     return tuple(mapping) if i == n else None
 
 
-def find_marked_isomorphism(a: MarkedInterval,
-                            b: MarkedInterval) -> Optional[tuple[int, ...]]:
+def marked_colors(m: MarkedInterval, palette: dict) -> list[int]:
+    """`_stable_colors` of a marked interval, labelled (rank, mark)."""
+    iv = m.interval
+    return _stable_colors(tuple(zip(iv.rank_of, m.marks)), iv.hasse_down,
+                          palette)
+
+
+def find_marked_isomorphism(a: MarkedInterval, b: MarkedInterval,
+                            colors: Optional[tuple] = None
+                            ) -> Optional[tuple[int, ...]]:
     """A rank- and mark-preserving poset isomorphism from a to b, as a
     tuple mapping a-ids to b-ids, or None.  Deterministic: the backtracking
-    explores candidates in id order."""
-    ia, ib = a.interval, b.interval
+    explores candidates in id order.  `colors` is the `marked_colors` of a
+    and b under one palette; by default both are colored afresh."""
+    if colors is None:
+        palette: dict = {}
+        colors = marked_colors(a, palette), marked_colors(b, palette)
     # ids are sorted by rank, so every id comes after its lower covers
-    return _isomorphism(tuple(zip(ia.rank_of, a.marks)), ia.hasse_down,
-                        tuple(zip(ib.rank_of, b.marks)), ib.hasse_down)
+    return _isomorphism(colors[0], a.interval.hasse_down,
+                        colors[1], b.interval.hasse_down)
 
 
 def find_isomorphism(a: Interval, b: Interval) -> Optional[tuple[int, ...]]:
@@ -253,10 +262,10 @@ def find_isomorphism(a: Interval, b: Interval) -> Optional[tuple[int, ...]]:
 
 def _cover_form(rel: Sequence[int]):
     """An order relation (rel[i] = bitmask of j with i <= j) in the form
-    `_isomorphism` takes: the ids ordered by down-set size, which lists
-    each id after everything below it, then per position its height
-    (longest chain below it) and its lower covers (the transitive
-    reduction), both by position."""
+    `_stable_colors` and `_isomorphism` take: the ids ordered by down-set
+    size, which lists each id after everything below it, then per position
+    its height (longest chain below it) and its lower covers (the
+    transitive reduction), both by position."""
     n = len(rel)
     below = [{i for i in range(n) if i != j and rel[i] >> j & 1}
              for j in range(n)]
@@ -282,7 +291,11 @@ def find_order_isomorphism(rel_a: Sequence[int],
         return None
     order_a, heights_a, covers_a = _cover_form(rel_a)
     order_b, heights_b, covers_b = _cover_form(rel_b)
-    found = _isomorphism(heights_a, covers_a, heights_b, covers_b)
+    palette: dict = {}
+    found = _isomorphism(_stable_colors(heights_a, covers_a, palette),
+                         covers_a,
+                         _stable_colors(heights_b, covers_b, palette),
+                         covers_b)
     if found is None:
         return None
     mapping = [0] * len(rel_a)

@@ -9,7 +9,10 @@ constraint search in `bruhatkl.matchings` replaced.  The descent rule and
 the deletion rule are the ones the down-set bitmasks and lifting-property
 coatoms of `bruhatkl.coxeter` replaced, and the pull-form R-convolution is
 the per-pair P recursion that the column fill of `bruhatkl.klpoly`
-replaced.  `deodhar_identity_check` reads the production P tables, but
+replaced.  `union_refinement_isomorphism` is the isomorphism search that
+`bruhatkl.poset` replaced: it refines the disjoint union of each compared
+pair, where the search there refines each poset once under a shared
+palette.  `deodhar_identity_check` reads the production P tables, but
 takes its alternating sums in the oracle arithmetic here.
 """
 
@@ -304,6 +307,75 @@ def order_isomorphism_oracle(rel_a, rel_b):
     if extend(0):
         return tuple(mapping)
     return None
+
+
+def _refine_colors(labels, up, down) -> list[int]:
+    """Iterated neighborhood refinement of the coloring by (label,
+    up-degree, down-degree), with a fresh palette each round; returns a
+    stable coloring."""
+    palette: dict = {}
+    color = [palette.setdefault((lab, len(up[v]), len(down[v])), len(palette))
+             for v, lab in enumerate(labels)]
+    ncls = len(palette)
+    while True:
+        palette = {}
+        new = [palette.setdefault(
+                   (color[v],
+                    tuple(sorted(color[x] for x in up[v])),
+                    tuple(sorted(color[x] for x in down[v]))),
+                   len(palette))
+               for v in range(len(color))]
+        if len(palette) == ncls:
+            return new
+        ncls = len(palette)
+        color = new
+
+
+def union_refinement_isomorphism(labels_a, down_a, labels_b, down_b):
+    """A label- and cover-preserving bijection between two finite posets
+    (ids 0..n-1, each listed after its lower covers), as a tuple mapping
+    a-ids to b-ids, or None.  Color refinement runs on the disjoint union
+    of the two posets, then backtracking maps a-ids in increasing order,
+    trying b-candidates of the same color in id order, so the result is
+    the lexicographically first isomorphism."""
+    n = len(down_a)
+    if n != len(down_b):
+        return None
+    down = list(down_a) + [[n + j for j in d] for d in down_b]
+    up: list[list[int]] = [[] for _ in range(2 * n)]
+    for v, covers in enumerate(down):
+        for d in covers:
+            up[d].append(v)
+    color = _refine_colors(list(labels_a) + list(labels_b), up, down)
+    if sorted(color[:n]) != sorted(color[n:]):
+        return None
+    candidates: dict[int, list[int]] = {}
+    for y in range(n):
+        candidates.setdefault(color[n + y], []).append(y)
+    options = [candidates[color[i]] for i in range(n)]
+    covers_b = [frozenset(d) for d in down_b]
+    mapping = [-1] * n
+    used = [False] * n
+    tried = [0] * n
+    i = 0
+    while 0 <= i < n:
+        if mapping[i] >= 0:
+            used[mapping[i]] = False
+            mapping[i] = -1
+        want = {mapping[d] for d in down_a[i]}
+        opts = options[i]
+        k = tried[i]
+        while k < len(opts) and (used[opts[k]] or covers_b[opts[k]] != want):
+            k += 1
+        if k == len(opts):
+            tried[i] = 0
+            i -= 1
+        else:
+            tried[i] = k + 1
+            mapping[i] = opts[k]
+            used[opts[k]] = True
+            i += 1
+    return tuple(mapping) if i == n else None
 
 
 def bruhat_pairs_oracle(sys: CoxeterSystem):

@@ -1,14 +1,17 @@
 """Command-line interface: parsing, output formats, exit codes,
 determinism."""
 
+import hashlib
 import json
 import os
 import sys
 
 import pytest
 
+import bruhatkl.cli
 from bruhatkl.cli import load_group, main
-from bruhatkl.coxeter import CoxeterSystem
+from bruhatkl.coxeter import CoxeterSystem, genset
+from bruhatkl.klpoly import get_context
 from bruhatkl.matchings import is_special, matching_from_json
 from bruhatkl.poset import build_lower_interval
 
@@ -262,6 +265,44 @@ def test_invariance_swapped_roles(capsys):
     assert cross[0]["polynomials_equal"] is True
 
 
+def test_invariance_planted_disagreement_exits_one(capsys, monkeypatch):
+    # P(s1, s1s2s1) for H = {s2}, x = q, raised by 1 in the group's table
+    b2 = CoxeterSystem.B(2)
+    column = get_context(b2, genset([1]), "q")._P_column(
+        b2.element_from_labels("s1s2s1"))
+    column[b2.generator(0)] += 1
+    monkeypatch.setattr(bruhatkl.cli, "load_group", lambda text: b2)
+    code, data = run_json(capsys, [
+        "invariance", "--group", "B2",
+        "--interval", "s1:s2s1s2", "--interval", "s2:s1s2s1"])
+    assert code == 1
+    cross = [r for r in data["records"] if r["first"] != r["second"]]
+    assert cross[0]["isomorphic"] is True
+    assert cross[0]["polynomials_equal"] is False
+    assert cross[0]["pairs_checked"] == 8
+
+
+# sha256 of the JSON stdout of an F4 invariance scan shaped like the
+# benchmark's (w of length 12, w^-1, phi(w), H:w, phi(H):phi(w)), recorded
+# before the scan compared packed values and refined each entry once
+F4_SCAN_ARGV = [
+    "invariance", "--group", "F4", "--format", "json",
+    "--interval", ":s2s3s2s1s3s2s4s3s2s1s3s4",
+    "--interval", ":s1s2s3s4s3s2s1s3s2s4s3s2",
+    "--interval", ":s2s3s2s1s3s2s4s3s2s1s3s4",
+    "--interval", "s2:s2s3s2s1s3s2s4s3s2s1s3s4",
+    "--interval", "s3:s2s3s2s1s3s2s4s3s2s1s3s4",
+]
+F4_SCAN_SHA256 = \
+    "4d8bfd484a7f93087f7bb42a56a044470176ac90f2c9c41f42e6a7af9fb05701"
+
+
+def test_invariance_f4_scan_stdout_pinned(capsys):
+    code, out, err = run(capsys, F4_SCAN_ARGV)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == F4_SCAN_SHA256
+
+
 def test_invariance_shape_error(capsys):
     code, out, err = run(capsys, [
         "invariance", "--group", "A2", "--interval", "nocolon"])
@@ -286,6 +327,18 @@ def test_mongelli_human(capsys):
     assert "P(x=q):  q vs 0" in out
     assert "P(x=-1): q + 1 vs 1" in out
     assert "full intervals isomorphic:      False" in out
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("json",
+     "1afe21c1844d89b541f7d1f26ccbe3e38c4fcd553a8c1d5fafaff3569fbd9644"),
+    ("human",
+     "63bb3a9e5fbefc22b30d7850d16090ec61bd8a2181414f3f78a5edd60b7aac55"),
+])
+def test_mongelli_stdout_pinned(capsys, fmt, digest):
+    code, out, _ = run(capsys, ["mongelli", "--format", fmt])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

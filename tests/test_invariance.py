@@ -6,7 +6,12 @@ import json
 
 import pytest
 
-from bruhatkl.coxeter import CoxeterSystem, QuotientMembershipError, genset
+from bruhatkl.coxeter import (
+    CoxeterSystem,
+    QuotientMembershipError,
+    genset,
+    parse_genset,
+)
 from bruhatkl.invariance import (
     MongelliReport,
     VerificationReport,
@@ -18,7 +23,15 @@ from bruhatkl.invariance import (
     reverify_counterexample,
     sweep_calculating,
 )
-from bruhatkl.klpoly import KLContext, QPolynomial, R_step_via_matching
+import bruhatkl.invariance
+import bruhatkl.poset
+from bruhatkl.klpoly import (
+    KLContext,
+    QPolynomial,
+    R_step_via_matching,
+    XParam,
+    get_context,
+)
 from bruhatkl.matchings import enumerate_special_matchings, is_H_special
 from bruhatkl.poset import Interval, build_lower_interval, mark_interval
 
@@ -272,6 +285,68 @@ def test_scan_record_json(a2):
     assert data["isomorphic"] is True
     assert data["polynomials_equal"] is True
     assert data["first"]["w"] == "s1s2"
+
+
+def test_scan_refines_each_entry_once(monkeypatch):
+    b3 = CoxeterSystem.B(3)
+    entries = [(b3, 0, el(b3, "s1s2s3")), (b3, 0, el(b3, "s3s2s1")),
+               (b3, genset([0]), el(b3, "s1s2s3")),
+               (b3, genset([2]), el(b3, "s3s2s1")), (b3, 0, el(b3, "s2s3"))]
+    calls = {"refine": 0, "isomorphism": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bruhatkl.poset, "_stable_colors", counting(
+        "refine", bruhatkl.poset._stable_colors))
+    monkeypatch.setattr(bruhatkl.invariance, "find_marked_isomorphism",
+                        counting("isomorphism",
+                                 bruhatkl.invariance.find_marked_isomorphism))
+    records = invariance_scan(entries)
+    k = len(entries)
+    assert len(records) == k * (k + 1) // 2
+    assert calls == {"refine": k, "isomorphism": k * (k + 1) // 2}
+    assert any(r.isomorphic for r in records if r.first != r.second)
+
+
+# [e, s2s1s2]^{s1} and [e, s1s2s1]^{s2} in B2: distinct entries, isomorphic
+# under s1 <-> s2, whose values come from different contexts
+SWAPPED_B2 = (("s1", "s2s1s2"), ("s2", "s1s2s1"))
+
+
+def planted_b2(table: str, value):
+    """A fresh B2 whose second swapped entry has its R row (table "R")
+    or P column (table "P") entry at u = s1, x = q, replaced by
+    value(old).  Returns the system and the scan entries."""
+    b2 = CoxeterSystem.B(2)
+    entries = [(b2, parse_genset(b2, H), el(b2, w)) for H, w in SWAPPED_B2]
+    _, H, w = entries[1]
+    ctx = get_context(b2, H, XParam.Q)
+    values = ctx._R_row(w) if table == "R" else ctx._P_column(w)
+    u = el(b2, "s1")
+    values[u] = value(values[u])
+    return b2, entries
+
+
+def test_scan_refuses_an_undecodable_R_value():
+    # a constant term of 2^62 is past the packed decoder's guard
+    _, entries = planted_b2("R", lambda r: 1 << 62)
+    with pytest.raises(ArithmeticError):
+        invariance_scan(entries)
+
+
+@pytest.mark.parametrize("table", ["R", "P"])
+def test_scan_reports_a_planted_disagreement(table):
+    _, entries = planted_b2(table, lambda p: p + 1)
+    first, cross, second = invariance_scan(entries)
+    assert first.polynomials_equal is True
+    assert second.polynomials_equal is True
+    assert cross.isomorphic is True
+    assert cross.polynomials_equal is False
+    assert cross.pairs_checked == 8
 
 
 # ---------------------------------------------------------------------------

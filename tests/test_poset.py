@@ -1,11 +1,13 @@
 """Interval construction, grading, dihedral detection and isomorphism."""
 
+import itertools
 import random
 
 import pytest
 
-from bruhatkl.coxeter import CoxeterSystem, genset
+from bruhatkl.coxeter import CoxeterSystem, genset, parse_genset
 from bruhatkl.poset import (
+    _cover_form,
     build_interval,
     build_lower_interval,
     find_isomorphism,
@@ -13,11 +15,16 @@ from bruhatkl.poset import (
     find_order_isomorphism,
     interval_to_json,
     mark_interval,
+    marked_colors,
 )
 from bruhatkl.invariance import _quotient_relation
 
 from matching_helpers import is_dihedral_interval
-from oracles import order_isomorphism_oracle, subword_reachable
+from oracles import (
+    order_isomorphism_oracle,
+    subword_reachable,
+    union_refinement_isomorphism,
+)
 
 
 @pytest.mark.parametrize("sys", [
@@ -263,13 +270,31 @@ def _is_graded(rel):
                if not any(a in less[c] for c in less[b]))
 
 
+def _union_order_isomorphism(rel_a, rel_b):
+    """find_order_isomorphism on the union-refinement engine."""
+    if len(rel_a) != len(rel_b):
+        return None
+    order_a, heights_a, covers_a = _cover_form(rel_a)
+    order_b, heights_b, covers_b = _cover_form(rel_b)
+    found = union_refinement_isomorphism(heights_a, covers_a,
+                                         heights_b, covers_b)
+    if found is None:
+        return None
+    mapping = [0] * len(rel_a)
+    for k, y in enumerate(found):
+        mapping[order_a[k]] = order_b[y]
+    return tuple(mapping)
+
+
 def _agrees_with_oracle(rel_a, rel_b) -> bool:
     """find_order_isomorphism and the oracle agree on whether an
-    isomorphism exists, and a returned map preserves the order both ways.
-    Returns whether one was found."""
+    isomorphism exists, a returned map preserves the order both ways, and
+    the union-refinement engine returns the very same map.  Returns
+    whether one was found."""
     got = find_order_isomorphism(rel_a, rel_b)
     want = order_isomorphism_oracle(rel_a, rel_b)
     assert (got is None) == (want is None), (rel_a, rel_b)
+    assert got == _union_order_isomorphism(rel_a, rel_b), (rel_a, rel_b)
     if got is None:
         return False
     n = len(rel_a)
@@ -310,6 +335,61 @@ def test_order_isomorphism_matches_oracle_on_random_posets():
         outcomes.add(_agrees_with_oracle(rel, _random_poset(rng, n)))
     assert ungraded > 0
     assert outcomes == {True, False}
+
+
+def _union_marked_isomorphism(a, b):
+    """find_marked_isomorphism on the union-refinement engine."""
+    ia, ib = a.interval, b.interval
+    return union_refinement_isomorphism(
+        tuple(zip(ia.rank_of, a.marks)), ia.hasse_down,
+        tuple(zip(ib.rank_of, b.marks)), ib.hasse_down)
+
+
+def test_marked_isomorphism_matches_union_refinement_on_small_groups():
+    # every ordered same-size pair of marked lower intervals [e, w]^H,
+    # w in W^H, of A3, B2 and B3
+    pairs = isomorphic = 0
+    for sys in (CoxeterSystem.A(3), CoxeterSystem.B(2), CoxeterSystem.B(3)):
+        marked = [mark_interval(build_lower_interval(sys, w), H)
+                  for w in sys.group_elements()
+                  for H in range(1 << sys.rank) if not w.rdesc & H]
+        for a, b in itertools.product(marked, repeat=2):
+            if len(a.marks) != len(b.marks):
+                continue
+            got = find_marked_isomorphism(a, b)
+            assert got == _union_marked_isomorphism(a, b), (a, b)
+            pairs += 1
+            isomorphic += got is not None
+    assert (pairs, isomorphic) == (2595, 1165)
+
+
+# the entries of an F4 invariance scan shaped like the benchmark's: w of
+# length 12, w^-1, phi(w) under the diagram automorphism s1<->s4,
+# s2<->s3, then H:w and phi(H):phi(w)
+F4_SCAN_ENTRIES = (
+    ("", "s2s3s2s1s3s2s4s3s2s1s3s4"),
+    ("", "s1s2s3s4s3s2s1s3s2s4s3s2"),
+    ("", "s2s3s2s1s3s2s4s3s2s1s3s4"),
+    ("s2", "s2s3s2s1s3s2s4s3s2s1s3s4"),
+    ("s3", "s2s3s2s1s3s2s4s3s2s1s3s4"),
+)
+
+
+def test_marked_isomorphism_matches_union_refinement_on_f4_scan(f4):
+    marked = [mark_interval(build_lower_interval(
+                  f4, f4.element_from_labels(w)), parse_genset(f4, H))
+              for H, w in F4_SCAN_ENTRIES]
+    palette: dict = {}
+    colors = [marked_colors(m, palette) for m in marked]
+    found = 0
+    for i, j in itertools.product(range(len(marked)), repeat=2):
+        want = _union_marked_isomorphism(marked[i], marked[j])
+        assert find_marked_isomorphism(marked[i], marked[j]) == want
+        assert find_marked_isomorphism(marked[i], marked[j],
+                                       (colors[i], colors[j])) == want
+        found += want is not None
+    # the three unmarked entries pairwise, and the two marked ones
+    assert found == 13
 
 
 def test_isomorphism_of_f4_top_interval(f4):
