@@ -2,8 +2,15 @@
 
 Systems of rank >= 3 must have all bond orders m(s,s') in {2, 3, 4}
 ("doubly laced").  They act faithfully on an integer root lattice through
-a generalized Cartan matrix, so lengths, descents and reduced words come
-from root signs with no floating point.  Rank <= 2 systems use direct
+a generalized Cartan matrix A, with no floating point (Bjorner-Brenti,
+Combinatorics of Coxeter Groups, ch. 4).  An element w is held as
+(cols, lam): cols[t] = w(alpha_t) in simple-root coordinates, whose signs
+give the right descents, and lam_i = <w rho, alpha_i^v> for the regular
+rho with every <rho, alpha_i^v> = 1, whose negative entries are the left
+descents.  lam is the intern key: only e fixes a regular rho, for every
+generalized Cartan matrix, infinite groups included.  A left product by s
+changes lam in O(n) and coordinate s of each column; a right product
+subtracts A cols[s] from lam.  Rank <= 2 systems use direct
 alternating-word arithmetic instead, which handles any finite bond order
 m >= 2.
 
@@ -11,9 +18,9 @@ Elements are interned per system in ShortLex-least reduced-word form:
 element equality is object identity, and products by generators are
 cached, so group arithmetic amortizes to dictionary lookups.  On both
 backends one rule names a new element w: its word is its smallest left
-descent s followed by the word of s*w (Bjorner-Brenti, Combinatorics of
-Coxeter Groups, ch. 3), so smallest left descents are stripped until an
-interned element is reached and its word is appended.  Infinite
+descent s followed by the word of s*w (ch. 3 of the same book), so
+smallest left descents are stripped, on keys alone, until an interned
+element is reached and its word is appended.  Infinite
 systems (e.g. a rank-3 system with bond orders 4,3,3) are supported for
 all bounded-length operations; only whole-group enumeration requires the
 group to be finite.
@@ -112,33 +119,37 @@ def format_genset(system: "CoxeterSystem", mask: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# small exact integer matrices (tuples of row tuples)
+# root-backend states (cols, lam), see the module docstring.  With
+# cartan[i][j] = <alpha_j, alpha_i^v>, s maps v to v - <v, alpha_s^v> alpha_s.
 
 
-def _identity_matrix(n: int) -> tuple:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def _lam_left(lam: tuple, s: int, cartan: tuple) -> tuple:
+    """lam of s*w: <s w rho, alpha_i^v> = lam_i - lam_s cartan[i][s]."""
+    ls = lam[s]
+    return tuple([l - ls * row[s] for l, row in zip(lam, cartan)])
 
 
-# The simple reflection s acts on the root lattice by
-# s(alpha_j) = alpha_j - a_sj alpha_s.  In the basis of simple roots its
-# matrix g differs from the identity in row s only, which is
-# e_s - cartan[s], so a product with g costs O(n^2), not O(n^3).
+def _lam_right(lam: tuple, col: tuple, cartan: tuple) -> tuple:
+    """lam of w*s, with col = w(alpha_s): w s rho = w rho - w(alpha_s)."""
+    return tuple([l - sum(map(mul, row, col)) for l, row in zip(lam, cartan)])
 
 
-def _gen_times(a: tuple, s: int, cartan_row: tuple) -> tuple:
-    """g @ a for g the matrix of s: only row s of a changes, to
-    a[s] - sum_c cartan[s][c] a[c]."""
-    rows = list(a)
-    rows[s] = tuple([x - sum(map(mul, cartan_row, col))
-                     for x, col in zip(a[s], zip(*a))])
-    return tuple(rows)
+def _cols_left(cols: tuple, s: int, cartan_row: tuple) -> tuple:
+    """cols of s*w: in each column c only c_s changes, by
+    -sum_t cartan[s][t] c_t; a column where that is 0 is shared."""
+    out = []
+    for c in cols:
+        d = sum(map(mul, cartan_row, c))
+        out.append(c[:s] + (c[s] - d,) + c[s + 1:] if d else c)
+    return tuple(out)
 
 
-def _times_gen(a: tuple, s: int, cartan_row: tuple) -> tuple:
-    """a @ g for g the matrix of s: row r of a gains
-    -a[r][s] * cartan[s], which leaves the rows with a[r][s] = 0 alone."""
-    return tuple([tuple([x - row[s] * c for x, c in zip(row, cartan_row)])
-                  if row[s] else row for row in a])
+def _cols_right(cols: tuple, s: int, cartan_row: tuple) -> tuple:
+    """cols of w*s: w(s alpha_t) = cols_t - cartan[s][t] cols_s, which
+    leaves the columns with cartan[s][t] = 0 alone."""
+    cs = cols[s]
+    return tuple([tuple([x - a * y for x, y in zip(col, cs)]) if a else col
+                  for col, a in zip(cols, cartan_row)])
 
 
 def _cartan_from_coxeter(matrix: Sequence[Sequence[int]]) -> tuple:
@@ -202,6 +213,10 @@ class Element:
         rdesc:   bitmask of right descents {s : l(w s) < l(w)}
         support: bitmask of generators occurring in reduced words of w
         id:      dense index in the system's interning order
+
+    A root-backend element also holds its state (cols, lam): the images
+    w(alpha_t) of the simple roots, and lam_i = <w rho, alpha_i^v>.  lam
+    is its intern key, which is faithful because only e fixes rho.
     """
 
     __slots__ = ("system", "word", "length", "ldesc", "rdesc", "support",
@@ -275,8 +290,9 @@ class CoxeterSystem:
             self.backend = "crystallographic-root"
             self._m = None
             self._cartan = _cartan_from_coxeter(matrix)
-            ident = _identity_matrix(self.rank)
-            id_state = (ident, ident)
+            n = self.rank
+            id_state = (tuple(tuple(int(i == j) for j in range(n))
+                              for i in range(n)), (1,) * n)
 
         self.identity = Element(self, (), 0, 0, id_state, 0)
         self._intern_table: dict = {self._state_key(id_state): self.identity}
@@ -467,39 +483,44 @@ class CoxeterSystem:
     # -- backend state arithmetic --------------------------------------------
 
     def _state_key(self, state):
+        """The intern key: a dihedral-word state itself, a root state's lam."""
         if self.backend == "dihedral-word":
             return state
-        return state[0]
+        return state[1]
+
+    def _strip(self, key):
+        """(s, key of s*w) from the key of w, s its smallest left descent;
+        a root key's left descents are the i with lam_i < 0."""
+        if self.backend == "dihedral-word":
+            s = _low_bit(self._state_descents(key)[0])
+            return s, self._state_mult(key, s, "left")
+        for s, l in enumerate(key):
+            if l < 0:
+                return s, _lam_left(key, s, self._cartan)
 
     def _state_mult(self, state, s: int, side: str):
-        if self.backend == "dihedral-word":
-            m = self._m
-            f, k = state
-            if side == "right":
-                if k == 0:
-                    return (s, 1)
-                if k == m:
-                    # the longest element; use its word ending with s
-                    return ((s if m % 2 == 1 else 1 - s), m - 1)
-                last = f if k % 2 == 1 else 1 - f
-                if s == last:
-                    return (f, k - 1) if k > 1 else (0, 0)
-                return (0, m) if k + 1 == m else (f, k + 1)
-            else:
-                if k == 0:
-                    return (s, 1)
-                if k == m:
-                    # strip s from the word of the longest element starting s
-                    return (1 - s, m - 1)
-                if s == f:
-                    return ((1 - f), k - 1) if k > 1 else (0, 0)
-                return (0, m) if k + 1 == m else (s, k + 1)
+        """The dihedral-word state of w*s or s*w."""
+        m = self._m
+        f, k = state
+        if side == "right":
+            if k == 0:
+                return (s, 1)
+            if k == m:
+                # the longest element; use its word ending with s
+                return ((s if m % 2 == 1 else 1 - s), m - 1)
+            last = f if k % 2 == 1 else 1 - f
+            if s == last:
+                return (f, k - 1) if k > 1 else (0, 0)
+            return (0, m) if k + 1 == m else (f, k + 1)
         else:
-            mat, inv = state
-            c = self._cartan[s]
-            if side == "right":
-                return (_times_gen(mat, s, c), _gen_times(inv, s, c))
-            return (_gen_times(mat, s, c), _times_gen(inv, s, c))
+            if k == 0:
+                return (s, 1)
+            if k == m:
+                # strip s from the word of the longest element starting s
+                return (1 - s, m - 1)
+            if s == f:
+                return ((1 - f), k - 1) if k > 1 else (0, 0)
+            return (0, m) if k + 1 == m else (s, k + 1)
 
     def _state_descents(self, state) -> tuple[int, int]:
         """Return (ldesc, rdesc) bitmasks for a backend state."""
@@ -513,40 +534,44 @@ class CoxeterSystem:
             return 1 << f, 1 << last
         # Each column is the image of a simple root, a real root: its
         # coordinates share one sign, so their sum has that sign.
-        mat, inv = state
-        ld = rd = 0
-        for s, col in enumerate(zip(*inv)):
-            if sum(col) < 0:
-                ld |= 1 << s
-        for s, col in enumerate(zip(*mat)):
-            if sum(col) < 0:
-                rd |= 1 << s
-        return ld, rd
+        cols, lam = state
+        return (sum(1 << i for i, l in enumerate(lam) if l < 0),
+                sum(1 << t for t, col in enumerate(cols) if sum(col) < 0))
+
+    def _product(self, w: Element, s: int, right: bool) -> Element:
+        """The interned element w*s (right) or s*w.  On the root backend
+        the product's key lam is computed first, and its columns only
+        for an element that is new."""
+        if self.backend == "dihedral-word":
+            return self._intern(self._state_mult(
+                w._state, s, "right" if right else "left"))
+        cols, lam = w._state
+        c = self._cartan
+        lam = _lam_right(lam, cols[s], c) if right else _lam_left(lam, s, c)
+        el = self._intern_table.get(lam)
+        if el is None:
+            mult = _cols_right if right else _cols_left
+            el = self._intern((mult(cols, s, c[s]), lam))
+        return el
 
     def _intern(self, state) -> Element:
         """The interned element of a backend state.  A new element's word
         is its smallest left descent s followed by the word of s*w, so
-        smallest left descents are stripped until an interned element is
-        reached.  The states walked past are not interned: on a long word
-        in an infinite group they far outnumber the word's prefixes."""
+        smallest left descents are stripped, on keys alone, until an
+        interned element is reached.  The keys walked past are not
+        interned: on a long word in an infinite group they far outnumber
+        the word's prefixes."""
         table = self._intern_table
         key = self._state_key(state)
         el = table.get(key)
         if el is not None:
             return el
         ldesc, rdesc = self._state_descents(state)
-        prefix = []
-        cur, ld = state, ldesc
-        while True:
-            if not ld:
-                raise AssertionError("non-identity element with no descent")
-            s = _low_bit(ld)
+        prefix, cur, below = [], key, None
+        while below is None:  # ends at e, the first element interned
+            s, cur = self._strip(cur)
             prefix.append(s)
-            cur = self._state_mult(cur, s, "left")
-            below = table.get(self._state_key(cur))
-            if below is not None:
-                break
-            ld = self._state_descents(cur)[0]
+            below = table.get(cur)
         el = Element(self, tuple(prefix) + below.word, ldesc, rdesc, state,
                      len(self._by_id))
         self._by_id.append(el)
@@ -606,7 +631,7 @@ class CoxeterSystem:
         cache = w._rmul if right else w._lmul
         el = cache[s]
         if el is None:
-            el = self._intern(self._state_mult(w._state, s, side))
+            el = self._product(w, s, right)
             cache[s] = el
             # s is an involution, so el times s on the same side is w
             (el._rmul if right else el._lmul)[s] = w

@@ -12,9 +12,9 @@ recurrence bounds every coefficient of an R-value with length difference
 d by the Pell number P(d+1), which is below 2^62 for d <= 48; the largest
 coefficient seen in F4 is 114.  Values are decoded only at the edges: the
 public `KLContext.R`/`.P`, `R_step_via_matching`, counterexample records,
-and the check of each new P column, which decodes every P-value and so
-puts it through the guard.  `QPolynomial`, a dense coefficient tuple, is
-the type every caller sees.
+and the check of each new P column, which decodes every P-value new to
+its context and so puts it through the guard.  `QPolynomial`, a dense
+coefficient tuple, is the type every caller sees.
 
 The parameter x takes the two values -1 and q; it is substituted eagerly,
 so (q-1-x) becomes the polynomial q when x = -1 and the constant -1 when
@@ -224,9 +224,12 @@ class KLContext:
     Equal values are stored as one int object through the `_values`
     dict: R rows hold one entry per Bruhat pair but few distinct values,
     and without the dict the `query-f4` benchmark's peak RSS rises by
-    about 13%.  P reads no R row: F4's P(e, w0) fills 309 columns."""
+    about 13%.  P reads no R row: F4's P(e, w0) fills 309 columns.
+    `_digits` maps each distinct P value to its (digit count, top
+    digit), so a column's check decodes only values new to the context."""
 
-    __slots__ = ("system", "H", "x", "_R", "_P", "_mu", "_values", "_qm1mx")
+    __slots__ = ("system", "H", "x", "_R", "_P", "_mu", "_values", "_digits",
+                 "_qm1mx")
 
     def __init__(self, system: CoxeterSystem, H: int, x):
         if not 0 <= H < (1 << system.rank):
@@ -239,6 +242,7 @@ class KLContext:
         self._P: dict = {}
         self._mu: dict = {}
         self._values: dict = {}
+        self._digits: dict = {}
 
     def _require(self, u: Element) -> None:
         if u.system is not self.system:
@@ -369,8 +373,11 @@ class KLContext:
     def _checked(self, acc: dict, w: Element) -> dict:
         """acc as the column of w, its values interned, once each has
         passed the decoder's guard and the degree bound P(w, w) = 1,
-        2 deg P(y, w) <= l(w) - l(y) - 1; records the mu(y, w) != 0."""
+        2 deg P(y, w) <= l(w) - l(y) - 1; records the mu(y, w) != 0.
+        A value the guard refuses never enters `_digits`, so it is
+        refused wherever it is met."""
         intern = self._values.setdefault
+        known = self._digits
         n = w.length
         mu = []
         for y, p in acc.items():
@@ -380,13 +387,17 @@ class KLContext:
                     raise ArithmeticError(
                         "P(%s, %s) is not 1" % (y.label_str(), w.label_str()))
                 continue
-            digits = _unpack(p)
-            if 2 * len(digits) > d + 1:
+            got = known.get(p)
+            if got is None:
+                digits = _unpack(p)
+                got = known[p] = (len(digits), digits[-1] if digits else 0)
+            count, top = got
+            if 2 * count > d + 1:
                 raise ArithmeticError(
                     "P(%s, %s) = %s breaks the degree bound"
-                    % (y.label_str(), w.label_str(), QPolynomial(digits)))
-            if 2 * len(digits) == d + 1:
-                mu.append((y, digits[-1]))
+                    % (y.label_str(), w.label_str(), _decode(p)))
+            if 2 * count == d + 1:
+                mu.append((y, top))
             acc[y] = intern(p, p)
         self._mu[w] = mu
         return acc

@@ -5,7 +5,10 @@ exhaustive braid/nil rewriting, Bruhat order by subword enumeration or by
 the left-descent rule, coatoms by letter deletion, coset decompositions
 by exhaustive search, and matchings by unpruned backtracking or, for
 intervals too large for that, by the recursive backtracker that the
-constraint search in `bruhatkl.matchings` replaced.  The descent rule and
+constraint search in `bruhatkl.matchings` replaced.  `MatrixPairSystem`
+is the root backend that the (cols, lam) states of `bruhatkl.coxeter`
+replaced: each element carries the matrices of w and of w^-1 on the root
+lattice, keyed by the first.  The descent rule and
 the deletion rule are the ones the down-set bitmasks and lifting-property
 coatoms of `bruhatkl.coxeter` replaced, and the pull-form R-convolution is
 the per-pair P recursion that the column fill of `bruhatkl.klpoly`
@@ -19,8 +22,15 @@ takes its alternating sums in the oracle arithmetic here.
 from __future__ import annotations
 
 import weakref
+from operator import mul
 
-from bruhatkl.coxeter import CoxeterSystem, Element, genset_indices
+from bruhatkl.coxeter import (
+    CoxeterSystem,
+    Element,
+    _cartan_from_coxeter,
+    _low_bit,
+    genset_indices,
+)
 
 from matching_helpers import longest_element_of_parabolic, parabolic_group
 
@@ -65,6 +75,97 @@ def tits_canonical(matrix, word) -> tuple[int, ...]:
     non-reduced word admits a deletion after braid moves)."""
     cl = rewrite_closure(matrix, word)
     return min(cl, key=lambda w: (len(w), w))
+
+
+# ---------------------------------------------------------------------------
+# the matrix-pair root backend
+
+
+# The simple reflection s acts on the root lattice by
+# s(alpha_j) = alpha_j - a_sj alpha_s.  In the basis of simple roots its
+# matrix g differs from the identity in row s only, which is
+# e_s - cartan[s], so a product with g costs O(n^2), not O(n^3).
+
+
+def _gen_times(a: tuple, s: int, cartan_row: tuple) -> tuple:
+    """g @ a for g the matrix of s: only row s of a changes, to
+    a[s] - sum_c cartan[s][c] a[c]."""
+    rows = list(a)
+    rows[s] = tuple([x - sum(map(mul, cartan_row, col))
+                     for x, col in zip(a[s], zip(*a))])
+    return tuple(rows)
+
+
+def _times_gen(a: tuple, s: int, cartan_row: tuple) -> tuple:
+    """a @ g for g the matrix of s: row r of a gains
+    -a[r][s] * cartan[s], which leaves the rows with a[r][s] = 0 alone."""
+    return tuple([tuple([x - row[s] * c for x, c in zip(row, cartan_row)])
+                  if row[s] else row for row in a])
+
+
+class PairElement:
+    """An element of a `MatrixPairSystem`: word, length, descents, id and
+    the state (matrix of w, matrix of w^-1)."""
+
+    def __init__(self, word, ldesc, rdesc, state, id):
+        self.word, self.length = word, len(word)
+        self.ldesc, self.rdesc = ldesc, rdesc
+        self.state, self.id = state, id
+
+
+class MatrixPairSystem:
+    """A root-backend system (rank >= 3, bonds <= 4) whose elements are
+    interned by the matrix of w, with left descents read from the
+    columns of the matrix of w^-1 and right descents from those of w.  A
+    new element is named as in `CoxeterSystem`: smallest left descents
+    are stripped, on the full pair, until an interned element is met."""
+
+    def __init__(self, matrix):
+        self.rank = n = len(matrix)
+        self._cartan = _cartan_from_coxeter(matrix)
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        self.identity = PairElement((), 0, 0, (ident, ident), 0)
+        self._table = {ident: self.identity}
+        self._by_id = [self.identity]
+
+    def _mult(self, state, s: int, side: str):
+        mat, inv = state
+        c = self._cartan[s]
+        if side == "right":
+            return (_times_gen(mat, s, c), _gen_times(inv, s, c))
+        return (_gen_times(mat, s, c), _times_gen(inv, s, c))
+
+    @staticmethod
+    def _descents(state) -> tuple[int, int]:
+        # each column is a real root, so its coordinates share one sign
+        mat, inv = state
+        ld = sum(1 << s for s, col in enumerate(zip(*inv)) if sum(col) < 0)
+        rd = sum(1 << s for s, col in enumerate(zip(*mat)) if sum(col) < 0)
+        return ld, rd
+
+    def _intern(self, state) -> PairElement:
+        el = self._table.get(state[0])
+        if el is not None:
+            return el
+        ldesc, rdesc = self._descents(state)
+        prefix, cur, ld = [], state, ldesc
+        while True:
+            s = _low_bit(ld)
+            prefix.append(s)
+            cur = self._mult(cur, s, "left")
+            below = self._table.get(cur[0])
+            if below is not None:
+                break
+            ld = self._descents(cur)[0]
+        el = PairElement(tuple(prefix) + below.word, ldesc, rdesc, state,
+                         len(self._by_id))
+        self._by_id.append(el)
+        self._table[state[0]] = el
+        return el
+
+    def multiply_by_generator(self, w: PairElement, s: int,
+                              side: str = "right") -> PairElement:
+        return self._intern(self._mult(w.state, s, side))
 
 
 def subword_reachable(sys: CoxeterSystem, v: Element) -> set[Element]:

@@ -303,6 +303,29 @@ def test_invariance_f4_scan_stdout_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == F4_SCAN_SHA256
 
 
+# sha256 of the JSON stdout of F4 poly queries, ordinary and parabolic and
+# for both x, recorded before the root backend keyed elements by w rho
+F4_W0 = "s1s2s1s3s2s1s3s2s3s4s3s2s1s3s2s3s4s3s2s1s3s2s3s4"
+
+
+@pytest.mark.parametrize("H, x, u, w, digest", [
+    ("", "q", "e", F4_W0,
+     "0f33815a17085f3c025a57c2a3260f164e4d87433e9e1da22ba4825c0588c671"),
+    ("", "-1", "s1s2s1", "s3s2s1s4s3s2s1s3s2s3s4s3s2s1s3",
+     "e32d2e94215a33a21734866ae42201160d42ac7b18554f84e0e8a62bd6b6b469"),
+    ("s1", "q", "s1s2s3", "s3s2s4s3s2s1s3s2s3s4s3s2s1s3s2",
+     "b22849a2af2da7c25e90ce270b13613cba41419109aa1f3cd9102a1c040c2c59"),
+    ("s2,s4", "-1", "s1s2s3", "s3s2s1s4s3s2s1s3s2s3s4s3s2s1s3",
+     "028cff5efb19c038a12601a011255b8e9ea6800683bf6f3ab62eaae25abd0bf2"),
+])
+def test_poly_f4_stdout_pinned(capsys, H, x, u, w, digest):
+    code, out, err = run(capsys, [
+        "poly", "--group", "F4", "--H", H, "--x", x, "--u", u, "--w", w,
+        "--format", "json"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_invariance_shape_error(capsys):
     code, out, err = run(capsys, [
         "invariance", "--group", "A2", "--interval", "nocolon"])

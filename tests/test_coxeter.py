@@ -24,6 +24,7 @@ from matching_helpers import (
 )
 from test_matchings import random_coxeter_matrix
 from oracles import (
+    MatrixPairSystem,
     bruhat_pairs_oracle,
     coset_decompose_left_oracle,
     coset_decompose_right_oracle,
@@ -101,9 +102,12 @@ def test_interning_w0_state_at_default_recursion_limit():
 
 
 def test_generator_products_match_dense_matrix_products():
-    # a root-backend state is (matrix of w, matrix of w^-1) on the root
-    # lattice; its product by a generator is updated in O(n^2) and must
-    # equal the dense product by the reflection's matrix
+    # a root-backend state is (cols, lam): cols the columns of the matrix
+    # of w on the root lattice, lam the image of (1, ..., 1) under the
+    # contragredient matrices, whose reflection for s is
+    # delta_ij - delta_js cartan[i][s]; the products by a generator on
+    # either side are updated in O(n) and O(n^2) and must equal the dense
+    # products along the word, reduced or not
     def dense(a, b):
         return tuple(tuple(sum(x * y for x, y in zip(row, col))
                            for col in zip(*b)) for row in a)
@@ -112,19 +116,93 @@ def test_generator_products_match_dense_matrix_products():
     for _ in range(10):
         sys = CoxeterSystem(random_coxeter_matrix(rng, rng.choice((3, 4))))
         n, cartan = sys.rank, sys._cartan
+        ident = tuple(tuple(int(r == c) for c in range(n)) for r in range(n))
         gens = [tuple(tuple((r == c) - (r == s) * cartan[s][c]
                             for c in range(n)) for r in range(n))
                 for s in range(n)]
+        duals = [tuple(tuple((i == j) - (j == s) * cartan[i][s]
+                             for j in range(n)) for i in range(n))
+                 for s in range(n)]
+
+        def state_of(word):
+            mat, lam = ident, ((1,),) * n
+            for s in word:
+                mat = dense(mat, gens[s])
+            for s in reversed(word):
+                lam = dense(duals[s], lam)
+            return tuple(zip(*mat)), tuple(row[0] for row in lam)
+
+        assert sys.identity._state == state_of(())
         w = sys.identity
         for _ in range(12):
-            mat, inv = w._state
-            assert dense(mat, inv) == sys.identity._state[0]
-            for s, g in enumerate(gens):
-                assert sys._state_mult(w._state, s, "right") == (
-                    dense(mat, g), dense(g, inv))
-                assert sys._state_mult(w._state, s, "left") == (
-                    dense(g, mat), dense(inv, g))
+            assert w._state == state_of(w.word)
+            for s in range(n):
+                for side, word in (("right", w.word + (s,)),
+                                   ("left", (s,) + w.word)):
+                    el = sys.multiply_by_generator(w, s, side)
+                    assert el._state == state_of(word) == state_of(el.word)
             w = sys.multiply_by_generator(w, rng.randrange(n))
+
+
+def _same_interning(system, oracle):
+    assert len(system._by_id) == len(oracle._by_id)
+    for el, ref in zip(system._by_id, oracle._by_id):
+        assert (el.id, el.word, el.ldesc, el.rdesc) == \
+            (ref.id, ref.word, ref.ldesc, ref.rdesc)
+
+
+def _levels(system, max_length):
+    """Interns every element up to max_length, by right ascents taken
+    level by level in id order, and returns the last level; the same
+    calls on two systems intern the same elements in the same order if
+    the two agree."""
+    level = [system.identity]
+    for _ in range(max_length):
+        nxt = {}
+        for w in level:
+            for s in range(system.rank):
+                if not (w.rdesc >> s) & 1:
+                    v = system.multiply_by_generator(w, s)
+                    nxt.setdefault(v.id, v)
+        level = [nxt[i] for i in sorted(nxt)]
+    return level
+
+
+@pytest.mark.parametrize("name", ["A4", "B4", "D4", "F4"])
+def test_interning_matches_matrix_pair_oracle_whole_group(name):
+    system = CoxeterSystem.from_name(name)
+    oracle = MatrixPairSystem(system.matrix)
+    assert not _levels(system, 25) and not _levels(oracle, 25)
+    _same_interning(system, oracle)
+    assert len(system._by_id) == {"A4": 120, "B4": 384, "D4": 192,
+                                  "F4": 1152}[name]
+
+
+@pytest.mark.parametrize("matrix", [[[1, 4, 4], [4, 1, 4], [4, 4, 1]],
+                                    [[1, 4, 3], [4, 1, 3], [3, 3, 1]]])
+def test_interning_matches_matrix_pair_oracle_triangle_groups(matrix):
+    system, oracle = CoxeterSystem(matrix), MatrixPairSystem(matrix)
+    _levels(system, 10)
+    _levels(oracle, 10)
+    _same_interning(system, oracle)
+    assert system.elements_up_to_length(10) == sorted(system._by_id)
+
+
+@pytest.mark.parametrize("matrix", [CoxeterSystem.F4().matrix,
+                                    [[1, 4, 4], [4, 1, 4], [4, 4, 1]],
+                                    [[1, 4, 3], [4, 1, 3], [3, 3, 1]]])
+def test_interning_matches_matrix_pair_oracle_on_a_walk(matrix):
+    # a seeded walk of left and right products, which names elements out
+    # of length order and so strips more than one descent at a time
+    rng = random.Random(1152)
+    system, oracle = CoxeterSystem(matrix), MatrixPairSystem(matrix)
+    w, ref = system.identity, oracle.identity
+    for _ in range(600):
+        s, side = rng.randrange(system.rank), rng.choice(("right", "left"))
+        w = system.multiply_by_generator(w, s, side)
+        ref = oracle.multiply_by_generator(ref, s, side)
+        assert (w.id, w.word) == (ref.id, ref.word)
+    _same_interning(system, oracle)
 
 
 @pytest.mark.parametrize("matrix", [CoxeterSystem.F4().matrix,

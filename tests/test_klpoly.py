@@ -478,6 +478,55 @@ def test_P_column_guard_refuses_a_corrupt_column():
         ctx.P(f4.identity, el(f4, "s1s2"))
 
 
+def test_P_guard_refuses_a_value_each_time_it_is_met():
+    # a refused value is not memoised: P(e, s3) = 2^62, planted in the
+    # column of s3, reaches P(e, s1s3) and P(e, s2s3) unchanged (s1 and
+    # s2 are their smallest left descents), and both columns refuse it
+    f4 = CoxeterSystem.F4()
+    ctx = get_context(f4, 0, "-1")
+    e, s3 = f4.identity, el(f4, "s3")
+    assert ctx.P(e, s3) == ONE
+    ctx._P[s3][e] = pack([1 << 62])
+    for w in ("s1s3", "s2s3"):
+        with pytest.raises(ArithmeticError, match="too large"):
+            ctx.P(e, el(f4, w))
+    assert pack([1 << 62]) not in ctx._digits
+
+
+def test_P_value_memo_keeps_the_degree_bound_per_entry():
+    # q is legal at l(w) - l(y) = 3, where it gives mu = 1, and is then
+    # memoised; at l(w) - l(y) = 1 the same value breaks the bound
+    f4 = CoxeterSystem.F4()
+    ctx = KLContext(f4, 0, "-1")
+    e, w3, w1 = f4.identity, el(f4, "s1s2s3"), el(f4, "s1")
+    q = pack([0, 1])
+    assert ctx._checked({e: q, w3: 1}, w3) == {e: q, w3: 1}
+    assert ctx._mu[w3] == [(e, 1)] and q in ctx._digits
+    with pytest.raises(ArithmeticError, match="degree bound"):
+        ctx._checked({e: q, w1: 1}, w1)
+
+
+@pytest.mark.parametrize("x", ["-1", "q"])
+def test_P_mu_lists_match_decoding_every_value(x):
+    # the columns that F4's P(e, w0) fills hold few distinct values; the
+    # mu lists read from the memo equal those of a pass that decodes
+    # every entry
+    f4 = CoxeterSystem.F4()
+    w0 = f4.group_elements()[-1]
+    ctx = get_context(f4, 0, x)
+    assert ctx.P(f4.identity, w0) == ONE
+    entries = 0
+    for w, col in ctx._P.items():
+        want = []
+        for y, p in col.items():
+            digits, d = _unpack(p), w.length - y.length
+            if d and 2 * len(digits) == d + 1:
+                want.append((y, digits[-1]))
+        assert list(ctx._mu[w]) == want
+        entries += len(col)
+    assert 10 * len(ctx._digits) < entries
+
+
 def test_x_consistency_without_branch_three(a3):
     # with H empty the third branch never fires, so both x variants agree
     ctx_q = get_context(a3, 0, "q")
