@@ -209,21 +209,22 @@ def test_interning_matches_matrix_pair_oracle_on_a_walk(matrix):
                                     [[1, 4, 4], [4, 1, 4], [4, 4, 1]]])
 def test_generator_products_cache_their_inverse(matrix):
     # once el = w*s (or s*w) is known, el*s (or s*el) is w without a
-    # lookup in the intern table; ids and words stay those of a system
-    # that never takes the inverse product
+    # product being computed or looked up in the intern table; ids and
+    # words stay those of a system that never takes the inverse product
     rng = random.Random(2024)
     walk = CoxeterSystem(matrix)
-    interned = []
-    intern = walk._intern
-    walk._intern = lambda state: interned.append(state) or intern(state)
+    computed = []
+    product = walk._product
+    walk._product = lambda w, s, right: (computed.append((w, s, right))
+                                         or product(w, s, right))
     steps = [(rng.randrange(walk.rank), rng.choice(("right", "left")))
              for _ in range(300)]
     w, path = walk.identity, []
     for s, side in steps:
         el = walk.multiply_by_generator(w, s, side)
-        del interned[:]
+        del computed[:]
         assert walk.multiply_by_generator(el, s, side) is w
-        assert not interned
+        assert not computed
         w = el
         path.append(w)
     fresh = CoxeterSystem(matrix)
