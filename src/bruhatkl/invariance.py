@@ -21,7 +21,7 @@ Three kinds of campaign, all exact:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .coxeter import (
@@ -166,13 +166,15 @@ def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
             marked = mark_interval(interval, H)
             scanned += 1
             matchings += len(all_special)
-            for M in all_special:
-                if not is_H_special(marked, M):
-                    continue
-                h_special += 1
+            chosen = [M for M in all_special if is_H_special(marked, M)]
+            if not chosen:
+                continue  # such as [e, e]; it needs no context
+            h_special += len(chosen)
+            table = get_context(sys, H, x)
+            for M in chosen:
                 # the filter above is the H-special test verify_calculating
                 # would repeat; every other input check holds by construction
-                ok, rec = _calculates(marked, M, get_context(sys, H, x))
+                ok, rec = _calculates(marked, M, table)
                 if ok:
                     calculating += 1
                 else:
@@ -239,13 +241,7 @@ class ScanRecord:
     pairs_checked: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "first": self.first,
-            "second": self.second,
-            "isomorphic": self.isomorphic,
-            "polynomials_equal": self.polynomials_equal,
-            "pairs_checked": self.pairs_checked,
-        }
+        return asdict(self)
 
 
 def _scan_entry(sys: CoxeterSystem, H: int, w: Element, intervals: dict,

@@ -429,7 +429,7 @@ def _first_difference(marked: MarkedInterval, M: Matching,
         u = els[u_id]
         m_id = pairing[u_id]
         Mu = els[m_id]
-        if Mu.length < u.length:
+        if m_id < u_id:  # ids are sorted by rank: M moves u down
             got = below[Mu]
         elif marks[m_id]:
             got = _Q_MINUS_ONE * get(u, 0) + _Q * get(Mu, 0)

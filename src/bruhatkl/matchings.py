@@ -9,10 +9,15 @@ that it moves down to minimal coset representatives.
 `enumerate_special_matchings` lists the special matchings of an interval by
 constraint propagation: every element keeps the bitmask of Hasse neighbours
 it may still be matched with, each accepted pair narrows the masks of its
-neighbours through the special condition, and the search branches only
-where no element is forced.  Outside dihedral intervals a special matching
-is pinned down by its restriction to the lowest ranks, so the search stays
-small even on the 1152-element interval [e, w0] of F4.
+neighbours by one table of four rules read off the special condition, and
+the search branches only where no element is forced.  Outside dihedral
+intervals a special matching is pinned down by its restriction to the
+lowest ranks, so the search stays small even on the 1152-element interval
+[e, w0] of F4.
+
+Interval ids are sorted by (length, word), so along a Hasse edge the
+smaller id is the lower element: the search orders each pair by id, and a
+matching moves i down exactly when it sends i to a smaller id.
 """
 
 from __future__ import annotations
@@ -49,9 +54,6 @@ class Matching:
     def image(self, el: Element) -> Element:
         iv = self.interval
         return iv.elements[self.pairing[iv.id_of(el)]]
-
-    def moves_down(self, i: int) -> bool:
-        return self.interval.rank_of[self.pairing[i]] < self.interval.rank_of[i]
 
     def pairs(self) -> list[tuple[int, int]]:
         return sorted((i, j) for i, j in enumerate(self.pairing) if i < j)
@@ -128,14 +130,21 @@ def enumerate_special_matchings(interval: Interval) -> list[Matching]:
 
     A constraint search.  The domain of an element is the bitmask of the
     Hasse neighbours it may still be matched with.  Matching lo with its
-    upper cover hi takes both out of every other domain and, by the
-    special condition, narrows the neighbours: other upper covers of lo
-    must be matched above hi, lower covers of lo below hi, upper covers of
-    hi above lo, and other lower covers of hi below lo.  A pair is accepted
-    only if each endpoint is in the other's domain.  An element left with
-    one candidate is matched at once, and an empty domain ends the branch.
-    Otherwise the search branches, on an explicit stack, over the free
-    element with the fewest candidates.
+    upper cover hi (lo < hi as ids) takes both out of every other domain
+    and, by the special condition, narrows the neighbours by one rule
+    table, applied row by row in this order:
+
+        neighbours   matched within        except
+        up[lo]       above[hi]             hi
+        down[lo]     below[hi] minus lo
+        up[hi]       above[lo] minus hi
+        down[hi]     below[lo]             lo
+
+    A pair is accepted only if each endpoint is in the other's domain.  An
+    element left with one candidate is matched at once, and an empty
+    domain ends the branch.  Otherwise the search branches, on an explicit
+    stack, over the free element with the fewest candidates.  A finished
+    matching has one bit left in every domain, its partner's id.
     """
     n = len(interval.elements)
     if n < 2:
@@ -160,46 +169,20 @@ def enumerate_special_matchings(interval: Interval) -> list[Matching]:
             free ^= (1 << x) | (1 << y)
             # ids are sorted by rank, so the smaller id is the lower one
             lo, hi = (x, y) if x < y else (y, x)
-            mask = above[hi]
-            for z in up[lo]:
-                d = dom[z]
-                if d & mask != d and z != hi:
-                    d &= mask
-                    if not d:
-                        return -1
-                    dom[z] = d
-                    if not d & (d - 1):
-                        todo.append(z)
-            mask = below[hi] ^ (1 << lo)
-            for z in down[lo]:
-                d = dom[z]
-                if d & mask != d:
-                    d &= mask
-                    if not d:
-                        return -1
-                    dom[z] = d
-                    if not d & (d - 1):
-                        todo.append(z)
-            mask = above[lo] ^ (1 << hi)
-            for z in up[hi]:
-                d = dom[z]
-                if d & mask != d:
-                    d &= mask
-                    if not d:
-                        return -1
-                    dom[z] = d
-                    if not d & (d - 1):
-                        todo.append(z)
-            mask = below[lo]
-            for z in down[hi]:
-                d = dom[z]
-                if d & mask != d and z != lo:
-                    d &= mask
-                    if not d:
-                        return -1
-                    dom[z] = d
-                    if not d & (d - 1):
-                        todo.append(z)
+            for nbrs, mask, partner in (
+                    (up[lo], above[hi], hi),
+                    (down[lo], below[hi] ^ (1 << lo), -1),
+                    (up[hi], above[lo] ^ (1 << hi), -1),
+                    (down[hi], below[lo], lo)):
+                for z in nbrs:
+                    d = dom[z]
+                    if d & mask != d and z != partner:
+                        d &= mask
+                        if not d:
+                            return -1
+                        dom[z] = d
+                        if not d & (d - 1):
+                            todo.append(z)
         return free
 
     dom = [0] * n
@@ -210,12 +193,11 @@ def enumerate_special_matchings(interval: Interval) -> list[Matching]:
     free = settle(dom, (1 << n) - 1,
                   [i for i in range(n) if not dom[i] & (dom[i] - 1)])
     stack = [(dom, free)] if free != -1 else []
-    position = {1 << i: i for i in range(n)}
     found: list[tuple[int, ...]] = []
     while stack:
         dom, free = stack.pop()
         if not free:
-            found.append(tuple(map(position.__getitem__, dom)))
+            found.append(tuple([d.bit_length() - 1 for d in dom]))
             continue
         # every free domain has at least two candidates after settle
         best, size = -1, n
@@ -243,13 +225,14 @@ def enumerate_special_matchings(interval: Interval) -> list[Matching]:
 
 def is_H_special(marked: MarkedInterval, M: Matching) -> bool:
     """True iff M maps every marked element that it moves down to a marked
-    element."""
+    element.  M pairs ids along Hasse edges and ids are sorted by rank, so
+    M moves i down exactly when M(i) < i."""
     # identity first: a sweep makes this check once per (matching, H)
     if M.interval is not marked.interval and M.interval != marked.interval:
         raise ValueError("matching belongs to a different interval")
     marks = marked.marks
-    for i, m in enumerate(marks):
-        if m and M.moves_down(i) and not marks[M.pairing[i]]:
+    for i, j in enumerate(M.pairing):
+        if j < i and marks[i] and not marks[j]:
             return False
     return True
 

@@ -104,15 +104,11 @@ class Interval:
         """Bruhat comparison by interval ids."""
         return bool((self.above[i] >> j) & 1)
 
-    def member_ids(self, lo: int, hi: int) -> list[int]:
-        """Ids of elements z with lo <= z <= hi."""
-        return list(genset_indices(self.above[lo] & self.below[hi]))
-
     def subinterval(self, lo: int, hi: int):
         """The interval [lo, hi] as its own Interval plus the id map
         (sub id -> parent id).  Bruhat intervals are convex, so covers are
         inherited by restriction."""
-        ids = self.member_ids(lo, hi)
+        ids = list(genset_indices(self.above[lo] & self.below[hi]))
         pos = {p: i for i, p in enumerate(ids)}
         hasse_down = [
             [pos[a] for a in self.hasse_down[p] if a in pos] for p in ids

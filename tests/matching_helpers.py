@@ -48,9 +48,9 @@ def restrict_matching(interval: Interval, M: Matching, u: Element,
     """Restriction of M to [u, v] where M moves v down and u up; the
     restriction of a special matching is again a total special matching."""
     iu, iv_ = interval.id_of(u), interval.id_of(v)
-    if not M.moves_down(iv_):
+    if M.pairing[iv_] > iv_:
         raise ValueError("M must move the requested top down")
-    if M.moves_down(iu):
+    if M.pairing[iu] < iu:
         raise ValueError("M must move the requested bottom up")
     sub, ids = interval.subinterval(iu, iv_)
     back = {p: i for i, p in enumerate(ids)}

@@ -3,6 +3,7 @@ matchings, orbits, restriction, dihedral systems and their associated
 matchings."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -160,6 +161,63 @@ def test_enumeration_matches_recursive_backtracker(name):
                 sys_.name, w.label_str())
 
 
+def settled_domains(iv):
+    """(domains, free mask) after every propagation step of the
+    enumerator on iv that ends without a contradiction, read from the
+    frames of its inner `settle` as they return."""
+    snapshots = []
+
+    def hook(frame, event, arg):
+        if (event == "return" and frame.f_code.co_name == "settle"
+                and isinstance(arg, int) and arg != -1):
+            snapshots.append((list(frame.f_locals["dom"]), arg))
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        enumerate_special_matchings(iv)
+    finally:
+        sys.setprofile(previous)
+    return snapshots
+
+
+@pytest.mark.parametrize("sys_, max_length", [
+    (CoxeterSystem.B(3), None), (CoxeterSystem.A(4), None),
+    (CoxeterSystem.I2(8), None), (CoxeterSystem.F4(), 5),
+], ids=["B3", "A4", "I2(8)", "F4"])
+def test_settle_reaches_special_condition_fixed_point(sys_, max_length):
+    # after each propagation step every free domain holds at least two
+    # candidates, all free Hasse neighbours that keep the special condition
+    # with every matched neighbour.  Every constraint is checked again when
+    # its second endpoint is matched, so the output oracles cannot see a
+    # narrowing rule go missing; this can
+    tops = (sys_.group_elements() if max_length is None
+            else sys_.elements_up_to_length(max_length))
+    steps = 0
+    for w in tops[1:]:
+        iv = build_lower_interval(sys_, w)
+        for dom, free in settled_domains(iv):
+            steps += 1
+            partner = {x: d.bit_length() - 1 for x, d in enumerate(dom)
+                       if not (free >> x) & 1}
+            assert all(partner[y] == x for x, y in partner.items())
+            for z in range(len(dom)):
+                if z in partner:
+                    continue
+                cands = [c for c in range(len(dom)) if (dom[z] >> c) & 1]
+                assert len(cands) >= 2
+                for c in cands:
+                    assert c not in partner
+                    assert c in iv.hasse_up[z] or c in iv.hasse_down[z]
+                    for a in iv.hasse_down[z]:
+                        if a in partner:
+                            assert iv.leq(partner[a], c), (w, z, c, a)
+                    for a in iv.hasse_up[z]:
+                        if a in partner:
+                            assert iv.leq(c, partner[a]), (w, z, c, a)
+    assert steps
+
+
 def random_coxeter_matrix(rng, rank):
     m = [[1] * rank for _ in range(rank)]
     for i in range(rank):
@@ -314,6 +372,32 @@ def test_is_H_special_example(b2):
     unmarked = mark_interval(iv, 0)
     for M in enumerate_special_matchings(iv):
         assert is_H_special(unmarked, M)
+
+
+@pytest.mark.parametrize("sys_", [
+    CoxeterSystem.B(3), CoxeterSystem.A(4), CoxeterSystem.I2(6),
+], ids=["B3", "A4", "I2(6)"])
+def test_is_H_special_matches_length_definition(sys_):
+    # the definition, read from lengths and right descents rather than
+    # from ids or marks: M sends no u in W^H with l(M(u)) < l(u) out of W^H
+    outcomes = set()
+    for w in sys_.group_elements():
+        iv = build_lower_interval(sys_, w)
+        els = iv.elements
+        matchings = enumerate_special_matchings(iv)
+        for H in range(1 << sys_.rank):
+            if w.rdesc & H:
+                continue
+            marked = mark_interval(iv, H)
+            for M in matchings:
+                want = all(
+                    not els[M.pairing[i]].rdesc & H
+                    for i, u in enumerate(els)
+                    if not u.rdesc & H and els[M.pairing[i]].length < u.length)
+                assert is_H_special(marked, M) == want, (
+                    sys_.name, w.label_str(), H, M.pairing)
+                outcomes.add(want)
+    assert outcomes == {True, False}
 
 
 def test_is_H_special_wrong_interval(b2, a2):

@@ -34,8 +34,19 @@ def test_interval_membership_matches_subword_oracle(sys):
     for w in sys.group_elements():
         iv = build_lower_interval(sys, w)
         assert set(iv.elements) == subword_reachable(sys, w)
-        # ids sorted by (length, word); extremes in place
-        assert list(iv.elements) == sorted(iv.elements)
+        # ids sorted by (length, word); extremes in place.  The enumerator,
+        # is_H_special and the matching recurrence read "lower" off this
+        # order, so every way of building an interval must keep it.
+        top = len(iv) - 1
+        built = [iv]
+        for lo, u in enumerate(iv.elements):
+            sub, ids = iv.subinterval(lo, top)
+            assert list(ids) == sorted(ids)
+            built += [sub, build_interval(sys, u, w)]
+        for b in built:
+            assert list(b.elements) == sorted(b.elements)
+            assert b.elements[0] is b.bottom
+            assert b.elements[-1] is b.top
         assert iv.elements[0] is sys.identity
         assert iv.elements[-1] is w
 
