@@ -8,9 +8,9 @@ that it moves down to minimal coset representatives.
 
 `enumerate_special_matchings` lists the special matchings of an interval by
 constraint propagation: every element keeps the bitmask of Hasse neighbours
-it may still be matched with, each accepted pair narrows the masks of its
-neighbours by one table of four rules read off the special condition, and
-the search branches only where no element is forced.  Outside dihedral
+it may still be matched with, each accepted pair narrows the masks of the
+upper covers of both its elements by the special condition, and the search
+branches only where no element is forced.  Outside dihedral
 intervals a special matching is pinned down by its restriction to the
 lowest ranks, so the search stays small even on the 1152-element interval
 [e, w0] of F4.
@@ -74,10 +74,17 @@ class Matching:
 
 
 def matching_from_json(interval: Interval, data: dict) -> Matching:
-    pairing = [-1] * len(interval.elements)
-    for a, b in data["pairs"]:
-        pairing[a] = b
-        pairing[b] = a
+    """The matching a `Matching.to_json` record describes.  Raises
+    ValueError unless every pair is two interval ids (ints, not bools) that
+    together form a special-matching candidate: a fixed-point-free
+    involution along Hasse edges."""
+    n = len(interval.elements)
+    pairing = [-1] * n
+    for pair in data["pairs"]:
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(
+                type(i) is int and 0 <= i < n for i in pair)):
+            raise ValueError("bad pair %r: want two ids below %d" % (pair, n))
+        pairing[pair[0]], pairing[pair[1]] = pair[1], pair[0]
     _check_matching(interval, pairing)
     return Matching(interval, pairing, data.get("source", "enumerated"))
 
@@ -130,17 +137,23 @@ def enumerate_special_matchings(interval: Interval) -> list[Matching]:
 
     A constraint search.  The domain of an element is the bitmask of the
     Hasse neighbours it may still be matched with.  Matching lo with its
-    upper cover hi (lo < hi as ids) takes both out of every other domain
-    and, by the special condition, narrows the neighbours by one rule
-    table, applied row by row in this order:
+    upper cover hi (lo < hi as ids) narrows the domains of the upper covers
+    of both, by the special condition, in this order:
 
         neighbours   matched within        except
         up[lo]       above[hi]             hi
-        down[lo]     below[hi] minus lo
         up[hi]       above[lo] minus hi
-        down[hi]     below[lo]             lo
 
-    A pair is accepted only if each endpoint is in the other's domain.  An
+    The special condition on a cover a < b, M(a) = b or M(a) <= M(b), is
+    checked from a's side only: once a is matched, the row for a narrows
+    b's domain to the elements above M(a).  If b is free, its partner will
+    come from that domain; if b is already matched, its domain is one bit,
+    so a violation empties it.  Either way every constraint has been
+    checked by the time the matching is complete, and narrowing the lower
+    covers as well would only check them earlier.
+
+    A pair is accepted only if each endpoint is in the other's domain, so
+    an element that is already taken is never accepted as a partner.  An
     element left with one candidate is matched at once, and an empty
     domain ends the branch.  Otherwise the search branches, on an explicit
     stack, over the free element with the fewest candidates.  A finished
@@ -150,9 +163,7 @@ def enumerate_special_matchings(interval: Interval) -> list[Matching]:
     if n < 2:
         return []
     up = interval.hasse_up
-    down = interval.hasse_down
     above = interval.above
-    below = interval.below
 
     def settle(dom: list[int], free: int, todo: list[int]) -> int:
         """Match each free element of `todo` with the one candidate left in
@@ -169,11 +180,8 @@ def enumerate_special_matchings(interval: Interval) -> list[Matching]:
             free ^= (1 << x) | (1 << y)
             # ids are sorted by rank, so the smaller id is the lower one
             lo, hi = (x, y) if x < y else (y, x)
-            for nbrs, mask, partner in (
-                    (up[lo], above[hi], hi),
-                    (down[lo], below[hi] ^ (1 << lo), -1),
-                    (up[hi], above[lo] ^ (1 << hi), -1),
-                    (down[hi], below[lo], lo)):
+            for nbrs, mask, partner in ((up[lo], above[hi], hi),
+                                        (up[hi], above[lo] ^ (1 << hi), -1)):
                 for z in nbrs:
                     d = dom[z]
                     if d & mask != d and z != partner:

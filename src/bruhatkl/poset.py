@@ -3,7 +3,7 @@
 An interval is a plain value that a caller builds, uses and drops: its
 elements get dense integer ids sorted by (length, word), covers are stored
 as adjacency lists, and the full order relation is kept as per-element
-bitmasks so comparisons inside an interval are O(1).  Two intervals are
+up-set bitmasks so comparisons inside an interval are O(1).  Two intervals are
 equal when they have the same bottom and the same top.  A lower interval
 [e, w] takes its members from the down-set of w and its covers from the
 coatoms of each member, both kept by the `CoxeterSystem`.
@@ -41,7 +41,9 @@ class Interval:
     """A Bruhat interval [bottom, top], graded by l(z) - l(bottom).
 
     Element ids are positions in `elements`, which is sorted by
-    (length, word); id 0 is the bottom and the last id is the top.
+    (length, word); id 0 is the bottom and the last id is the top.  The
+    lower covers of each id are given in increasing id order, and the upper
+    covers are listed in that order too.
     """
 
     def __init__(self, system: CoxeterSystem, bottom: Element, top: Element,
@@ -54,29 +56,22 @@ class Interval:
         self.index = {el: i for i, el in enumerate(self.elements)}
         base = bottom.length
         self.rank_of = tuple(el.length - base for el in self.elements)
-        self.hasse_down = tuple(tuple(sorted(d)) for d in hasse_down)
+        self.hasse_down = tuple(tuple(d) for d in hasse_down)
         n = len(self.elements)
         up: list[list[int]] = [[] for _ in range(n)]
         for b in range(n):
             for a in self.hasse_down[b]:
                 up[a].append(b)
-        self.hasse_up = tuple(tuple(sorted(u)) for u in up)
+        self.hasse_up = tuple(tuple(u) for u in up)
         # order bitmasks: above[i] = ids j with element i <= element j,
-        # below[i] the reverse; computed by closing the covers
+        # computed by closing the covers
         above = [0] * n
         for i in range(n - 1, -1, -1):
             m = 1 << i
             for j in self.hasse_up[i]:
                 m |= above[j]
             above[i] = m
-        below = [0] * n
-        for i in range(n):
-            m = 1 << i
-            for j in self.hasse_down[i]:
-                m |= below[j]
-            below[i] = m
         self.above = tuple(above)
-        self.below = tuple(below)
 
     def __eq__(self, other) -> bool:
         # elements are interned per system, so identity compares them
@@ -108,7 +103,8 @@ class Interval:
         """The interval [lo, hi] as its own Interval plus the id map
         (sub id -> parent id).  Bruhat intervals are convex, so covers are
         inherited by restriction."""
-        ids = list(genset_indices(self.above[lo] & self.below[hi]))
+        above = self.above
+        ids = [j for j in genset_indices(above[lo]) if above[j] >> hi & 1]
         pos = {p: i for i, p in enumerate(ids)}
         hasse_down = [
             [pos[a] for a in self.hasse_down[p] if a in pos] for p in ids

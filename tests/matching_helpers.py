@@ -81,13 +81,10 @@ def commutes_on_lower_dihedral(M: Matching, N: Matching) -> bool:
         (s, r) for r in range(sys.rank) if r != s]
     mp, np_ = M.pairing, N.pairing
     for a, b in pairs:
-        top = max_parabolic_below(sys, iv.top, genset([a, b]))
-        mask = iv.below[iv.id_of(top)]
-        while mask:
-            low = mask & -mask
-            i = low.bit_length() - 1
-            mask ^= low
-            if mp[np_[i]] != np_[mp[i]]:
+        top = iv.id_of(max_parabolic_below(sys, iv.top, genset([a, b])))
+        # ids are sorted by length, so everything below top has a smaller id
+        for i in range(top + 1):
+            if iv.leq(i, top) and mp[np_[i]] != np_[mp[i]]:
                 return False
     return True
 

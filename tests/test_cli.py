@@ -200,6 +200,23 @@ def test_matchings_f4_w0_at_default_recursion_limit(capsys):
         assert is_special(interval, matching_from_json(interval, entry))
 
 
+# sha256 of the JSON stdout of `matchings` on [e, w0], recorded before the
+# search narrowed upper covers only
+@pytest.mark.parametrize("group, w, H, digest", [
+    ("F4", "s1s2s1s3s2s1s3s2s3s4s3s2s1s3s2s3s4s3s2s1s3s2s3s4", "",
+     "d1934032ae0bd876ef2152f7c820397ae68f7c93e1bc3eec3f0a0edaf7dd05ec"),
+    ("F4", "s1s2s1s3s2s1s3s2s3s4s3s2s1s3s2s3s4s3s2s1s3s2s3s4", "s1",
+     "f758c52c298e3de9e014e42786e117802db7c0fa2ac0e340f65a5cad5ce0836d"),
+    ("B4", "s1s2s1s3s2s1s4s3s2s1s4s3s2s4s3s4", "s2",
+     "dcee29230da93fb5ebb893b9a1fda441526df23238085fead916aa4017dcee88"),
+], ids=["F4", "F4-s1", "B4-s2"])
+def test_matchings_w0_stdout_pinned(capsys, group, w, H, digest):
+    code, out, err = run(capsys, [
+        "matchings", "--group", group, "--w", w, "--H", H, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -219,6 +219,15 @@ def test_reverify_rejects_tampered_records(b2):
     assert reverify_counterexample(b2, bad_ref) is False
 
 
+@pytest.mark.parametrize("pairs", [[[0, 1], [2, 99]], [[0, "1"]], [[0, 1, 2]]],
+                         ids=["past-end", "str", "triple"])
+def test_reverify_rejects_malformed_matching_with_value_error(b2, pairs):
+    record, _, _ = fabricated_record(b2)
+    record["matching"] = dict(record["matching"], pairs=pairs)
+    with pytest.raises(ValueError, match="bad pair"):
+        reverify_counterexample(b2, record)
+
+
 # ---------------------------------------------------------------------------
 # invariance scans
 

@@ -144,6 +144,9 @@ BACKTRACKER_CORPORA = {
     "F4": lambda: [(CoxeterSystem.F4(), 7)],
     "triangle443": lambda: [
         (CoxeterSystem([[1, 4, 3], [4, 1, 3], [3, 3, 1]]), 7)],
+    # where narrowing upper covers only changes the search tree most
+    "triangle444": lambda: [
+        (CoxeterSystem([[1, 4, 4], [4, 1, 4], [4, 4, 1]]), 7)],
 }
 
 
@@ -187,10 +190,13 @@ def settled_domains(iv):
 ], ids=["B3", "A4", "I2(8)", "F4"])
 def test_settle_reaches_special_condition_fixed_point(sys_, max_length):
     # after each propagation step every free domain holds at least two
-    # candidates, all free Hasse neighbours that keep the special condition
-    # with every matched neighbour.  Every constraint is checked again when
-    # its second endpoint is matched, so the output oracles cannot see a
-    # narrowing rule go missing; this can
+    # candidates, all Hasse neighbours, those below it free, and each one
+    # keeping the special condition with every matched lower cover.  The
+    # search narrows upper covers only, so a taken candidate above is
+    # refused only when it is tried, and the condition with a matched upper
+    # cover is checked only when the free element is matched.  With either
+    # narrowing rule deleted the output oracles still pass (the search just
+    # grows), so this test is what sees a rule go missing
     tops = (sys_.group_elements() if max_length is None
             else sys_.elements_up_to_length(max_length))
     steps = 0
@@ -207,14 +213,12 @@ def test_settle_reaches_special_condition_fixed_point(sys_, max_length):
                 cands = [c for c in range(len(dom)) if (dom[z] >> c) & 1]
                 assert len(cands) >= 2
                 for c in cands:
-                    assert c not in partner
                     assert c in iv.hasse_up[z] or c in iv.hasse_down[z]
+                    if c in iv.hasse_down[z]:
+                        assert c not in partner
                     for a in iv.hasse_down[z]:
                         if a in partner:
                             assert iv.leq(partner[a], c), (w, z, c, a)
-                    for a in iv.hasse_up[z]:
-                        if a in partner:
-                            assert iv.leq(c, partner[a]), (w, z, c, a)
     assert steps
 
 
@@ -565,3 +569,23 @@ def test_matching_json_roundtrip(b2):
         assert back == M
     with pytest.raises(ValueError):
         matching_from_json(iv, {"pairs": [[0, len(iv.elements) - 1]]})
+
+
+@pytest.mark.parametrize("pairs", [
+    [[0, 1], [2, 9]],           # an id past the interval
+    [[0, 1], [2, -1]],          # a negative id
+    [[0, "1"]],                 # not an int
+    [[0, 1.0]],
+    [[True, 1]],                # a bool is not an id
+    [[0, 1, 2]],                # not a pair
+    [[0]],
+    [0, 1],
+], ids=["past-end", "negative", "str", "float", "bool", "triple", "single",
+        "flat"])
+def test_matching_from_json_rejects_malformed_pairs(b2, pairs):
+    # counterexample records are read back from outside the program, so a
+    # malformed one ends in ValueError, not an IndexError or a TypeError
+    iv = build_lower_interval(b2, el(b2, "s1 s2"))
+    assert len(iv) == 4
+    with pytest.raises(ValueError, match="bad pair"):
+        matching_from_json(iv, {"pairs": pairs})

@@ -34,9 +34,11 @@ def test_interval_membership_matches_subword_oracle(sys):
     for w in sys.group_elements():
         iv = build_lower_interval(sys, w)
         assert set(iv.elements) == subword_reachable(sys, w)
-        # ids sorted by (length, word); extremes in place.  The enumerator,
-        # is_H_special and the matching recurrence read "lower" off this
-        # order, so every way of building an interval must keep it.
+        # ids sorted by (length, word); extremes in place; covers listed in
+        # increasing id order, which the constructors keep without a sort.
+        # The enumerator, is_H_special and the matching recurrence read
+        # "lower" off this order, so every way of building an interval must
+        # keep it.
         top = len(iv) - 1
         built = [iv]
         for lo, u in enumerate(iv.elements):
@@ -47,6 +49,8 @@ def test_interval_membership_matches_subword_oracle(sys):
             assert list(b.elements) == sorted(b.elements)
             assert b.elements[0] is b.bottom
             assert b.elements[-1] is b.top
+            for covers in b.hasse_down + b.hasse_up:
+                assert list(covers) == sorted(set(covers))
         assert iv.elements[0] is sys.identity
         assert iv.elements[-1] is w
 
