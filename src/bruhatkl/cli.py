@@ -289,9 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except (ValueError, ArithmeticError) as exc:
         print("error: %s" % exc, file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader went away (`| head`): point stdout at devnull so the
+        # flush at exit cannot raise again, as the Python docs advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -41,7 +41,7 @@ from .klpoly import (
     get_context,
 )
 from .matchings import enumerate_special_matchings, is_H_special, \
-    matching_from_json
+    is_special, matching_from_json
 from .poset import (
     build_interval,
     build_lower_interval,
@@ -108,28 +108,10 @@ def default_max_length(sys: CoxeterSystem) -> int:
     """The default sweep bound: the full group when it has at most
     ``_WHOLE_GROUP_CAP`` elements, length 9 otherwise (large or infinite
     groups)."""
-    length = 0
-    while True:
-        els = sys.elements_up_to_length(length + 1)
-        if len(els) > _WHOLE_GROUP_CAP:
-            return 9
-        if els[-1].length <= length:
-            return els[-1].length
-        length += 1
-
-
-def _record_json(sys: CoxeterSystem, rec: dict) -> dict:
-    """Serialize a counterexample record from verify_calculating so that
-    it is self-contained: re-evaluation needs nothing but the system."""
-    return {
-        "w": rec["w"].label_str(),
-        "u": rec["u"].label_str(),
-        "H": format_genset(sys, rec["H"]),
-        "x": rec["x"],
-        "matching": rec["matching"].to_json(),
-        "via_matching": rec["via_matching"].to_json(),
-        "reference": rec["reference"].to_json(),
-    }
+    try:
+        return sys.group_elements(cap=_WHOLE_GROUP_CAP)[-1].length
+    except ValueError:
+        return 9
 
 
 def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
@@ -178,7 +160,7 @@ def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
                 if ok:
                     calculating += 1
                 else:
-                    counterexamples.append(_record_json(sys, rec))
+                    counterexamples.append(rec)
     group_id = sys.name or ("rank%d" % sys.rank)
     report = VerificationReport(
         campaign="calculating:%s:x=%s:len<=%d" % (group_id, x.value,
@@ -202,7 +184,9 @@ def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
 def recompute_record_sides(sys: CoxeterSystem,
                            record: dict) -> tuple[QPolynomial, QPolynomial]:
     """Re-evaluate a serialized counterexample record from scratch:
-    the matching-recurrence value and the reference value at its (u, w)."""
+    the matching-recurrence value and the reference value at its (u, w).
+    Raises ValueError unless the record meets both hypotheses of the
+    theorem: its matching is special and H-special."""
     w = sys.element_from_labels(record["w"])
     u = sys.element_from_labels(record["u"])
     H = parse_genset(sys, record["H"])
@@ -210,6 +194,8 @@ def recompute_record_sides(sys: CoxeterSystem,
     interval = build_lower_interval(sys, w)
     marked = mark_interval(interval, H)
     M = matching_from_json(interval, record["matching"])
+    if not is_special(interval, M):
+        raise ValueError("matching is not special")
     # a fresh table, so a re-check never reads the sweep's shared memo
     table = KLContext(sys, H, x)
     via = R_step_via_matching(marked, x, M, u, table)

@@ -53,7 +53,7 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-from .coxeter import CoxeterSystem, Element, _low_bit
+from .coxeter import CoxeterSystem, Element, _low_bit, format_genset
 from .poset import MarkedInterval
 from .matchings import Matching, is_H_special
 
@@ -443,8 +443,6 @@ def _first_difference(marked: MarkedInterval, M: Matching,
 def _check_step_inputs(marked: MarkedInterval, x, M: Matching,
                        table: KLContext) -> None:
     iv = marked.interval
-    if M.interval != iv:
-        raise ValueError("matching belongs to a different interval")
     if iv.bottom is not iv.system.identity:
         raise ValueError("matching recurrences apply to lower intervals")
     x = XParam.parse(x)
@@ -475,7 +473,8 @@ def verify_calculating(marked: MarkedInterval, x, M: Matching,
                        ) -> tuple[bool, Optional[dict]]:
     """Whether the matching recurrence reproduces the reference
     R-polynomials on every quotient element of the interval.  Returns
-    (True, None) or (False, first counterexample record)."""
+    (True, None) or (False, the JSON-ready counterexample record of the
+    first quotient element where they differ)."""
     iv = marked.interval
     if table is None:
         table = get_context(iv.system, marked.H, x)
@@ -486,7 +485,8 @@ def verify_calculating(marked: MarkedInterval, x, M: Matching,
 def _calculates(marked: MarkedInterval, M: Matching, table: KLContext
                 ) -> tuple[bool, Optional[dict]]:
     """The comparison loop of `verify_calculating`, for inputs that are
-    already known to pass its checks."""
+    already known to pass its checks.  The record needs nothing but the
+    system to be re-checked (`invariance.reverify_counterexample`)."""
     iv = marked.interval
     row = table._R_row(iv.top)
     found = _first_difference(marked, M, table, range(len(iv.elements)),
@@ -496,12 +496,11 @@ def _calculates(marked: MarkedInterval, M: Matching, table: KLContext
     u_id, got = found
     u = iv.elements[u_id]
     return False, {
-        "u": u,
-        "w": iv.top,
-        "H": marked.H,
+        "u": u.label_str(),
+        "w": iv.top.label_str(),
+        "H": format_genset(iv.system, marked.H),
         "x": table.x.value,
-        "matching": M,
-        "via_matching": _decode(got),
-        "reference": _decode(row[u]),
+        "matching": M.to_json(),
+        "via_matching": _decode(got).to_json(),
+        "reference": _decode(row[u]).to_json(),
     }
-

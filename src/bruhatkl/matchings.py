@@ -33,8 +33,6 @@ __all__ = [
     "is_special",
     "enumerate_special_matchings",
     "is_H_special",
-    "orbit",
-    "commutes",
     "matching_from_json",
 ]
 
@@ -243,31 +241,3 @@ def is_H_special(marked: MarkedInterval, M: Matching) -> bool:
         if j < i and marks[i] and not marks[j]:
             return False
     return True
-
-
-def orbit(M: Matching, N: Matching, u: Element) -> tuple[Element, ...]:
-    """The orbit of u under the group generated by two matchings, as the
-    cycle (u, M(u), N(M(u)), ...)."""
-    if M.interval != N.interval:
-        raise ValueError("matchings live on different intervals")
-    iv = M.interval
-    i = iv.id_of(u)
-    seq = [i]
-    cur = i
-    use_m = True
-    while True:
-        cur = (M if use_m else N).pairing[cur]
-        if cur == i:
-            break
-        seq.append(cur)
-        use_m = not use_m
-    return tuple(iv.elements[j] for j in seq)
-
-
-def commutes(M: Matching, N: Matching) -> bool:
-    """Pointwise commutation MN == NM on the whole interval."""
-    if M.interval != N.interval:
-        raise ValueError("matchings live on different intervals")
-    mp, np_ = M.pairing, N.pairing
-    return all(mp[np_[i]] == np_[mp[i]] for i in range(len(mp)))
-

@@ -1,10 +1,11 @@
 """Helpers that only the test suite uses: dihedral-interval detection,
-restriction of a matching to a subinterval, commutation tested on lower
-dihedral intervals only, the search for a commuting multiplication
-matching, parabolic subgroups, coset decompositions, and the dihedral
-systems (side, J, s, t, M_st) of Brenti-Caselli-Marietti (Adv. Math. 202
-(2006)), whose associated matchings of [e, w] conjugate a special matching
-M_st of a dihedral interval through coset decompositions.
+restriction of a matching to a subinterval, orbits and commutation of a
+pair of matchings, commutation tested on lower dihedral intervals only,
+the search for a commuting multiplication matching, parabolic subgroups,
+coset decompositions, and the dihedral systems (side, J, s, t, M_st) of
+Brenti-Caselli-Marietti (Adv. Math. 202 (2006)), whose associated
+matchings of [e, w] conjugate a special matching M_st of a dihedral
+interval through coset decompositions.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Optional
 from bruhatkl.coxeter import CoxeterSystem, Element, genset, genset_indices
 from bruhatkl.matchings import (
     Matching,
-    commutes,
     enumerate_special_matchings,
     is_special,
     multiplication_matching,
@@ -65,6 +65,33 @@ def restrict_matching(interval: Interval, M: Matching, u: Element,
     if not is_special(sub, out):
         raise AssertionError("restriction failed to be special")
     return out
+
+
+def orbit(M: Matching, N: Matching, u: Element) -> tuple[Element, ...]:
+    """The orbit of u under the group generated by two matchings, as the
+    cycle (u, M(u), N(M(u)), ...)."""
+    if M.interval != N.interval:
+        raise ValueError("matchings live on different intervals")
+    iv = M.interval
+    i = iv.id_of(u)
+    seq = [i]
+    cur = i
+    use_m = True
+    while True:
+        cur = (M if use_m else N).pairing[cur]
+        if cur == i:
+            break
+        seq.append(cur)
+        use_m = not use_m
+    return tuple(iv.elements[j] for j in seq)
+
+
+def commutes(M: Matching, N: Matching) -> bool:
+    """Pointwise commutation MN == NM on the whole interval."""
+    if M.interval != N.interval:
+        raise ValueError("matchings live on different intervals")
+    mp, np_ = M.pairing, N.pairing
+    return all(mp[np_[i]] == np_[mp[i]] for i in range(len(mp)))
 
 
 def commutes_on_lower_dihedral(M: Matching, N: Matching) -> bool:

@@ -22,15 +22,15 @@ from bruhatkl.klpoly import (
     _unpack,
     get_context,
 )
-from bruhatkl.matchings import (
-    commutes,
-    enumerate_special_matchings,
-    is_special,
-    orbit,
-)
+from bruhatkl.matchings import enumerate_special_matchings, is_special
 from bruhatkl.poset import build_interval, build_lower_interval
 
-from matching_helpers import enumerate_verified_systems, is_dihedral_interval
+from matching_helpers import (
+    commutes,
+    enumerate_verified_systems,
+    is_dihedral_interval,
+    orbit,
+)
 from oracles import deodhar_identity_check, parabolic_R_oracle
 
 X_VARIANTS = ("-1", "q")

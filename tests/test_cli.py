@@ -4,6 +4,7 @@ determinism."""
 import hashlib
 import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -215,6 +216,24 @@ def test_matchings_w0_stdout_pinned(capsys, group, w, H, digest):
         "matchings", "--group", group, "--w", w, "--H", H, "--format", "json"])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    # a reader that stops early, as `| head -c 10` does.  The 88 KB of
+    # output overflow the pipe, so the write meets the closed end.  Run in
+    # a subprocess, since main points the stdout fd at devnull.
+    src = os.path.dirname(os.path.dirname(bruhatkl.cli.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bruhatkl", "matchings", "--group", "F4",
+         "--w", "s1s2s1s3s2s1s3s2s3s4s3s2s1s3s2s3s4s3s2s1s3s2s3s4",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.read(10) == b'{"H": "{}"'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, b"")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from bruhatkl.coxeter import (
 from bruhatkl.invariance import (
     MongelliReport,
     VerificationReport,
-    _record_json,
     default_max_length,
     invariance_scan,
     mongelli_reproduction,
@@ -31,8 +30,15 @@ from bruhatkl.klpoly import (
     R_step_via_matching,
     XParam,
     get_context,
+    verify_calculating,
 )
-from bruhatkl.matchings import enumerate_special_matchings, is_H_special
+import bruhatkl.klpoly
+from bruhatkl.matchings import (
+    enumerate_special_matchings,
+    is_H_special,
+    is_special,
+    matching_from_json,
+)
 from bruhatkl.poset import Interval, build_lower_interval, mark_interval
 
 from oracles import brute_special_matchings
@@ -54,11 +60,14 @@ def test_default_max_length_small_groups(a2, b3):
     assert default_max_length(a2) == 3          # |A2| = 6, longest length 3
     assert default_max_length(b3) == 9          # |B3| = 48, longest length 9
     assert default_max_length(CoxeterSystem.I2(10)) == 10
+    assert default_max_length(CoxeterSystem.from_name("B4")) == 16  # 384
+    assert default_max_length(CoxeterSystem.I2(200)) == 200  # 400: the cap
 
 
 def test_default_max_length_large_or_infinite(f4, triangle443):
     assert default_max_length(f4) == 9          # 1152 elements: capped
     assert default_max_length(triangle443) == 9  # infinite: capped
+    assert default_max_length(CoxeterSystem.I2(201)) == 9  # 402: capped
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +197,14 @@ def fabricated_record(b2):
              if marked.marks[i] and e.length == 1)
     via = R_step_via_matching(marked, "q", M, u, table)
     reference = table.R(u, w)
-    record = _record_json(b2, {
-        "w": w, "u": u, "H": H, "x": "q", "matching": M,
-        "via_matching": via, "reference": reference,
-    })
+    # written out by hand, so the format is checked apart from its writer
+    record = {
+        "w": "s2s1s2", "u": u.label_str(), "H": "{s1}", "x": "q",
+        "matching": {"source": M.source,
+                     "pairs": [list(p) for p in M.pairs()]},
+        "via_matching": {"coeffs": list(via.coeffs)},
+        "reference": {"coeffs": list(reference.coeffs)},
+    }
     return record, via, reference
 
 
@@ -202,11 +215,53 @@ def test_record_recompute_roundtrip(b2):
 
 
 def test_reverify_requires_a_real_discrepancy(b2):
-    # the sweeps above find no counterexamples, so the only records we
-    # can build store equal sides; those must NOT re-verify
+    # a record re-verifies only if its matching is special and H-special
+    # and its sides really differ; this one's sides are equal
     record, via, reference = fabricated_record(b2)
     assert via == reference
     assert reverify_counterexample(b2, record) is False
+
+
+# [e, s1s2s3s2] in A3 with H empty: a matching along Hasse edges, trivially
+# H-special, that is not special (s2 < s3s2, yet M(s2) = s1s2 is not below
+# M(s3s2) = s2s3s2); its recurrence gives q^3 - 3q^2 + 3q - 1 at u = s1,
+# against the reference q^3 - 2q^2 + 2q - 1
+NON_SPECIAL_A3 = {
+    "w": "s1s2s3s2", "u": "s1", "H": "{}", "x": "-1",
+    "matching": {"source": "enumerated",
+                 "pairs": [[0, 1], [2, 4], [3, 5], [6, 8], [7, 10], [9, 11]]},
+    "via_matching": {"coeffs": [-1, 3, -3, 1]},
+    "reference": {"coeffs": [-1, 2, -2, 1]},
+}
+
+
+def test_reverify_rejects_a_matching_that_is_not_special(a3):
+    record = json.loads(json.dumps(NON_SPECIAL_A3))
+    with pytest.raises(ValueError, match="not special"):
+        recompute_record_sides(a3, record)
+    with pytest.raises(ValueError, match="not special"):
+        reverify_counterexample(a3, record)
+
+
+def test_verify_calculating_writes_the_sweep_record(a3, monkeypatch):
+    w = el(a3, "s1s2s3s2")
+    interval = build_lower_interval(a3, w)
+    marked = mark_interval(interval, 0)
+    M = matching_from_json(interval, NON_SPECIAL_A3["matching"])
+    assert is_H_special(marked, M) and not is_special(interval, M)
+    ok, record = verify_calculating(marked, "-1", M)
+    assert ok is False
+    assert json.loads(json.dumps(record)) == record == NON_SPECIAL_A3
+    with pytest.raises(ValueError, match="not special"):
+        reverify_counterexample(a3, record)
+    # a sweep with a planted discrepancy stores a record with the same keys
+    monkeypatch.setattr(bruhatkl.klpoly, "_first_difference",
+                        lambda marked, M, table, ids, want: (0, 7))
+    report = sweep_calculating(a3, max_length=1, H_set=[0])
+    assert report.counterexamples
+    for stored in report.counterexamples:
+        assert json.loads(json.dumps(stored)) == stored
+        assert stored.keys() == record.keys()
 
 
 def test_reverify_rejects_tampered_records(b2):

@@ -16,8 +16,6 @@ from bruhatkl.matchings import (
     is_special,
     enumerate_special_matchings,
     is_H_special,
-    orbit,
-    commutes,
     matching_from_json,
 )
 
@@ -25,11 +23,13 @@ import matching_helpers
 import oracles
 from matching_helpers import (
     DihedralSystem,
+    commutes,
     commutes_on_lower_dihedral,
     enumerate_verified_systems,
     find_commuting_multiplication_matching,
     matching_from_system,
     max_parabolic_below,
+    orbit,
     restrict_matching,
     verify_system,
 )
