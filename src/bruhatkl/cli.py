@@ -25,7 +25,6 @@ from typing import Optional
 
 from .coxeter import CoxeterSystem, format_genset, parse_genset
 from .invariance import (
-    default_max_length,
     invariance_scan,
     mongelli_reproduction,
     sweep_calculating,
@@ -44,10 +43,14 @@ def load_group(text: str) -> CoxeterSystem:
     """A named system ("A2", "F4", "I2(7)"), a path to a JSON
     descriptor, or an inline JSON matrix / descriptor."""
     text = text.strip()
-    if text.startswith("["):
-        return CoxeterSystem(json.loads(text))
-    if text.startswith("{"):
-        return CoxeterSystem.from_spec(json.loads(text))
+    if text.startswith(("[", "{")):
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("group descriptor is nested too deeply") from None
+        if text.startswith("["):
+            return CoxeterSystem(data)
+        return CoxeterSystem.from_spec(data)
     try:
         return CoxeterSystem.from_name(text)
     except ValueError:

@@ -43,7 +43,7 @@ import json
 import re
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "CoxeterSystem",
@@ -456,6 +456,9 @@ class CoxeterSystem:
         except OSError as exc:
             raise ValueError("cannot read group file %r: %s"
                              % (path, exc.strerror)) from exc
+        except RecursionError:
+            raise ValueError("group file %r is nested too deeply"
+                             % path) from None
         return cls.from_spec(spec)
 
     @property

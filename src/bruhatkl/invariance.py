@@ -35,10 +35,10 @@ from .klpoly import (
     KLContext,
     QPolynomial,
     XParam,
-    R_step_via_matching,
     _calculates,
     _unpack,
     get_context,
+    verify_calculating,
 )
 from .matchings import enumerate_special_matchings, is_H_special, \
     is_special, matching_from_json
@@ -181,35 +181,27 @@ def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
     return report
 
 
-def recompute_record_sides(sys: CoxeterSystem,
-                           record: dict) -> tuple[QPolynomial, QPolynomial]:
-    """Re-evaluate a serialized counterexample record from scratch:
-    the matching-recurrence value and the reference value at its (u, w).
-    Raises ValueError unless the record meets both hypotheses of the
-    theorem: its matching is special and H-special."""
-    w = sys.element_from_labels(record["w"])
-    u = sys.element_from_labels(record["u"])
-    H = parse_genset(sys, record["H"])
-    x = XParam.parse(record["x"])
+def reverify_counterexample(sys: CoxeterSystem, record: dict) -> bool:
+    """True iff writing the record again from scratch gives the identical
+    record: (interval, H, x, matching) are rebuilt from it and run through
+    `verify_calculating` on a fresh table, so a re-check never reads the
+    sweep's shared memo.  Raises ValueError on a record that cannot be
+    read, and unless it meets both hypotheses of the theorem: its matching
+    is special and H-special."""
+    try:
+        w = sys.element_from_labels(record["w"])
+        H = parse_genset(sys, record["H"])
+        x = XParam.parse(record["x"])
+        matching = record["matching"]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError("malformed record: %r" % exc) from None
     interval = build_lower_interval(sys, w)
-    marked = mark_interval(interval, H)
-    M = matching_from_json(interval, record["matching"])
+    M = matching_from_json(interval, matching)
     if not is_special(interval, M):
         raise ValueError("matching is not special")
-    # a fresh table, so a re-check never reads the sweep's shared memo
-    table = KLContext(sys, H, x)
-    via = R_step_via_matching(marked, x, M, u, table)
-    reference = table.R(u, w)
-    return via, reference
-
-
-def reverify_counterexample(sys: CoxeterSystem, record: dict) -> bool:
-    """True iff the record's stored discrepancy reproduces exactly:
-    fresh evaluation returns the stored values and they really differ."""
-    via, reference = recompute_record_sides(sys, record)
-    return (via == QPolynomial.from_json(record["via_matching"])
-            and reference == QPolynomial.from_json(record["reference"])
-            and via != reference)
+    _, again = verify_calculating(mark_interval(interval, H), x, M,
+                                  KLContext(sys, H, x))
+    return again == record
 
 
 # ---------------------------------------------------------------------------

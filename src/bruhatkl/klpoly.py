@@ -11,9 +11,9 @@ value near the limit is refused rather than decoded wrongly.  The R
 recurrence bounds every coefficient of an R-value with length difference
 d by the Pell number P(d+1), which is below 2^62 for d <= 48; the largest
 coefficient seen in F4 is 114.  Values are decoded only at the edges: the
-public `KLContext.R`/`.P`, `R_step_via_matching`, counterexample records,
-and the check of each new P column, which decodes every P-value new to
-its context and so puts it through the guard.  `QPolynomial`, a dense
+public `KLContext.R`/`.P`, counterexample records, and the check of each
+new P column, which decodes every P-value new to its context and so puts
+it through the guard.  `QPolynomial`, a dense
 coefficient tuple, is the type every caller sees.
 
 The parameter x takes the two values -1 and q; it is substituted eagerly,
@@ -42,10 +42,12 @@ left descent of w and v = sw:
   new value must meet P(w, w) = 1 and 2 deg P(y, w) <= l(w) - l(y) - 1,
   or the fill raises `ArithmeticError`.
 
-`R_step_via_matching` applies the three-branch matching recurrence that an
-H-special matching of [e,w] induces, reading sub-interval values from a
-reference table; `verify_calculating` compares it against the table on
-every quotient element of the interval.
+`verify_calculating` applies the three-branch matching recurrence that an
+H-special matching M of [e, w] induces: it reads the row of M(w) from the
+reference table and compares the result with the row of w on every
+quotient element of the interval.  Its loop, `_calculates`, is the one
+place the recurrence is evaluated; sweeps call it directly, and a stored
+counterexample record is re-checked by writing it again.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ __all__ = [
     "XParam",
     "KLContext",
     "get_context",
-    "R_step_via_matching",
     "verify_calculating",
 ]
 
@@ -413,61 +414,6 @@ def get_context(sys: CoxeterSystem, H: int, x) -> KLContext:
     return ctx
 
 
-def _first_difference(marked: MarkedInterval, M: Matching,
-                      table: KLContext, ids, want: dict):
-    """The first marked u id in ids at which the three-branch matching
-    recurrence, read from the row of the matched-down top element,
-    differs from want[u], as (u id, packed value); None if there is
-    none.  With want = {u: None} it yields the value at u."""
-    els, pairing, marks = marked.interval.elements, M.pairing, marked.marks
-    below = table._R_row(els[pairing[-1]])  # the top element has the last id
-    get = below.get
-    qm1mx = table._qm1mx
-    for u_id in ids:
-        if not marks[u_id]:
-            continue
-        u = els[u_id]
-        m_id = pairing[u_id]
-        Mu = els[m_id]
-        if m_id < u_id:  # ids are sorted by rank: M moves u down
-            got = below[Mu]
-        elif marks[m_id]:
-            got = _Q_MINUS_ONE * get(u, 0) + _Q * get(Mu, 0)
-        else:
-            got = qm1mx * get(u, 0)
-        if got != want[u]:
-            return u_id, got
-    return None
-
-
-def _check_step_inputs(marked: MarkedInterval, x, M: Matching,
-                       table: KLContext) -> None:
-    iv = marked.interval
-    if iv.bottom is not iv.system.identity:
-        raise ValueError("matching recurrences apply to lower intervals")
-    x = XParam.parse(x)
-    if table.system is not iv.system or table.H != marked.H \
-            or table.x is not x:
-        raise ValueError("reference table does not match (system, H, x)")
-    iv.system.check_min_coset_rep(iv.top, marked.H)
-    if not is_H_special(marked, M):
-        raise ValueError("matching is not H-special; the recurrence "
-                         "branches are undefined")
-
-
-def R_step_via_matching(marked: MarkedInterval, x, M: Matching, u: Element,
-                        table: KLContext) -> QPolynomial:
-    """One application of the three-branch matching recurrence for
-    R-polynomials: the value at (u, top) from reference values at the
-    matched-down top element."""
-    _check_step_inputs(marked, x, M, table)
-    iv = marked.interval
-    u_id = iv.id_of(u)
-    iv.system.check_min_coset_rep(u, marked.H)
-    _, value = _first_difference(marked, M, table, (u_id,), {u: None})
-    return _decode(value)
-
-
 def verify_calculating(marked: MarkedInterval, x, M: Matching,
                        table: Optional[KLContext] = None
                        ) -> tuple[bool, Optional[dict]]:
@@ -476,31 +422,54 @@ def verify_calculating(marked: MarkedInterval, x, M: Matching,
     (True, None) or (False, the JSON-ready counterexample record of the
     first quotient element where they differ)."""
     iv = marked.interval
+    if iv.bottom is not iv.system.identity:
+        raise ValueError("matching recurrences apply to lower intervals")
+    x = XParam.parse(x)
     if table is None:
         table = get_context(iv.system, marked.H, x)
-    _check_step_inputs(marked, x, M, table)
+    elif table.system is not iv.system or table.H != marked.H \
+            or table.x is not x:
+        raise ValueError("reference table does not match (system, H, x)")
+    iv.system.check_min_coset_rep(iv.top, marked.H)
+    if not is_H_special(marked, M):
+        raise ValueError("matching is not H-special; the recurrence "
+                         "branches are undefined")
     return _calculates(marked, M, table)
 
 
 def _calculates(marked: MarkedInterval, M: Matching, table: KLContext
                 ) -> tuple[bool, Optional[dict]]:
     """The comparison loop of `verify_calculating`, for inputs that are
-    already known to pass its checks.  The record needs nothing but the
-    system to be re-checked (`invariance.reverify_counterexample`)."""
+    already known to pass its checks: at every marked u, in id order, the
+    three-branch matching recurrence, read from the row of the
+    matched-down top element, against the row of the top element.  The
+    record needs nothing but the system to be re-checked
+    (`invariance.reverify_counterexample`)."""
     iv = marked.interval
+    els, pairing, marks = iv.elements, M.pairing, marked.marks
     row = table._R_row(iv.top)
-    found = _first_difference(marked, M, table, range(len(iv.elements)),
-                              row)
-    if found is None:
-        return True, None
-    u_id, got = found
-    u = iv.elements[u_id]
-    return False, {
-        "u": u.label_str(),
-        "w": iv.top.label_str(),
-        "H": format_genset(iv.system, marked.H),
-        "x": table.x.value,
-        "matching": M.to_json(),
-        "via_matching": _decode(got).to_json(),
-        "reference": _decode(row[u]).to_json(),
-    }
+    below = table._R_row(els[pairing[-1]])  # the top element has the last id
+    get = below.get
+    qm1mx = table._qm1mx
+    for u_id, u in enumerate(els):
+        if not marks[u_id]:
+            continue
+        m_id = pairing[u_id]
+        Mu = els[m_id]
+        if m_id < u_id:  # ids are sorted by rank: M moves u down
+            got = below[Mu]
+        elif marks[m_id]:
+            got = _Q_MINUS_ONE * get(u, 0) + _Q * get(Mu, 0)
+        else:
+            got = qm1mx * get(u, 0)
+        if got != row[u]:
+            return False, {
+                "u": u.label_str(),
+                "w": iv.top.label_str(),
+                "H": format_genset(iv.system, marked.H),
+                "x": table.x.value,
+                "matching": M.to_json(),
+                "via_matching": _decode(got).to_json(),
+                "reference": _decode(row[u]).to_json(),
+            }
+    return True, None

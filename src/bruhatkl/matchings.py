@@ -73,12 +73,16 @@ class Matching:
 
 def matching_from_json(interval: Interval, data: dict) -> Matching:
     """The matching a `Matching.to_json` record describes.  Raises
-    ValueError unless every pair is two interval ids (ints, not bools) that
-    together form a special-matching candidate: a fixed-point-free
-    involution along Hasse edges."""
+    ValueError unless it is an object with a list of pairs, and every pair
+    is two interval ids (ints, not bools) that together form a
+    special-matching candidate: a fixed-point-free involution along Hasse
+    edges."""
+    pairs = data.get("pairs") if isinstance(data, dict) else None
+    if not isinstance(pairs, list):
+        raise ValueError("bad matching: want an object with a list of pairs")
     n = len(interval.elements)
     pairing = [-1] * n
-    for pair in data["pairs"]:
+    for pair in pairs:
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2 and all(
                 type(i) is int and 0 <= i < n for i in pair)):
             raise ValueError("bad pair %r: want two ids below %d" % (pair, n))

@@ -92,6 +92,25 @@ def test_bad_group_descriptor_is_one_error_line(capsys, group):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+DEEP_JSON = "[" * 100_000
+
+
+def test_deeply_nested_inline_group_is_one_error_line(capsys):
+    code, out, err = run(capsys, [
+        "poly", "--group", DEEP_JSON, "--u", "e", "--w", "e"])
+    assert (code, out) == (1, "")
+    assert err == "error: group descriptor is nested too deeply\n"
+
+
+def test_deeply_nested_group_file_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    code, out, err = run(capsys, [
+        "poly", "--group", str(path), "--u", "e", "--w", "e"])
+    assert (code, out) == (1, "")
+    assert err == "error: group file %r is nested too deeply\n" % str(path)
+
+
 # ---------------------------------------------------------------------------
 # poly
 

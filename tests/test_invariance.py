@@ -18,7 +18,6 @@ from bruhatkl.invariance import (
     default_max_length,
     invariance_scan,
     mongelli_reproduction,
-    recompute_record_sides,
     reverify_counterexample,
     sweep_calculating,
 )
@@ -27,12 +26,10 @@ import bruhatkl.poset
 from bruhatkl.klpoly import (
     KLContext,
     QPolynomial,
-    R_step_via_matching,
     XParam,
     get_context,
     verify_calculating,
 )
-import bruhatkl.klpoly
 from bruhatkl.matchings import (
     enumerate_special_matchings,
     is_H_special,
@@ -186,6 +183,8 @@ def test_sweep_keeps_no_interval_alive():
 
 
 def fabricated_record(b2):
+    """A record written out by hand, so the format is checked apart from
+    its writer; its matching calculates, so its two sides are equal."""
     w = el(b2, "s2s1s2")
     interval = build_lower_interval(b2, w)
     H = genset([0])
@@ -193,32 +192,61 @@ def fabricated_record(b2):
     M = next(m for m in enumerate_special_matchings(interval)
              if is_H_special(marked, m))
     table = KLContext(b2, H, "q")
+    assert verify_calculating(marked, "q", M, table) == (True, None)
     u = next(e for i, e in enumerate(interval.elements)
              if marked.marks[i] and e.length == 1)
-    via = R_step_via_matching(marked, "q", M, u, table)
     reference = table.R(u, w)
-    # written out by hand, so the format is checked apart from its writer
-    record = {
+    return {
         "w": "s2s1s2", "u": u.label_str(), "H": "{s1}", "x": "q",
         "matching": {"source": M.source,
                      "pairs": [list(p) for p in M.pairs()]},
-        "via_matching": {"coeffs": list(via.coeffs)},
+        "via_matching": {"coeffs": list(reference.coeffs)},
         "reference": {"coeffs": list(reference.coeffs)},
     }
-    return record, via, reference
 
 
-def test_record_recompute_roundtrip(b2):
-    record, via, reference = fabricated_record(b2)
-    assert json.loads(json.dumps(record)) == record
-    assert recompute_record_sides(b2, record) == (via, reference)
+def plant_discrepancy(monkeypatch, v):
+    """Make every table read R(e, v) as one more than it is, without
+    touching the stored row, so a matching M of [e, w] with M(w) = v stops
+    calculating, and so does every matching of [e, v] itself."""
+    real = KLContext._R_row
+
+    def planted(self, top):
+        row = real(self, top)
+        if top is v:
+            row = dict(row)
+            row[self.system.identity] += 1  # adds 1 to the constant term
+        return row
+
+    monkeypatch.setattr(KLContext, "_R_row", planted)
+
+
+def planted_sweep_record(a3, monkeypatch):
+    """The record a sweep writes for [e, s1s2] once R(e, s2) is planted
+    wrong: the matching e<->s1, s2<->s1s2 reads the row of s2, and the
+    other special matching of [e, s1s2] reads the row of s1."""
+    plant_discrepancy(monkeypatch, el(a3, "s2"))
+    report = sweep_calculating(a3, max_length=2, H_set=[0])
+    (record,) = [r for r in report.counterexamples if r["w"] == "s1s2"]
+    assert record["u"] == "e" and record["matching"]["pairs"] == [[0, 1],
+                                                                  [2, 3]]
+    return record
+
+
+def test_record_recompute_roundtrip(a3, monkeypatch):
+    # the record a sweep writes re-verifies, also after a trip through JSON
+    record = planted_sweep_record(a3, monkeypatch)
+    assert reverify_counterexample(a3, record) is True
+    again = json.loads(json.dumps(record))
+    assert again == record
+    assert reverify_counterexample(a3, again) is True
 
 
 def test_reverify_requires_a_real_discrepancy(b2):
-    # a record re-verifies only if its matching is special and H-special
-    # and its sides really differ; this one's sides are equal
-    record, via, reference = fabricated_record(b2)
-    assert via == reference
+    # a record re-verifies only if writing it again gives the same record;
+    # this one's matching calculates, so nothing is written again
+    record = fabricated_record(b2)
+    assert record["via_matching"] == record["reference"]
     assert reverify_counterexample(b2, record) is False
 
 
@@ -238,8 +266,6 @@ NON_SPECIAL_A3 = {
 def test_reverify_rejects_a_matching_that_is_not_special(a3):
     record = json.loads(json.dumps(NON_SPECIAL_A3))
     with pytest.raises(ValueError, match="not special"):
-        recompute_record_sides(a3, record)
-    with pytest.raises(ValueError, match="not special"):
         reverify_counterexample(a3, record)
 
 
@@ -255,8 +281,7 @@ def test_verify_calculating_writes_the_sweep_record(a3, monkeypatch):
     with pytest.raises(ValueError, match="not special"):
         reverify_counterexample(a3, record)
     # a sweep with a planted discrepancy stores a record with the same keys
-    monkeypatch.setattr(bruhatkl.klpoly, "_first_difference",
-                        lambda marked, M, table, ids, want: (0, 7))
+    plant_discrepancy(monkeypatch, el(a3, "s2"))
     report = sweep_calculating(a3, max_length=1, H_set=[0])
     assert report.counterexamples
     for stored in report.counterexamples:
@@ -264,23 +289,48 @@ def test_verify_calculating_writes_the_sweep_record(a3, monkeypatch):
         assert stored.keys() == record.keys()
 
 
-def test_reverify_rejects_tampered_records(b2):
-    record, _, _ = fabricated_record(b2)
-    bad_via = dict(record)
-    bad_via["via_matching"] = {"coeffs": [7]}
-    assert reverify_counterexample(b2, bad_via) is False
-    bad_ref = dict(record)
-    bad_ref["reference"] = {"coeffs": [0, 7]}
-    assert reverify_counterexample(b2, bad_ref) is False
+def test_reverify_rejects_tampered_records(a3, monkeypatch):
+    record = planted_sweep_record(a3, monkeypatch)
+    other = [M.to_json()["pairs"] for M in enumerate_special_matchings(
+        build_lower_interval(a3, el(a3, "s1s2")))]
+    other.remove(record["matching"]["pairs"])
+    tampered = [
+        dict(record, u="s1"),
+        dict(record, via_matching={"coeffs": [7]}),
+        dict(record, reference={"coeffs": [0, 7]}),
+        dict(record, matching=dict(record["matching"], pairs=other[0])),
+    ]
+    for bad in tampered:
+        assert reverify_counterexample(a3, bad) is False
+    assert reverify_counterexample(a3, record) is True
 
 
-@pytest.mark.parametrize("pairs", [[[0, 1], [2, 99]], [[0, "1"]], [[0, 1, 2]]],
-                         ids=["past-end", "str", "triple"])
-def test_reverify_rejects_malformed_matching_with_value_error(b2, pairs):
-    record, _, _ = fabricated_record(b2)
-    record["matching"] = dict(record["matching"], pairs=pairs)
-    with pytest.raises(ValueError, match="bad pair"):
-        reverify_counterexample(b2, record)
+def with_pairs(pairs):
+    return lambda r: dict(r, matching=dict(r["matching"], pairs=pairs))
+
+
+MALFORMED_RECORDS = {
+    "past-end": (with_pairs([[0, 1], [2, 99]]), "bad pair"),
+    "str": (with_pairs([[0, "1"]]), "bad pair"),
+    "triple": (with_pairs([[0, 1, 2]]), "bad pair"),
+    "no-pairs": (lambda r: dict(r, matching={"source": "enumerated"}),
+                 "bad matching"),
+    "matching-str": (lambda r: dict(r, matching="x"), "bad matching"),
+    "no-w": (lambda r: {k: v for k, v in r.items() if k != "w"},
+             "malformed record"),
+    "H-int": (lambda r: dict(r, H=5), "malformed record"),
+    "w-int": (lambda r: dict(r, w=3), "malformed record"),
+    "list": (lambda r: list(r.items()), "malformed record"),
+}
+
+
+@pytest.mark.parametrize("malform, message", MALFORMED_RECORDS.values(),
+                         ids=MALFORMED_RECORDS.keys())
+def test_reverify_rejects_malformed_matching_with_value_error(b2, malform,
+                                                              message):
+    # every malformed record raises ValueError, never another error
+    with pytest.raises(ValueError, match=message):
+        reverify_counterexample(b2, malform(fabricated_record(b2)))
 
 
 # ---------------------------------------------------------------------------

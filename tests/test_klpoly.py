@@ -27,7 +27,6 @@ from bruhatkl.klpoly import (
     XParam,
     KLContext,
     get_context,
-    R_step_via_matching,
     verify_calculating,
     _K,
     _unpack,
@@ -616,6 +615,8 @@ def test_lemma_configuration_R_equality(b3):
 
 
 def test_left_multiplication_step_reproduces_recursion(b3):
+    # every left descent s gives a calculating matching, not only the
+    # smallest one, which the descent recursion itself uses
     for H in all_H(b3):
         for w in quotient(b3, H):
             if w.length == 0:
@@ -628,32 +629,37 @@ def test_left_multiplication_step_reproduces_recursion(b3):
                     if not (w.ldesc >> s) & 1:
                         continue
                     lam = multiplication_matching(iv, s, "left")
-                    for u_id, is_marked in enumerate(marked.marks):
-                        if not is_marked:
-                            continue
-                        u = iv.elements[u_id]
-                        assert R_step_via_matching(
-                            marked, x, lam, u, ctx) == ctx.R(u, w)
+                    assert verify_calculating(marked, x, lam, ctx) \
+                        == (True, None)
 
 
 def test_step_top_element_is_one(b2):
+    # with the reference R(w, w) overwritten by 7 on a private table, the
+    # first difference is at the top, where the recurrence gives 1
     w = el(b2, "s2 s1 s2")
     iv = build_lower_interval(b2, w)
     marked = mark_interval(iv, 0)
-    ctx = get_context(b2, 0, "q")
+    ctx = KLContext(b2, 0, "q")
+    ctx._R_row(w)[w] = 7  # the packed constant polynomial 7
     lam = multiplication_matching(iv, 1, "left")
-    assert R_step_via_matching(marked, "q", lam, w, ctx) == ONE
+    ok, record = verify_calculating(marked, "q", lam, ctx)
+    assert ok is False
+    assert record["u"] == record["w"] == w.label_str()
+    assert record["via_matching"] == ONE.to_json()
+    assert record["reference"] == {"coeffs": [7]}
 
 
 def test_step_rejects_non_H_special(b2):
-    w = el(b2, "s1 s2 s1 s2")
+    # the top is marked, so the refusal comes from the H-special test
+    w = el(b2, "s2 s1 s2")
     iv = build_lower_interval(b2, w)
-    H = genset([1])
+    H = genset([0])
     marked = mark_interval(iv, H)
-    rho_s = multiplication_matching(iv, 0, "right")
+    assert marked.marks[-1]
+    rho_s = multiplication_matching(iv, 1, "right")
     ctx = get_context(b2, H, "q")
-    with pytest.raises(ValueError):
-        R_step_via_matching(marked, "q", rho_s, b2.identity, ctx)
+    with pytest.raises(ValueError, match="not H-special"):
+        verify_calculating(marked, "q", rho_s, ctx)
 
 
 def test_step_rejects_mismatched_table(b2):
@@ -661,11 +667,11 @@ def test_step_rejects_mismatched_table(b2):
     iv = build_lower_interval(b2, w)
     marked = mark_interval(iv, 0)
     lam = multiplication_matching(iv, 1, "left")
-    with pytest.raises(ValueError):
-        R_step_via_matching(marked, "q", lam, w, get_context(b2, 0, "-1"))
-    with pytest.raises(ValueError):
-        R_step_via_matching(
-            marked, "q", lam, w, get_context(b2, genset([0]), "q"))
+    with pytest.raises(ValueError, match="does not match"):
+        verify_calculating(marked, "q", lam, get_context(b2, 0, "-1"))
+    with pytest.raises(ValueError, match="does not match"):
+        verify_calculating(
+            marked, "q", lam, get_context(b2, genset([0]), "q"))
 
 
 def test_step_rejects_unmarked_top(b2):
@@ -675,8 +681,7 @@ def test_step_rejects_unmarked_top(b2):
     marked = mark_interval(iv, H)
     lam = multiplication_matching(iv, 1, "left")
     with pytest.raises(QuotientMembershipError):
-        R_step_via_matching(marked, "q", lam, b2.identity,
-                            get_context(b2, H, "q"))
+        verify_calculating(marked, "q", lam, get_context(b2, H, "q"))
 
 
 def test_verify_calculating_left_multiplications(b3):

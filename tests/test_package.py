@@ -1,7 +1,9 @@
 """Properties of the package sources as a whole."""
 
 import ast
+import contextlib
 import importlib
+import io
 import pkgutil
 import sys
 from pathlib import Path
@@ -41,3 +43,37 @@ def test_every_name_in_all_exists():
     missing += [name for name in bruhatkl.__all__
                 if not hasattr(bruhatkl, name)]
     assert missing == []
+
+
+def test_every_import_is_used_or_exported():
+    # so a deletion cannot leave a dead import behind
+    dead = []
+    for path in sorted(Path(bruhatkl.__file__).parent.glob("*.py")):
+        imported, used = [], set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported += [a.asname or a.name.partition(".")[0]
+                             for a in node.names]
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        dead += ["%s: %s" % (path.name, name) for name in imported
+                 if name not in used]
+    assert dead == []
+
+
+def test_readme_quick_start_prints_what_its_comments_say():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Python quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    assert out.getvalue().splitlines() == [
+        "R = q^3 - 2q^2 + 2q - 1", "P = 1", "5 3", "True"]
