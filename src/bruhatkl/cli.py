@@ -11,8 +11,11 @@ Subcommands:
 - ``export-interval``: a Bruhat interval as JSON (elements, ranks,
   Hasse edges, optional quotient marks).
 
-JSON output is deterministic: keys sorted, no timing, so identical
-invocations are byte-identical.
+Each subcommand prints one JSON-ready dict (for a campaign, the dict its
+function in ``bruhatkl.invariance`` returns) with ``--format json``, or
+renders it as human lines.  JSON output is deterministic: keys sorted, no
+timing, so identical invocations are byte-identical.  Only the human
+``verify`` output shows a wall time, which is measured here.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from typing import Optional
 
 from .coxeter import CoxeterSystem, format_genset, parse_genset
@@ -29,7 +33,7 @@ from .invariance import (
     mongelli_reproduction,
     sweep_calculating,
 )
-from .klpoly import XParam, get_context
+from .klpoly import QPolynomial, XParam, get_context
 from .matchings import enumerate_special_matchings, is_H_special
 from .poset import build_interval, build_lower_interval, interval_to_json, \
     mark_interval
@@ -67,14 +71,13 @@ def _emit(args, data: dict, human_lines) -> None:
             print(line)
 
 
-def _add_common(parser: argparse.ArgumentParser, with_H: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--group", required=True,
                         help="named system (A2, B3, F4, I2(7)), JSON file, "
                              "or inline JSON matrix")
-    if with_H:
-        parser.add_argument("--H", default="",
-                            help="generator labels spanning H, e.g. "
-                                 "'s1,s3' (default: empty)")
+    parser.add_argument("--H", default="",
+                        help="generator labels spanning H, e.g. "
+                             "'s1,s3' (default: empty)")
     parser.add_argument("--format", choices=("human", "json"),
                         default="human")
 
@@ -148,24 +151,28 @@ def _parse_H_list(sys_, texts) -> Optional[list[int]]:
 def cmd_verify(args) -> int:
     sys_ = load_group(args.group)
     H_set = _parse_H_list(sys_, args.H)
+    started = time.perf_counter()
     report = sweep_calculating(sys_, max_length=args.max_length,
                                H_set=H_set, x=args.x)
+    wall_time = time.perf_counter() - started
+    totals = report["totals"]
     lines = [
-        report.campaign,
-        "H family: %s" % " ".join(report.H_set),
-        "intervals scanned:    %d" % report.intervals_scanned,
-        "special matchings:    %d" % report.matchings_enumerated,
-        "H-special:            %d" % report.h_special_count,
-        "calculating:          %d" % report.calculating_count,
-        "counterexamples:      %d" % len(report.counterexamples),
-        "wall time:            %.2fs" % report.wall_time,
+        report["campaign"],
+        "H family: %s" % " ".join(report["H_set"]),
+        "intervals scanned:    %d" % totals["intervals_scanned"],
+        "special matchings:    %d" % totals["matchings_enumerated"],
+        "H-special:            %d" % totals["h_special"],
+        "calculating:          %d" % totals["calculating"],
+        "counterexamples:      %d" % len(report["counterexamples"]),
+        "wall time:            %.2fs" % wall_time,
     ]
-    for rec in report.counterexamples:
+    for rec in report["counterexamples"]:
         lines.append("  FAIL u=%s w=%s H=%s x=%s: %s != %s"
                      % (rec["u"], rec["w"], rec["H"], rec["x"],
-                        rec["via_matching"], rec["reference"]))
-    _emit(args, report.to_json(), lines)
-    return 0 if report.ok else 1
+                        QPolynomial.from_json(rec["via_matching"]),
+                        QPolynomial.from_json(rec["reference"])))
+    _emit(args, report, lines)
+    return 0 if report["ok"] else 1
 
 
 def cmd_invariance(args) -> int:
@@ -179,40 +186,38 @@ def cmd_invariance(args) -> int:
         pairs.append((sys_, parse_genset(sys_, H_text),
                       sys_.element_from_labels(w_text)))
     records = invariance_scan(pairs)
-    violations = [r for r in records
-                  if r.isomorphic and r.polynomials_equal is False]
     lines = []
     for r in records:
-        where = "[e,%s]^%s vs [e,%s]^%s" % (r.first["w"], r.first["H"],
-                                            r.second["w"], r.second["H"])
-        if not r.isomorphic:
+        first, second = r["first"], r["second"]
+        where = "[e,%s]^%s vs [e,%s]^%s" % (first["w"], first["H"],
+                                            second["w"], second["H"])
+        if not r["isomorphic"]:
             lines.append("%s: not isomorphic" % where)
         else:
-            verdict = "equal" if r.polynomials_equal else "DIFFER"
+            verdict = "equal" if r["polynomials_equal"] else "DIFFER"
             lines.append("%s: isomorphic, polynomials %s (%d pairs)"
-                         % (where, verdict, r.pairs_checked))
-    _emit(args, {"group": sys_.spec,
-                 "records": [r.to_json() for r in records]}, lines)
-    return 1 if violations else 0
+                         % (where, verdict, r["pairs_checked"]))
+    _emit(args, {"group": sys_.spec, "records": records}, lines)
+    return 1 if any(r["polynomials_equal"] is False for r in records) else 0
 
 
 def cmd_mongelli(args) -> int:
     report = mongelli_reproduction()
-    pq = report.p_values["q"]
-    pm = report.p_values["-1"]
+    p = {x: [QPolynomial.from_json(v) for v in values]
+         for x, values in report["p_values"].items()}
     lines = [
-        "group %s, H = %s" % (report.group["name"], report.H),
-        "first pair:  u = %s, w = %s" % report.first,
-        "second pair: u = %s, w = %s" % report.second,
-        "quotient intervals isomorphic:  %s" % report.quotient_isomorphic,
+        "group %s, H = %s" % (report["group"]["name"], report["H"]),
+        "first pair:  u = %s, w = %s" % tuple(report["first"]),
+        "second pair: u = %s, w = %s" % tuple(report["second"]),
+        "quotient intervals isomorphic:  %s" % report["quotient_isomorphic"],
         "full intervals isomorphic:      %s"
-        % report.full_intervals_isomorphic,
-        "P(x=q):  %s vs %s" % (pq[0], pq[1]),
-        "P(x=-1): %s vs %s" % (pm[0], pm[1]),
-        "reproduced: %s" % report.reproduced,
+        % report["full_intervals_isomorphic"],
+        "P(x=q):  %s vs %s" % tuple(p["q"]),
+        "P(x=-1): %s vs %s" % tuple(p["-1"]),
+        "reproduced: %s" % report["reproduced"],
     ]
-    _emit(args, report.to_json(), lines)
-    return 0 if report.reproduced else 1
+    _emit(args, report, lines)
+    return 0 if report["reproduced"] else 1
 
 
 def cmd_export_interval(args) -> int:

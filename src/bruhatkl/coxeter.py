@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
@@ -184,17 +183,19 @@ def _is_finite_type(cartan: tuple) -> bool:
     """Whether the Cartan matrix is of finite type, i.e. its group is
     finite.  A Cartan matrix is a Z-matrix, so it is of finite type iff it
     is a nonsingular M-matrix (Kac, Infinite dimensional Lie algebras,
-    Thm 4.3), iff its leading principal minors are positive: every pivot
-    of Gaussian elimination without row exchanges is positive."""
-    a = [[Fraction(v) for v in row] for row in cartan]
+    Thm 4.3), iff its leading principal minors are positive.  The k-th
+    pivot of fraction-free (Bareiss) elimination without row exchanges is
+    the k-th leading principal minor, and each division is exact."""
+    a = [list(row) for row in cartan]
     n = len(a)
+    prev = 1
     for k in range(n):
         if a[k][k] <= 0:
             return False
         for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
     return True
 
 
@@ -318,7 +319,8 @@ class CoxeterSystem:
                 # bool is an int subclass: JSON true must not read as 1
                 if not isinstance(m, int) or isinstance(m, bool):
                     raise ValueError(
-                        "bond orders must be finite integers; got %r" % (m,))
+                        "bond order m[%d][%d] must be a finite integer; got %s"
+                        % (i, j, type(m).__name__))
                 if i == j:
                     if m != 1:
                         raise ValueError("diagonal entries must be 1")
@@ -337,9 +339,11 @@ class CoxeterSystem:
         # and read "e" as the identity
         if not isinstance(labels, (list, tuple)) or len(labels) != rank:
             raise ValueError("need one label per generator")
-        for label in labels:
-            if (not isinstance(label, str) or label in ("", "e")
-                    or re.search(r"[,\s{}]", label)):
+        for k, label in enumerate(labels):
+            if not isinstance(label, str):
+                raise ValueError("generator labels[%d] must be a string; "
+                                 "got %s" % (k, type(label).__name__))
+            if label in ("", "e") or re.search(r"[,\s{}]", label):
                 raise ValueError(
                     "generator labels must be non-empty strings other than "
                     "'e', without commas, whitespace or braces; got %r"

@@ -16,12 +16,14 @@ Three kinds of campaign, all exact:
   that two *quotient* intervals can be isomorphic as posets while their
   parabolic P-polynomials differ (so no analogue of combinatorial
   invariance holds for quotients in general).
+
+Each campaign returns its JSON as plain dicts and lists, the very data
+the CLI prints with ``--format json``; nothing in it depends on timing,
+so identical campaigns serialize identically.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .coxeter import (
@@ -33,7 +35,6 @@ from .coxeter import (
 )
 from .klpoly import (
     KLContext,
-    QPolynomial,
     XParam,
     _calculates,
     _unpack,
@@ -57,49 +58,6 @@ from .poset import (
 # main-theorem sweeps
 
 
-@dataclass
-class VerificationReport:
-    """Outcome of one calculating-matchings sweep.
-
-    ``counterexamples`` holds JSON-ready records (see
-    ``reverify_counterexample``); timing is kept out of ``to_json`` by
-    default so that identical campaigns serialize identically.
-    """
-
-    campaign: str
-    group: dict
-    x: str
-    max_length: int
-    H_set: list[str]
-    intervals_scanned: int
-    matchings_enumerated: int
-    h_special_count: int
-    calculating_count: int
-    counterexamples: list[dict]
-    wall_time: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
-
-    def to_json(self) -> dict:
-        return {
-            "campaign": self.campaign,
-            "group": self.group,
-            "x": self.x,
-            "max_length": self.max_length,
-            "H_set": self.H_set,
-            "totals": {
-                "intervals_scanned": self.intervals_scanned,
-                "matchings_enumerated": self.matchings_enumerated,
-                "h_special": self.h_special_count,
-                "calculating": self.calculating_count,
-            },
-            "counterexamples": self.counterexamples,
-            "ok": self.ok,
-        }
-
-
 # groups with at most this many elements are swept whole by default
 _WHOLE_GROUP_CAP = 400
 
@@ -116,7 +74,7 @@ def default_max_length(sys: CoxeterSystem) -> int:
 
 def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
                       H_set: Optional[Sequence[int]] = None,
-                      x=XParam.MINUS_ONE) -> VerificationReport:
+                      x=XParam.MINUS_ONE) -> dict:
     """Check that every H-special matching of every lower interval
     [e, w] with w in W^H and len(w) <= max_length reproduces the
     reference R-polynomials.  Counterexamples are reported, not raised.
@@ -124,6 +82,9 @@ def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
     H_set defaults to all subsets of the generators; max_length to
     ``default_max_length``.  Totals are per (w, H) unit, so an interval
     scanned under several H contributes its matchings once per H.
+    Returns the campaign's JSON: its inputs, ``totals``, the
+    ``counterexamples`` (records as ``reverify_counterexample`` reads
+    them) and ``ok``, true iff there are none.
     """
     x = XParam.parse(x)
     if max_length is None:
@@ -135,7 +96,6 @@ def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
         if not 0 <= H < (1 << sys.rank):
             raise ValueError("H is not a subset of the generators")
 
-    started = time.perf_counter()
     scanned = matchings = h_special = calculating = 0
     counterexamples = []
     for w in sys.elements_up_to_length(max_length):
@@ -161,24 +121,25 @@ def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
                     calculating += 1
                 else:
                     counterexamples.append(rec)
+    ok = not counterexamples
+    assert (calculating == h_special) == ok
     group_id = sys.name or ("rank%d" % sys.rank)
-    report = VerificationReport(
-        campaign="calculating:%s:x=%s:len<=%d" % (group_id, x.value,
-                                                  max_length),
-        group=sys.spec,
-        x=x.value,
-        max_length=max_length,
-        H_set=[format_genset(sys, H) for H in H_set],
-        intervals_scanned=scanned,
-        matchings_enumerated=matchings,
-        h_special_count=h_special,
-        calculating_count=calculating,
-        counterexamples=counterexamples,
-        wall_time=time.perf_counter() - started,
-    )
-    assert (report.calculating_count == report.h_special_count) \
-        == report.ok
-    return report
+    return {
+        "campaign": "calculating:%s:x=%s:len<=%d" % (group_id, x.value,
+                                                     max_length),
+        "group": sys.spec,
+        "x": x.value,
+        "max_length": max_length,
+        "H_set": [format_genset(sys, H) for H in H_set],
+        "totals": {
+            "intervals_scanned": scanned,
+            "matchings_enumerated": matchings,
+            "h_special": h_special,
+            "calculating": calculating,
+        },
+        "counterexamples": counterexamples,
+        "ok": ok,
+    }
 
 
 def reverify_counterexample(sys: CoxeterSystem, record: dict) -> bool:
@@ -208,20 +169,6 @@ def reverify_counterexample(sys: CoxeterSystem, record: dict) -> bool:
 # combinatorial-invariance scans
 
 
-@dataclass
-class ScanRecord:
-    """One pair of marked lower intervals from an invariance scan."""
-
-    first: dict
-    second: dict
-    isomorphic: bool
-    polynomials_equal: Optional[bool]
-    pairs_checked: int = 0
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
 def _scan_entry(sys: CoxeterSystem, H: int, w: Element, intervals: dict,
                 palette: dict):
     sys.check_min_coset_rep(w, H)
@@ -236,16 +183,17 @@ def _scan_entry(sys: CoxeterSystem, H: int, w: Element, intervals: dict,
     return sys, H, w, marked, marked_colors(marked, palette), descriptor
 
 
-def _scan_pair(a, b, xs) -> ScanRecord:
+def _scan_pair(a, b) -> dict:
     sys_a, H_a, w_a, marked_a, colors_a, desc_a = a
     sys_b, H_b, w_b, marked_b, colors_b, desc_b = b
     psi = find_marked_isomorphism(marked_a, marked_b, (colors_a, colors_b))
     if psi is None:
-        return ScanRecord(desc_a, desc_b, False, None)
+        return {"first": desc_a, "second": desc_b, "isomorphic": False,
+                "polynomials_equal": None, "pairs_checked": 0}
     els_a, els_b = marked_a.interval.elements, marked_b.interval.elements
     equal = True
     checked = 0
-    for x in xs:
+    for x in (XParam.MINUS_ONE, XParam.Q):
         # packed values, equal iff their polynomials are; P values passed
         # the decoder's guard when their column was filled, R values below
         ctx_a, ctx_b = get_context(sys_a, H_a, x), get_context(sys_b, H_b, x)
@@ -261,17 +209,19 @@ def _scan_pair(a, b, xs) -> ScanRecord:
                 equal = False
         for r in r_values:
             _unpack(r)
-    return ScanRecord(desc_a, desc_b, True, equal, checked)
+    return {"first": desc_a, "second": desc_b, "isomorphic": True,
+            "polynomials_equal": equal, "pairs_checked": checked}
 
 
-def invariance_scan(pairs: Sequence[tuple[CoxeterSystem, int, Element]],
-                    xs: Sequence = (XParam.MINUS_ONE, XParam.Q)
-                    ) -> list[ScanRecord]:
+def invariance_scan(pairs: Sequence[tuple[CoxeterSystem, int, Element]]
+                    ) -> list[dict]:
     """For every unordered pair from ``pairs`` (each entry also paired
     with itself), look for a marked isomorphism of the lower intervals
     [e, w] and, when found, compare the parabolic R- and P-polynomials
-    at corresponding quotient elements for every x in ``xs``."""
-    xs = tuple(XParam.parse(x) for x in xs)
+    at corresponding quotient elements for both x variants.  Returns one
+    JSON record per pair: the ``first`` and ``second`` entries, whether
+    they are ``isomorphic``, whether ``polynomials_equal`` (None when
+    not isomorphic) and the number of ``pairs_checked``."""
     intervals: dict = {}  # entries with the same w share one interval
     palette: dict = {}    # each entry is colored once, all under one palette
     entries = [_scan_entry(sys, H, w, intervals, palette)
@@ -280,44 +230,12 @@ def invariance_scan(pairs: Sequence[tuple[CoxeterSystem, int, Element]],
     out = []
     for i in range(len(entries)):
         for j in range(i, len(entries)):
-            out.append(_scan_pair(entries[i], entries[j], xs))
+            out.append(_scan_pair(entries[i], entries[j]))
     return out
 
 
 # ---------------------------------------------------------------------------
 # the rank-4 quotient counterexample
-
-
-@dataclass
-class MongelliReport:
-    """The two quotient intervals that witness failure of combinatorial
-    invariance for quotients: isomorphic as posets, different P."""
-
-    group: dict
-    H: str
-    first: tuple[str, str]
-    second: tuple[str, str]
-    in_quotient: bool
-    quotient_isomorphic: bool
-    full_intervals_isomorphic: bool
-    p_values: dict
-    reproduced: bool
-
-    def to_json(self) -> dict:
-        return {
-            "group": self.group,
-            "H": self.H,
-            "first": list(self.first),
-            "second": list(self.second),
-            "in_quotient": self.in_quotient,
-            "quotient_isomorphic": self.quotient_isomorphic,
-            "full_intervals_isomorphic": self.full_intervals_isomorphic,
-            "p_values": {
-                x: [p.to_json() for p in ps]
-                for x, ps in sorted(self.p_values.items())
-            },
-            "reproduced": self.reproduced,
-        }
 
 
 def _quotient_relation(sys: CoxeterSystem, H: int, u: Element,
@@ -337,13 +255,13 @@ def _quotient_relation(sys: CoxeterSystem, H: int, u: Element,
     return rel
 
 
-def mongelli_reproduction(sys: Optional[CoxeterSystem] = None
-                          ) -> MongelliReport:
+def mongelli_reproduction(sys: Optional[CoxeterSystem] = None) -> dict:
     """Reproduce the rank-4 counterexample: in the group with bonds
     3-4-3 and H = {s1,s2,s3}, the quotient intervals [u,v]^H and
     [x,y]^H below are isomorphic posets, the full Bruhat intervals
     [u,v] and [x,y] are not, and the parabolic P-polynomials differ
-    for both x variants (q vs 0, and q+1 vs 1)."""
+    for both x variants (q vs 0, and q+1 vs 1).  Returns the JSON of
+    these findings, with ``reproduced`` true iff all of them hold."""
     if sys is None:
         sys = CoxeterSystem.F4()
     H = genset((0, 1, 2))
@@ -359,25 +277,22 @@ def mongelli_reproduction(sys: Optional[CoxeterSystem] = None
     full_iso = find_isomorphism(build_interval(sys, u1, v1),
                                 build_interval(sys, u2, v2)) is not None
     p_values = {
-        x.value: [get_context(sys, H, x).P(u1, v1),
-                  get_context(sys, H, x).P(u2, v2)]
+        x.value: [get_context(sys, H, x).P(u1, v1).to_json(),
+                  get_context(sys, H, x).P(u2, v2).to_json()]
         for x in (XParam.Q, XParam.MINUS_ONE)
     }
-    reproduced = (
-        in_quotient
-        and quotient_iso
-        and not full_iso
-        and p_values["q"] == [QPolynomial((0, 1)), QPolynomial()]
-        and p_values["-1"] == [QPolynomial((1, 1)), QPolynomial((1,))]
-    )
-    return MongelliReport(
-        group=sys.spec,
-        H=format_genset(sys, H),
-        first=(u1.label_str(), v1.label_str()),
-        second=(u2.label_str(), v2.label_str()),
-        in_quotient=in_quotient,
-        quotient_isomorphic=quotient_iso,
-        full_intervals_isomorphic=full_iso,
-        p_values=p_values,
-        reproduced=reproduced,
-    )
+    return {
+        "group": sys.spec,
+        "H": format_genset(sys, H),
+        "first": [u1.label_str(), v1.label_str()],
+        "second": [u2.label_str(), v2.label_str()],
+        "in_quotient": in_quotient,
+        "quotient_isomorphic": quotient_iso,
+        "full_intervals_isomorphic": full_iso,
+        "p_values": p_values,
+        "reproduced": (in_quotient and quotient_iso and not full_iso
+                       and p_values == {
+                           "q": [{"coeffs": [0, 1]}, {"coeffs": []}],
+                           "-1": [{"coeffs": [1, 1]}, {"coeffs": [1]}],
+                       }),
+    }

@@ -18,8 +18,7 @@ poset with many colors it once (`marked_colors`) and passes the colors in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .coxeter import CoxeterSystem, Element, genset_indices
 
@@ -114,8 +113,7 @@ class Interval:
         return sub, tuple(ids)
 
 
-@dataclass(frozen=True)
-class MarkedInterval:
+class MarkedInterval(NamedTuple):
     """An interval with each element flagged by membership in the
     parabolic quotient W^H (no right descent inside H)."""
 

@@ -61,14 +61,17 @@ def test_criterion_1_mongelli_reproduction():
     started = time.perf_counter()
     report = mongelli_reproduction()    # cold start: builds its own group
     elapsed = time.perf_counter() - started
+
+    def p_values(x):
+        return [QPolynomial.from_json(p) for p in report["p_values"][x]]
+
     checks = {
-        "quotient-members": report.in_quotient,
-        "quotient-isomorphic": report.quotient_isomorphic,
-        "full-not-isomorphic": not report.full_intervals_isomorphic,
-        "P(q)=q,0": report.p_values["q"] == [QPolynomial((0, 1)),
-                                             QPolynomial()],
-        "P(-1)=q+1,1": report.p_values["-1"] == [QPolynomial((1, 1)),
-                                                 QPolynomial((1,))],
+        "quotient-members": report["in_quotient"],
+        "quotient-isomorphic": report["quotient_isomorphic"],
+        "full-not-isomorphic": not report["full_intervals_isomorphic"],
+        "P(q)=q,0": p_values("q") == [QPolynomial((0, 1)), QPolynomial()],
+        "P(-1)=q+1,1": p_values("-1") == [QPolynomial((1, 1)),
+                                          QPolynomial((1,))],
         "under-60s": elapsed < 60,
     }
     bad = [k for k, v in checks.items() if not v]
@@ -86,11 +89,12 @@ def test_criterion_2_main_theorem_sweep(a2, a3, b2, b3):
     for sys_ in (a2, a3, b2, b3):
         for x in X_VARIANTS:
             report = sweep_calculating(sys_, x=x)
-            h_special += report.h_special_count
-            if not (report.ok and report.max_length == sys_.longest_length()
-                    and report.h_special_count > 0):
+            h_special += report["totals"]["h_special"]
+            if not (report["ok"]
+                    and report["max_length"] == sys_.longest_length()
+                    and report["totals"]["h_special"] > 0):
                 bad.append("%s:x=%s:%d counterexamples"
-                           % (sys_.name, x, len(report.counterexamples)))
+                           % (sys_.name, x, len(report["counterexamples"])))
     announce(2, "main-theorem-sweep", not bad,
              ",".join(bad) if bad else "%d H-special matchings" % h_special)
 
@@ -101,10 +105,10 @@ def test_criterion_2f_main_theorem_sweep_f4(f4):
     h_special = 0
     for x in X_VARIANTS:
         report = sweep_calculating(f4, max_length=9, x=x)
-        h_special += report.h_special_count
-        if not report.ok:
+        h_special += report["totals"]["h_special"]
+        if not report["ok"]:
             bad.append("x=%s:%d counterexamples"
-                       % (x, len(report.counterexamples)))
+                       % (x, len(report["counterexamples"])))
     announce(2, "main-theorem-sweep-f4", not bad,
              ",".join(bad) if bad else "%d H-special matchings" % h_special)
 
@@ -124,9 +128,10 @@ def whole_group_sweep_failures(sys_):
     for x in X_VARIANTS:
         report = sweep_calculating(sys_, max_length=sys_.longest_length(),
                                    x=x)
-        totals = (report.intervals_scanned, report.matchings_enumerated,
-                  report.h_special_count, report.calculating_count)
-        if not report.ok or totals != WHOLE_GROUP_TOTALS[sys_.name]:
+        totals = tuple(report["totals"][k] for k in (
+            "intervals_scanned", "matchings_enumerated", "h_special",
+            "calculating"))
+        if not report["ok"] or totals != WHOLE_GROUP_TOTALS[sys_.name]:
             bad.append("%s:x=%s:%s" % (sys_.name, x,
                                        "/".join(map(str, totals))))
     return bad
@@ -158,8 +163,9 @@ r = sweep_calculating(f4, max_length=f4.longest_length(), x="-1")
 with open("/proc/self/status") as status:
     peak = next(line.split()[1] for line in status
                 if line.startswith("VmHWM:"))
-print(r.ok, r.intervals_scanned, r.matchings_enumerated, r.h_special_count,
-      r.calculating_count, peak)
+t = r["totals"]
+print(r["ok"], t["intervals_scanned"], t["matchings_enumerated"],
+      t["h_special"], t["calculating"], peak)
 """
 
 
@@ -200,7 +206,7 @@ def test_criterion_3_dihedral_theorem(dihedrals):
     for m, sys_ in sorted(dihedrals.items()):
         for x in X_VARIANTS:
             report = sweep_calculating(sys_, x=x)
-            if not report.ok:
+            if not report["ok"]:
                 bad.append("I2(%d):x=%s:sweep" % (m, x))
         for H in (genset([0]), genset([1])):
             quotient = quotient_elements(sys_, H)

@@ -111,6 +111,25 @@ def test_deeply_nested_group_file_is_one_error_line(capsys, tmp_path):
     assert err == "error: group file %r is nested too deeply\n" % str(path)
 
 
+# a descriptor nested just under the recursion limit: an error names the
+# bad entry by its position and type, never by its value
+NESTED_900 = "[" * 900 + "]" * 900
+
+
+@pytest.mark.parametrize("group", [
+    NESTED_900,
+    '{"type":"matrix","m":%s}' % NESTED_900,
+    '{"type":"matrix","m":[[1,3],[3,1]],"labels":["s",%s]}' % NESTED_900,
+], ids=["inline-matrix", "matrix-spec", "labels"])
+def test_error_line_names_the_bad_entry_not_its_value(capsys, group):
+    code, out, err = run(capsys, [
+        "poly", "--group", group, "--u", "e", "--w", "e"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 100
+    assert err.endswith("; got list\n")
+
+
 # ---------------------------------------------------------------------------
 # poly
 
@@ -302,6 +321,23 @@ def test_verify_human_reports_wall_time(capsys):
     assert code == 0
     assert "wall time" in out
     assert "counterexamples:      0" in out
+
+
+def test_verify_human_fail_lines_show_polynomials(capsys, monkeypatch):
+    # R(e, s2) for H = {}, x = -1, raised by 1 in the group's table
+    a2 = CoxeterSystem.A(2)
+    row = get_context(a2, 0, "-1")._R_row(a2.generator(1))
+    row[a2.identity] += 1
+    monkeypatch.setattr(bruhatkl.cli, "load_group", lambda text: a2)
+    code, out, _ = run(capsys, [
+        "verify", "--group", "A2", "--H", "", "--max-length", "2"])
+    assert code == 1
+    assert "counterexamples:      3" in out
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        "  FAIL u=e w=s2 H={} x=-1: q - 1 != q",
+        "  FAIL u=e w=s1s2 H={} x=-1: q^2 - 2q + 1 != q^2 - q",
+        "  FAIL u=e w=s2s1 H={} x=-1: q^2 - q != q^2 - 2q + 1",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,6 @@ from bruhatkl.coxeter import (
     parse_genset,
 )
 from bruhatkl.invariance import (
-    MongelliReport,
-    VerificationReport,
     default_max_length,
     invariance_scan,
     mongelli_reproduction,
@@ -46,7 +44,7 @@ def el(sys, text):
 
 
 def report_bytes(report):
-    return json.dumps(report.to_json(), sort_keys=True)
+    return json.dumps(report, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -102,39 +100,39 @@ def brute_h_special_count(sys, w, H):
 def test_sweep_a2_full_group_matches_brute_totals(a2, x):
     H_set = list(range(4))
     report = sweep_calculating(a2, H_set=H_set, x=x)
-    assert report.ok
-    assert report.counterexamples == []
+    assert report["ok"]
+    assert report["counterexamples"] == []
     units = sweep_units(a2, 3, H_set)
-    assert report.intervals_scanned == len(units)
+    assert report["totals"]["intervals_scanned"] == len(units)
     want_matchings = 0
     want_h_special = 0
     for w, H in units:
         interval = build_lower_interval(a2, w)
         want_matchings += len(brute_special_matchings(interval))
         want_h_special += brute_h_special_count(a2, w, H)
-    assert report.matchings_enumerated == want_matchings
-    assert report.h_special_count == want_h_special
-    assert report.calculating_count == report.h_special_count
+    assert report["totals"]["matchings_enumerated"] == want_matchings
+    assert report["totals"]["h_special"] == want_h_special
+    assert report["totals"]["calculating"] == report["totals"]["h_special"]
 
 
 @pytest.mark.parametrize("x", ["-1", "q"])
 def test_sweep_i25_all_H(x):
     i25 = CoxeterSystem.I2(5)
     report = sweep_calculating(i25, x=x)
-    assert report.ok
-    assert report.max_length == 5
-    assert report.h_special_count > 0
-    assert report.calculating_count == report.h_special_count
+    assert report["ok"]
+    assert report["max_length"] == 5
+    assert report["totals"]["h_special"] > 0
+    assert report["totals"]["calculating"] == report["totals"]["h_special"]
 
 
 def test_sweep_b2_totals_against_brute(b2):
     H_set = list(range(4))
     report = sweep_calculating(b2, H_set=H_set, x="q")
-    assert report.ok
+    assert report["ok"]
     units = sweep_units(b2, 4, H_set)
-    assert report.intervals_scanned == len(units)
+    assert report["totals"]["intervals_scanned"] == len(units)
     want_h_special = sum(brute_h_special_count(b2, w, H) for w, H in units)
-    assert report.h_special_count == want_h_special
+    assert report["totals"]["h_special"] == want_h_special
 
 
 def test_sweep_deterministic_across_runs():
@@ -147,14 +145,15 @@ def test_sweep_deterministic_across_runs():
 
 
 def test_sweep_report_shape(a2):
-    report = sweep_calculating(a2, max_length=2, H_set=[0], x="-1")
-    data = report.to_json()
-    assert "wall_time_s" not in data
+    data = sweep_calculating(a2, max_length=2, H_set=[0], x="-1")
+    # no timing: wall time is measured and shown by the CLI's human output
+    assert sorted(data) == ["H_set", "campaign", "counterexamples", "group",
+                            "max_length", "ok", "totals", "x"]
     assert data["campaign"] == "calculating:A2:x=-1:len<=2"
     assert data["group"] == {"type": "named", "name": "A2"}
     assert data["H_set"] == ["{}"]
     assert data["ok"] is True
-    assert report.wall_time > 0
+    assert json.loads(json.dumps(data)) == data
 
 
 def test_sweep_rejects_bad_H(a2):
@@ -165,13 +164,13 @@ def test_sweep_rejects_bad_H(a2):
 def test_sweep_restricted_length(b2):
     report = sweep_calculating(b2, max_length=2, H_set=[0], x="-1")
     # intervals: e, s1, s2, s1s2, s2s1
-    assert report.intervals_scanned == 5
-    assert report.ok
+    assert report["totals"]["intervals_scanned"] == 5
+    assert report["ok"]
 
 
 def test_sweep_keeps_no_interval_alive():
     b3 = CoxeterSystem.B(3)
-    assert sweep_calculating(b3, x="-1").ok
+    assert sweep_calculating(b3, x="-1")["ok"]
     gc.collect()
     alive = [o for o in gc.get_objects()
              if isinstance(o, Interval) and o.system is b3]
@@ -227,7 +226,7 @@ def planted_sweep_record(a3, monkeypatch):
     other special matching of [e, s1s2] reads the row of s1."""
     plant_discrepancy(monkeypatch, el(a3, "s2"))
     report = sweep_calculating(a3, max_length=2, H_set=[0])
-    (record,) = [r for r in report.counterexamples if r["w"] == "s1s2"]
+    (record,) = [r for r in report["counterexamples"] if r["w"] == "s1s2"]
     assert record["u"] == "e" and record["matching"]["pairs"] == [[0, 1],
                                                                   [2, 3]]
     return record
@@ -283,8 +282,8 @@ def test_verify_calculating_writes_the_sweep_record(a3, monkeypatch):
     # a sweep with a planted discrepancy stores a record with the same keys
     plant_discrepancy(monkeypatch, el(a3, "s2"))
     report = sweep_calculating(a3, max_length=1, H_set=[0])
-    assert report.counterexamples
-    for stored in report.counterexamples:
+    assert report["counterexamples"]
+    for stored in report["counterexamples"]:
         assert json.loads(json.dumps(stored)) == stored
         assert stored.keys() == record.keys()
 
@@ -340,11 +339,11 @@ def test_reverify_rejects_malformed_matching_with_value_error(b2, malform,
 def test_scan_self_pair_identity(a2):
     w0 = el(a2, "s1s2s1")
     (record,) = invariance_scan([(a2, 0, w0)])
-    assert record.isomorphic is True
-    assert record.polynomials_equal is True
+    assert record["isomorphic"] is True
+    assert record["polynomials_equal"] is True
     # 6 quotient elements, checked for both x variants
-    assert record.pairs_checked == 12
-    assert record.first == record.second
+    assert record["pairs_checked"] == 12
+    assert record["first"] == record["second"]
 
 
 def test_scan_braid_spellings_are_one_interval(a2):
@@ -354,7 +353,7 @@ def test_scan_braid_spellings_are_one_interval(a2):
     assert u is v
     records = invariance_scan([(a2, 0, u), (a2, 0, v)])
     assert len(records) == 3
-    assert all(r.isomorphic and r.polynomials_equal for r in records)
+    assert all(r["isomorphic"] and r["polynomials_equal"] for r in records)
 
 
 def test_scan_b2_with_generator_roles_swapped(b2):
@@ -363,29 +362,29 @@ def test_scan_b2_with_generator_roles_swapped(b2):
         (b2, genset([0]), el(b2, "s2s1s2")),
         (b2, genset([1]), el(b2, "s1s2s1")),
     ])
-    cross = [r for r in records if r.first != r.second]
+    cross = [r for r in records if r["first"] != r["second"]]
     assert len(cross) == 1
-    assert cross[0].isomorphic is True
-    assert cross[0].polynomials_equal is True
-    assert cross[0].pairs_checked == 8     # 4 marked elements, 2 x variants
+    assert cross[0]["isomorphic"] is True
+    assert cross[0]["polynomials_equal"] is True
+    assert cross[0]["pairs_checked"] == 8     # 4 marked elements, 2 x variants
 
 
 def test_scan_detects_mark_mismatch():
     i24 = CoxeterSystem.I2(4)
     w = el(i24, "s1s2s1")
     records = invariance_scan([(i24, genset([1]), w), (i24, 0, w)])
-    cross = [r for r in records if r.first != r.second]
+    cross = [r for r in records if r["first"] != r["second"]]
     assert len(cross) == 1
-    assert cross[0].isomorphic is False
-    assert cross[0].polynomials_equal is None
-    assert cross[0].pairs_checked == 0
+    assert cross[0]["isomorphic"] is False
+    assert cross[0]["polynomials_equal"] is None
+    assert cross[0]["pairs_checked"] == 0
 
 
 def test_scan_detects_size_mismatch(a2):
     records = invariance_scan([(a2, 0, el(a2, "s1s2")),
                                (a2, 0, el(a2, "s1s2s1"))])
-    cross = [r for r in records if r.first != r.second]
-    assert cross[0].isomorphic is False
+    cross = [r for r in records if r["first"] != r["second"]]
+    assert cross[0]["isomorphic"] is False
 
 
 def test_scan_requires_quotient_top(b2):
@@ -394,8 +393,10 @@ def test_scan_requires_quotient_top(b2):
 
 
 def test_scan_record_json(a2):
-    (record,) = invariance_scan([(a2, 0, el(a2, "s1s2"))])
-    data = record.to_json()
+    (data,) = invariance_scan([(a2, 0, el(a2, "s1s2"))])
+    assert sorted(data) == ["first", "isomorphic", "pairs_checked",
+                            "polynomials_equal", "second"]
+    assert json.loads(json.dumps(data)) == data
     assert data["isomorphic"] is True
     assert data["polynomials_equal"] is True
     assert data["first"]["w"] == "s1s2"
@@ -423,7 +424,7 @@ def test_scan_refines_each_entry_once(monkeypatch):
     k = len(entries)
     assert len(records) == k * (k + 1) // 2
     assert calls == {"refine": k, "isomorphism": k * (k + 1) // 2}
-    assert any(r.isomorphic for r in records if r.first != r.second)
+    assert any(r["isomorphic"] for r in records if r["first"] != r["second"])
 
 
 # [e, s2s1s2]^{s1} and [e, s1s2s1]^{s2} in B2: distinct entries, isomorphic
@@ -456,11 +457,11 @@ def test_scan_refuses_an_undecodable_R_value():
 def test_scan_reports_a_planted_disagreement(table):
     _, entries = planted_b2(table, lambda p: p + 1)
     first, cross, second = invariance_scan(entries)
-    assert first.polynomials_equal is True
-    assert second.polynomials_equal is True
-    assert cross.isomorphic is True
-    assert cross.polynomials_equal is False
-    assert cross.pairs_checked == 8
+    assert first["polynomials_equal"] is True
+    assert second["polynomials_equal"] is True
+    assert cross["isomorphic"] is True
+    assert cross["polynomials_equal"] is False
+    assert cross["pairs_checked"] == 8
 
 
 # ---------------------------------------------------------------------------
@@ -469,20 +470,21 @@ def test_scan_reports_a_planted_disagreement(table):
 
 def test_mongelli_reproduction(f4):
     report = mongelli_reproduction(f4)
-    assert isinstance(report, MongelliReport)
-    assert report.in_quotient is True
-    assert report.quotient_isomorphic is True
-    assert report.full_intervals_isomorphic is False
-    assert report.p_values["q"] == [QPolynomial((0, 1)), QPolynomial()]
-    assert report.p_values["-1"] == [QPolynomial((1, 1)), QPolynomial((1,))]
-    assert report.reproduced is True
-    assert report.H == "{s1,s2,s3}"
+    assert json.loads(json.dumps(report)) == report
+    assert report["in_quotient"] is True
+    assert report["quotient_isomorphic"] is True
+    assert report["full_intervals_isomorphic"] is False
+    p_values = {x: [QPolynomial.from_json(p) for p in ps]
+                for x, ps in report["p_values"].items()}
+    assert p_values["q"] == [QPolynomial((0, 1)), QPolynomial()]
+    assert p_values["-1"] == [QPolynomial((1, 1)), QPolynomial((1,))]
+    assert report["reproduced"] is True
+    assert report["H"] == "{s1,s2,s3}"
 
 
 def test_mongelli_default_group_and_json():
-    report = mongelli_reproduction()
-    assert report.group == {"type": "named", "name": "F4"}
-    data = report.to_json()
+    data = mongelli_reproduction()
+    assert data["group"] == {"type": "named", "name": "F4"}
     assert "wall_time_s" not in data
     assert data["reproduced"] is True
     assert data["p_values"]["q"] == [{"coeffs": [0, 1]}, {"coeffs": []}]

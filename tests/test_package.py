@@ -4,7 +4,9 @@ import ast
 import contextlib
 import importlib
 import io
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,6 +30,18 @@ def test_runtime_imports_only_the_standard_library():
                         if name.partition(".")[0]
                         not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_cli_import_leaves_out_dataclasses_and_fractions():
+    # both are slow to import (dataclasses pulls in inspect, ast and dis;
+    # fractions pulls in decimal), and every invocation imports the CLI
+    src = str(Path(bruhatkl.__file__).parent.parent)
+    code = ("import sys, bruhatkl.cli; bruhatkl.cli.build_parser(); "
+            "print(sorted({'dataclasses', 'fractions'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_every_name_in_all_exists():
