@@ -27,7 +27,7 @@ import sys
 import time
 from typing import Optional
 
-from .coxeter import CoxeterSystem, format_genset, parse_genset
+from .coxeter import CoxeterSystem, _excerpt, format_genset, parse_genset
 from .invariance import (
     invariance_scan,
     mongelli_reproduction,
@@ -182,7 +182,8 @@ def cmd_invariance(args) -> int:
         H_text, _, w_text = text.partition(":")
         if not w_text:
             raise ValueError(
-                "interval %r must look like 'H:w' (H may be empty)" % text)
+                "interval %s must look like 'H:w' (H may be empty)"
+                % _excerpt(text))
         pairs.append((sys_, parse_genset(sys_, H_text),
                       sys_.element_from_labels(w_text)))
     records = invariance_scan(pairs)

@@ -97,6 +97,17 @@ def _low_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+_EXCERPT = 40
+
+
+def _excerpt(text: str) -> str:
+    """repr(text) for an error message, cut to its first `_EXCERPT`
+    characters when longer, so one bad argument stays one short line."""
+    if len(text) <= _EXCERPT:
+        return repr(text)
+    return "%r... (%d characters)" % (text[:_EXCERPT], len(text))
+
+
 def parse_genset(system: "CoxeterSystem", text: str) -> int:
     """Parse a comma/space separated list of generator labels ("s1,s3"),
     with or without the braces that format_genset adds."""
@@ -346,8 +357,8 @@ class CoxeterSystem:
             if label in ("", "e") or re.search(r"[,\s{}]", label):
                 raise ValueError(
                     "generator labels must be non-empty strings other than "
-                    "'e', without commas, whitespace or braces; got %r"
-                    % (label,))
+                    "'e', without commas, whitespace or braces; got %s"
+                    % _excerpt(label))
         if len(set(labels)) != rank:
             raise ValueError("generator labels must be distinct")
         # label_str concatenates labels, so every concatenation must split
@@ -416,7 +427,7 @@ class CoxeterSystem:
         name = name.strip()
         mt = _NAMED_RE.match(name)
         if not mt:
-            raise ValueError("unknown group name %r" % name)
+            raise ValueError("unknown group name %s" % _excerpt(name))
         if mt.group(3) is not None:
             return cls.I2(int(mt.group(3)))
         family, n = mt.group(1), int(mt.group(2))
@@ -430,7 +441,7 @@ class CoxeterSystem:
             if n != 4:
                 raise ValueError("only F4 exists")
             return cls.F4()
-        raise ValueError("unknown group name %r" % name)
+        raise ValueError("unknown group name %s" % _excerpt(name))
 
     @classmethod
     def from_spec(cls, spec: dict) -> "CoxeterSystem":
@@ -481,8 +492,9 @@ class CoxeterSystem:
         try:
             return self._name_to_index[label]
         except KeyError:
-            raise ValueError("unknown generator label %r (have %s)"
-                             % (label, ", ".join(self.generator_names)))
+            raise ValueError("unknown generator label %s (have %s)"
+                             % (_excerpt(label),
+                                ", ".join(self.generator_names)))
 
     def generator(self, i: int) -> Element:
         return self.multiply_by_generator(self.identity, i)
@@ -618,8 +630,8 @@ class CoxeterSystem:
                             back.setdefault(i + len(name), (i, s))
             end = len(run)
             if end not in back:
-                raise ValueError("cannot parse %r at %r"
-                                 % (text, run[max(back):]))
+                raise ValueError("cannot parse %s at %s"
+                                 % (_excerpt(text), _excerpt(run[max(back):])))
             split = []
             while end:
                 end, s = back[end]

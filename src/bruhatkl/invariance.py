@@ -24,6 +24,7 @@ so identical campaigns serialize identically.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Optional, Sequence
 
 from .coxeter import (
@@ -36,13 +37,14 @@ from .coxeter import (
 from .klpoly import (
     KLContext,
     XParam,
-    _calculates,
+    _all_calculate,
+    _matching_calculates,
     _unpack,
     get_context,
     verify_calculating,
 )
-from .matchings import enumerate_special_matchings, is_H_special, \
-    is_special, matching_from_json
+from .matchings import enumerate_special_matchings, h_special_mask, \
+    is_H_special, is_special, matching_from_json
 from .poset import (
     build_interval,
     build_lower_interval,
@@ -104,19 +106,33 @@ def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
             continue
         interval = build_lower_interval(sys, w)
         all_special = enumerate_special_matchings(interval)
+        # a dihedral [e, w] has 2^(l(w)-1) special matchings on 2 l(w)
+        # elements; past one per element, work column by column: each
+        # element once across all the matchings
+        pairings = ([M.pairing for M in all_special]
+                    if len(all_special) > len(interval) else None)
         for H in Hs:
             marked = mark_interval(interval, H)
             scanned += 1
             matchings += len(all_special)
-            chosen = [M for M in all_special if is_H_special(marked, M)]
+            if pairings is None:
+                chosen = [M for M in all_special if is_H_special(marked, M)]
+            else:
+                keep = h_special_mask(marked, pairings)
+                chosen = list(compress(all_special, keep))
             if not chosen:
                 continue  # such as [e, e]; it needs no context
             h_special += len(chosen)
             table = get_context(sys, H, x)
+            if pairings is not None and _all_calculate(
+                    marked, compress(pairings, keep), table):
+                calculating += len(chosen)
+                continue
+            # one matching at a time, as verify_calculating would check
+            # them after its H-special test; a failing column unit comes
+            # here too, so its records are those of this loop
             for M in chosen:
-                # the filter above is the H-special test verify_calculating
-                # would repeat; every other input check holds by construction
-                ok, rec = _calculates(marked, M, table)
+                ok, rec = _matching_calculates(marked, M, table)
                 if ok:
                     calculating += 1
                 else:

@@ -47,12 +47,19 @@ H-special matching M of [e, w] induces: it reads the row of M(w) from the
 reference table and compares the result with the row of w on every
 quotient element of the interval.  Its loop, `_calculates`, is the one
 place the recurrence is evaluated; sweeps call it directly, and a stored
-counterexample record is re-checked by writing it again.
+counterexample record is re-checked by writing it again.  A step of the
+loop, the recurrence at one quotient element u, depends only on
+(M(w), u, M(u)).  A dihedral [e, w] has 2 l(w) elements but 2^(l(w)-1)
+special matchings, so its steps repeat across matchings; a sweep of an
+interval with more special matchings than elements hands all of them to
+`_all_calculate`, which evaluates each distinct step once, and checks
+the matchings one at a time only when some step fails.
 """
 
 from __future__ import annotations
 
 import enum
+from operator import itemgetter
 from typing import Optional
 
 from .coxeter import CoxeterSystem, Element, _low_bit, format_genset
@@ -434,28 +441,68 @@ def verify_calculating(marked: MarkedInterval, x, M: Matching,
     if not is_H_special(marked, M):
         raise ValueError("matching is not H-special; the recurrence "
                          "branches are undefined")
-    return _calculates(marked, M, table)
+    return _matching_calculates(marked, M, table)
 
 
-def _calculates(marked: MarkedInterval, M: Matching, table: KLContext
-                ) -> tuple[bool, Optional[dict]]:
-    """The comparison loop of `verify_calculating`, for inputs that are
-    already known to pass its checks: at every marked u, in id order, the
-    three-branch matching recurrence, read from the row of the
-    matched-down top element, against the row of the top element.  The
-    record needs nothing but the system to be re-checked
+def _matching_calculates(marked: MarkedInterval, M: Matching,
+                         table: KLContext) -> tuple[bool, Optional[dict]]:
+    """The result of `verify_calculating`, for inputs that are already
+    known to pass its checks: `_calculates` over M's steps (u, M(u)), in
+    id order.  The record needs nothing but the system to be re-checked
     (`invariance.reverify_counterexample`)."""
+    pairing = M.pairing
+    # the top element has the last id
+    failed = _calculates(marked, table, pairing[-1], enumerate(pairing))
+    if failed is None:
+        return True, None
+    u_id, got = failed
     iv = marked.interval
-    els, pairing, marks = iv.elements, M.pairing, marked.marks
+    u = iv.elements[u_id]
+    return False, {
+        "u": u.label_str(),
+        "w": iv.top.label_str(),
+        "H": format_genset(iv.system, marked.H),
+        "x": table.x.value,
+        "matching": M.to_json(),
+        "via_matching": _decode(got).to_json(),
+        "reference": _decode(table._R_row(iv.top)[u]).to_json(),
+    }
+
+
+def _all_calculate(marked: MarkedInterval, pairings, table: KLContext
+                   ) -> bool:
+    """Whether every H-special matching with one of these pairings
+    calculates.  A step's value depends only on (M(w), u, M(u)), so the
+    pairings are grouped by their partner of the top element, and
+    `_calculates` evaluates each distinct (u, M(u)) of a group once."""
+    groups: dict = {}
+    for p in pairings:
+        groups.setdefault(p[-1], []).append(p)
+    ids = marked.marked_ids()
+    return all(
+        _calculates(marked, table, top_id,
+                    [(u, m) for u in ids
+                     for m in set(map(itemgetter(u), group))]) is None
+        for top_id, group in groups.items())
+
+
+def _calculates(marked: MarkedInterval, table: KLContext, top_id: int,
+                steps) -> Optional[tuple[int, int]]:
+    """The three-branch matching recurrence at each (u id, M(u) id) of
+    `steps` with u in W^H, read from the row of the element with id
+    `top_id`, M(w), against the row of the top element w.  Returns the
+    first (u id, packed value) where the two differ, or None.  The one
+    place the recurrence is evaluated."""
+    iv = marked.interval
+    els, marks = iv.elements, marked.marks
     row = table._R_row(iv.top)
-    below = table._R_row(els[pairing[-1]])  # the top element has the last id
+    below = table._R_row(els[top_id])
     get = below.get
     qm1mx = table._qm1mx
-    for u_id, u in enumerate(els):
+    for u_id, m_id in steps:
         if not marks[u_id]:
             continue
-        m_id = pairing[u_id]
-        Mu = els[m_id]
+        u, Mu = els[u_id], els[m_id]
         if m_id < u_id:  # ids are sorted by rank: M moves u down
             got = below[Mu]
         elif marks[m_id]:
@@ -463,13 +510,5 @@ def _calculates(marked: MarkedInterval, M: Matching, table: KLContext
         else:
             got = qm1mx * get(u, 0)
         if got != row[u]:
-            return False, {
-                "u": u.label_str(),
-                "w": iv.top.label_str(),
-                "H": format_genset(iv.system, marked.H),
-                "x": table.x.value,
-                "matching": M.to_json(),
-                "via_matching": _decode(got).to_json(),
-                "reference": _decode(row[u]).to_json(),
-            }
-    return True, None
+            return u_id, got
+    return None

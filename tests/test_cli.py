@@ -130,6 +130,23 @@ def test_error_line_names_the_bad_entry_not_its_value(capsys, group):
     assert err.endswith("; got list\n")
 
 
+# a long rejected string is echoed as a short excerpt and its length
+@pytest.mark.parametrize("argv", [
+    ["poly", "--group", "x" * 5000, "--u", "e", "--w", "e"],
+    ["poly", "--group", "A2", "--u", "s9" * 2000, "--w", "e"],
+    ["poly", "--group", '{"type":"matrix","m":[[1,3],[3,1]],'
+     '"labels":["s","%s"]}' % ("t u" * 700), "--u", "e", "--w", "e"],
+    ["poly", "--group", "A2", "--H", "s9" * 2000, "--u", "e", "--w", "e"],
+    ["invariance", "--group", "A2", "--interval", "s1" * 2000],
+], ids=["group-name", "element", "labels", "generator", "interval"])
+def test_long_rejected_string_is_one_short_error_line(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) < 200
+    assert "characters)" in err
+
+
 # ---------------------------------------------------------------------------
 # poly
 
@@ -314,6 +331,21 @@ def test_verify_byte_identical_across_runs(capsys):
     _, out2, _ = run(capsys, argv)
     assert out1 == out2
     assert "wall_time" not in out1
+
+
+# sha256 of the JSON stdout of whole-I2(14) sweeps, recorded before
+# intervals with more special matchings than elements were swept column
+# by column; 19 of the 28 intervals are
+@pytest.mark.parametrize("x, digest", [
+    ("q", "89f05bcc0abb4c7b96becbef39cea9916c87d627effd9f4193031cd59ec2f5c4"),
+    ("-1",
+     "5062571da27305019223fccb808ab1af7699d98d4b915523ba05c53e1a38f004"),
+])
+def test_verify_i2_14_stdout_pinned(capsys, x, digest):
+    code, out, err = run(capsys, [
+        "verify", "--group", "I2(14)", "--x", x, "--format", "json"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_human_reports_wall_time(capsys):

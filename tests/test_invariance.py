@@ -9,6 +9,7 @@ import pytest
 from bruhatkl.coxeter import (
     CoxeterSystem,
     QuotientMembershipError,
+    format_genset,
     genset,
     parse_genset,
 )
@@ -25,6 +26,7 @@ from bruhatkl.klpoly import (
     KLContext,
     QPolynomial,
     XParam,
+    _all_calculate,
     get_context,
     verify_calculating,
 )
@@ -125,14 +127,20 @@ def test_sweep_i25_all_H(x):
     assert report["totals"]["calculating"] == report["totals"]["h_special"]
 
 
-def test_sweep_b2_totals_against_brute(b2):
+# B2 sweeps one matching at a time; I2(7) has intervals with more special
+# matchings than elements, which the sweep filters column by column
+@pytest.mark.parametrize("x", ["q", "-1"])
+@pytest.mark.parametrize("group", ["B2", "I2(7)"])
+def test_sweep_b2_totals_against_brute(group, x):
+    sys = CoxeterSystem.from_name(group)
     H_set = list(range(4))
-    report = sweep_calculating(b2, H_set=H_set, x="q")
+    report = sweep_calculating(sys, H_set=H_set, x=x)
     assert report["ok"]
-    units = sweep_units(b2, 4, H_set)
+    units = sweep_units(sys, report["max_length"], H_set)
     assert report["totals"]["intervals_scanned"] == len(units)
-    want_h_special = sum(brute_h_special_count(b2, w, H) for w, H in units)
+    want_h_special = sum(brute_h_special_count(sys, w, H) for w, H in units)
     assert report["totals"]["h_special"] == want_h_special
+    assert report["totals"]["calculating"] == want_h_special
 
 
 def test_sweep_deterministic_across_runs():
@@ -286,6 +294,55 @@ def test_verify_calculating_writes_the_sweep_record(a3, monkeypatch):
     for stored in report["counterexamples"]:
         assert json.loads(json.dumps(stored)) == stored
         assert stored.keys() == record.keys()
+
+
+@pytest.mark.parametrize("x", ["-1", "q"])
+def test_failing_column_unit_writes_the_per_matching_records(monkeypatch, x):
+    # [e, w] in I2(7) with l(w) = 5 has 10 elements and 16 special
+    # matchings, so the sweep checks its units column by column; with
+    # R(e, v) planted wrong for a coatom v, the matchings with M(w) = v
+    # fail and the others calculate
+    i27 = CoxeterSystem.I2(7)
+    w, v = el(i27, "s1s2s1s2s1"), el(i27, "s2s1s2s1")
+    interval = build_lower_interval(i27, w)
+    special = enumerate_special_matchings(interval)
+    assert len(special) == 16 > len(interval) == 10
+    plant_discrepancy(monkeypatch, v)
+    report = sweep_calculating(i27, max_length=5, x=x)
+    assert report["ok"] is False
+    totals = report["totals"]
+    assert totals["calculating"] + len(report["counterexamples"]) \
+        == totals["h_special"] > totals["calculating"]
+    for H in (0, genset([1])):  # the H with w in W^H
+        marked = mark_interval(interval, H)
+        want = []
+        for M in special:
+            if is_H_special(marked, M):
+                ok, record = verify_calculating(marked, x, M,
+                                                KLContext(i27, H, x))
+                assert ok is (M.image(w) is not v)
+                if not ok:
+                    want.append(record)
+        assert want
+        got = [r for r in report["counterexamples"]
+               if r["w"] == "s1s2s1s2s1" and r["H"] == format_genset(i27, H)]
+        assert got == want
+
+
+def test_column_check_fails_with_any_one_failing_matching(a3):
+    # the column check evaluates each distinct step once, however many
+    # matchings share it, and must still fail when one matching fails,
+    # wherever it sits among the matchings that share its M(w)
+    interval = build_lower_interval(a3, el(a3, NON_SPECIAL_A3["w"]))
+    marked = mark_interval(interval, 0)
+    table = KLContext(a3, 0, "-1")
+    special = [M.pairing for M in enumerate_special_matchings(interval)]
+    bad = matching_from_json(interval, NON_SPECIAL_A3["matching"]).pairing
+    assert _all_calculate(marked, special, table)
+    assert sum(p[-1] == bad[-1] for p in special) > 1
+    for pos in range(len(special) + 1):
+        mixed = special[:pos] + [bad] + special[pos:]
+        assert not _all_calculate(marked, mixed, table)
 
 
 def test_reverify_rejects_tampered_records(a3, monkeypatch):
