@@ -3,11 +3,11 @@
 Three kinds of campaign, all exact:
 
 - ``sweep_calculating``: for every quotient element w up to a length
-  bound and every generator subset H in a given family, enumerate the
-  special matchings of [e, w], keep the H-special ones, and check that
-  each reproduces the reference R-polynomials through the three-branch
-  matching recurrence.  Failures are collected as self-contained
-  counterexample records, never raised.
+  bound and every generator subset H in a given family, list (or, for
+  a dihedral [e, w], count) the special matchings of [e, w], keep the
+  H-special ones, and check that each reproduces the reference
+  R-polynomials through the three-branch matching recurrence.  Failures
+  are collected as self-contained counterexample records, never raised.
 - ``invariance_scan``: for pairs of marked lower intervals, search for a
   rank- and mark-preserving poset isomorphism and, when one exists,
   check that corresponding quotient elements carry identical parabolic
@@ -24,7 +24,6 @@ so identical campaigns serialize identically.
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import Optional, Sequence
 
 from .coxeter import (
@@ -37,14 +36,14 @@ from .coxeter import (
 from .klpoly import (
     KLContext,
     XParam,
-    _all_calculate,
+    _calculates,
     _matching_calculates,
     _unpack,
     get_context,
     verify_calculating,
 )
-from .matchings import enumerate_special_matchings, h_special_mask, \
-    is_H_special, is_special, matching_from_json
+from .matchings import enumerate_special_matchings, is_H_special, \
+    is_special, matching_from_json
 from .poset import (
     build_interval,
     build_lower_interval,
@@ -72,6 +71,49 @@ def default_max_length(sys: CoxeterSystem) -> int:
         return sys.group_elements(cap=_WHOLE_GROUP_CAP)[-1].length
     except ValueError:
         return 9
+
+
+def _ladder(up, allowed) -> dict:
+    """{M(w) id: count} over the special matchings of a lower interval
+    [e, w] with at most two atoms and upper covers `up` whose pairs
+    (a, b), a < b, pass allowed(a, b).  There w lies in a rank-2
+    parabolic subgroup: x < y exactly when x has the lower rank, and each
+    middle rank holds two elements.  So every matching that pairs the
+    element going up at each rank with one of the next rank, whose other
+    element goes up next, is special, and the count runs over ranks."""
+    ways, ends = {0: 1}, {}
+    while ways:
+        nxt = {}
+        for a, n in ways.items():
+            for b in up[a]:
+                if not allowed(a, b):
+                    continue
+                if not up[b]:  # b is w
+                    ends[a] = n
+                else:  # ids run e, then two per middle rank: 1 2, 3 4, ...
+                    other = b + 1 if b & 1 else b - 1
+                    nxt[other] = nxt.get(other, 0) + n
+        ways = nxt
+    return ends
+
+
+def _ladder_counts(marked, x) -> tuple[dict, dict, dict]:
+    """`_ladder` over all the pairs, over the pairs that keep a matching
+    H-special (not b marked with a unmarked), and, for each M(w) = t,
+    over those of them whose steps (a, b) and (b, a) pass `_calculates`:
+    the special, H-special and calculating matchings by M(w)."""
+    up, marks = marked.interval.hasse_up, marked.marks
+
+    def h_ok(a, b):
+        return marks[a] or not marks[b]
+
+    special = _ladder(up, h_ok)
+    if special:
+        table = get_context(marked.interval.system, marked.H, x)
+    calc = {t: _ladder(up, lambda a, b: h_ok(a, b) and _calculates(
+        marked, table, t, ((a, b), (b, a))) is None).get(t, 0)
+        for t in special}
+    return _ladder(up, lambda a, b: True), special, calc
 
 
 def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
@@ -105,32 +147,29 @@ def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
         if not Hs:
             continue
         interval = build_lower_interval(sys, w)
-        all_special = enumerate_special_matchings(interval)
-        # a dihedral [e, w] has 2^(l(w)-1) special matchings on 2 l(w)
-        # elements; past one per element, work column by column: each
-        # element once across all the matchings
-        pairings = ([M.pairing for M in all_special]
-                    if len(all_special) > len(interval) else None)
+        # at most two atoms: w lies in a rank-2 parabolic subgroup, and the
+        # 2^(l(w)-1) special matchings of [e, w] are counted, not listed
+        all_special = (None if len(interval.hasse_up[0]) <= 2
+                       else enumerate_special_matchings(interval))
         for H in Hs:
             marked = mark_interval(interval, H)
             scanned += 1
-            matchings += len(all_special)
-            if pairings is None:
-                chosen = [M for M in all_special if is_H_special(marked, M)]
-            else:
-                keep = h_special_mask(marked, pairings)
-                chosen = list(compress(all_special, keep))
-            if not chosen:
-                continue  # such as [e, e]; it needs no context
+            found = all_special
+            if found is None:
+                every, special, calc = _ladder_counts(marked, x)
+                if calc == special:
+                    matchings += sum(every.values())
+                    h_special += sum(special.values())
+                    calculating += sum(calc.values())
+                    continue
+                # a failing unit is listed, to write the records below
+                found = enumerate_special_matchings(interval)
+            matchings += len(found)
+            chosen = [M for M in found if is_H_special(marked, M)]
             h_special += len(chosen)
             table = get_context(sys, H, x)
-            if pairings is not None and _all_calculate(
-                    marked, compress(pairings, keep), table):
-                calculating += len(chosen)
-                continue
             # one matching at a time, as verify_calculating would check
-            # them after its H-special test; a failing column unit comes
-            # here too, so its records are those of this loop
+            # them after its H-special test
             for M in chosen:
                 ok, rec = _matching_calculates(marked, M, table)
                 if ok:
@@ -216,7 +255,7 @@ def _scan_pair(a, b) -> dict:
         R_a, P_a = ctx_a._R_row(w_a), ctx_a._P_column(w_a)
         R_b, P_b = ctx_b._R_row(w_b), ctx_b._P_column(w_b)
         r_values = set()
-        for ua_id in marked_a.marked_ids():
+        for ua_id in [i for i, m in enumerate(marked_a.marks) if m]:
             ua, ub = els_a[ua_id], els_b[psi[ua_id]]
             ra, rb = R_a.get(ua, 0), R_b.get(ub, 0)
             r_values.update((ra, rb))

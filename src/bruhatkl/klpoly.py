@@ -46,20 +46,15 @@ left descent of w and v = sw:
 H-special matching M of [e, w] induces: it reads the row of M(w) from the
 reference table and compares the result with the row of w on every
 quotient element of the interval.  Its loop, `_calculates`, is the one
-place the recurrence is evaluated; sweeps call it directly, and a stored
-counterexample record is re-checked by writing it again.  A step of the
-loop, the recurrence at one quotient element u, depends only on
-(M(w), u, M(u)).  A dihedral [e, w] has 2 l(w) elements but 2^(l(w)-1)
-special matchings, so its steps repeat across matchings; a sweep of an
-interval with more special matchings than elements hands all of them to
-`_all_calculate`, which evaluates each distinct step once, and checks
-the matchings one at a time only when some step fails.
+place the recurrence is evaluated; sweeps call it directly, on one pair
+(u, M(u)) at a time for a dihedral [e, w] whose matchings they count
+rank by rank, and a stored counterexample record is re-checked by
+writing it again.
 """
 
 from __future__ import annotations
 
 import enum
-from operator import itemgetter
 from typing import Optional
 
 from .coxeter import CoxeterSystem, Element, _low_bit, format_genset
@@ -467,23 +462,6 @@ def _matching_calculates(marked: MarkedInterval, M: Matching,
         "via_matching": _decode(got).to_json(),
         "reference": _decode(table._R_row(iv.top)[u]).to_json(),
     }
-
-
-def _all_calculate(marked: MarkedInterval, pairings, table: KLContext
-                   ) -> bool:
-    """Whether every H-special matching with one of these pairings
-    calculates.  A step's value depends only on (M(w), u, M(u)), so the
-    pairings are grouped by their partner of the top element, and
-    `_calculates` evaluates each distinct (u, M(u)) of a group once."""
-    groups: dict = {}
-    for p in pairings:
-        groups.setdefault(p[-1], []).append(p)
-    ids = marked.marked_ids()
-    return all(
-        _calculates(marked, table, top_id,
-                    [(u, m) for u in ids
-                     for m in set(map(itemgetter(u), group))]) is None
-        for top_id, group in groups.items())
 
 
 def _calculates(marked: MarkedInterval, table: KLContext, top_id: int,

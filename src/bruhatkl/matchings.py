@@ -22,8 +22,6 @@ matching moves i down exactly when it sends i to a smaller id.
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import itemgetter, not_, or_
 from typing import Sequence
 
 from .coxeter import Element
@@ -35,7 +33,6 @@ __all__ = [
     "is_special",
     "enumerate_special_matchings",
     "is_H_special",
-    "h_special_mask",
     "matching_from_json",
 ]
 
@@ -248,18 +245,3 @@ def is_H_special(marked: MarkedInterval, M: Matching) -> bool:
         if j < i and marks[i] and not marks[j]:
             return False
     return True
-
-
-def h_special_mask(marked: MarkedInterval, pairings) -> list[bool]:
-    """`is_H_special` for each pairing of a matching of the marked
-    interval, in order, tested one marked element at a time across all of
-    them: a matching fails exactly when it sends some marked u to one of
-    u's unmarked lower covers."""
-    down, marks = marked.interval.hasse_down, marked.marks
-    fails = [False] * len(pairings)
-    for u in compress(range(len(marks)), marks):
-        bad = {d for d in down[u] if not marks[d]}
-        if bad:
-            hit = map(bad.__contains__, map(itemgetter(u), pairings))
-            fails = list(map(or_, fails, hit))
-    return list(map(not_, fails))

@@ -121,9 +121,6 @@ class MarkedInterval(NamedTuple):
     H: int
     marks: tuple[bool, ...]
 
-    def marked_ids(self) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self.marks) if m)
-
 
 def build_lower_interval(sys: CoxeterSystem, w: Element) -> Interval:
     """The interval [e, w], built afresh."""

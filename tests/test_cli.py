@@ -333,9 +333,9 @@ def test_verify_byte_identical_across_runs(capsys):
     assert "wall_time" not in out1
 
 
-# sha256 of the JSON stdout of whole-I2(14) sweeps, recorded before
-# intervals with more special matchings than elements were swept column
-# by column; 19 of the 28 intervals are
+# sha256 of the JSON stdout of whole-I2(14) sweeps, recorded while every
+# special matching was listed and checked one at a time; the sweep now
+# counts the matchings of all 28 intervals rank by rank
 @pytest.mark.parametrize("x, digest", [
     ("q", "89f05bcc0abb4c7b96becbef39cea9916c87d627effd9f4193031cd59ec2f5c4"),
     ("-1",

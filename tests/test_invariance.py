@@ -3,6 +3,7 @@ quotient counterexample."""
 
 import gc
 import json
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,8 @@ from bruhatkl.coxeter import (
     parse_genset,
 )
 from bruhatkl.invariance import (
+    _ladder,
+    _ladder_counts,
     default_max_length,
     invariance_scan,
     mongelli_reproduction,
@@ -26,7 +29,6 @@ from bruhatkl.klpoly import (
     KLContext,
     QPolynomial,
     XParam,
-    _all_calculate,
     get_context,
     verify_calculating,
 )
@@ -127,8 +129,8 @@ def test_sweep_i25_all_H(x):
     assert report["totals"]["calculating"] == report["totals"]["h_special"]
 
 
-# B2 sweeps one matching at a time; I2(7) has intervals with more special
-# matchings than elements, which the sweep filters column by column
+# every interval of a rank-2 group has at most two atoms, so the sweep
+# counts its matchings rank by rank; brute force lists them
 @pytest.mark.parametrize("x", ["q", "-1"])
 @pytest.mark.parametrize("group", ["B2", "I2(7)"])
 def test_sweep_b2_totals_against_brute(group, x):
@@ -141,6 +143,83 @@ def test_sweep_b2_totals_against_brute(group, x):
     want_h_special = sum(brute_h_special_count(sys, w, H) for w, H in units)
     assert report["totals"]["h_special"] == want_h_special
     assert report["totals"]["calculating"] == want_h_special
+
+
+def fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("x", ["-1", "q"])
+@pytest.mark.parametrize("m", [3, 7, 20, 64])
+def test_whole_dihedral_sweep_totals_in_closed_form(m, x):
+    """Whole I2(m) against closed forms, F(1) = F(2) = 1 the Fibonacci
+    numbers.  A unit is a w with an H such that w is in W^H: four for e,
+    two for each of the 2(m - 1) elements with one right descent, one for
+    w0, so 4m + 1 units.  [e, w] with l(w) = k has 2^(k-1) special
+    matchings, so the matchings total sum_{0<k<m} 4 2^(k-1) + 2^(m-1) =
+    5 2^(m-1) - 4.
+
+    Every matching is H-special for H empty.  For w ending in s and
+    H = {t}, the other generator, each rank strictly between e and w
+    holds one marked element, the one ending in s.  A matching is then
+    H-special exactly when every unmarked element that goes up is paired
+    with an unmarked one, so that the element going up one rank higher
+    is marked.  The elements going up run from e to the coatom that w
+    goes down to; both are marked (w is), and no two unmarked ones are
+    adjacent, which leaves F(k) words of marks.  So h_special =
+    sum_{0<k<m} 2 (2^(k-1) + F(k)) + 2^(m-1) = 3 2^(m-1) + 2 F(m+1) - 4,
+    and the theorem says that every one of them calculates.  For m = 14
+    this gives the 57, 40,956 and 25,792 pinned for the I2(14) sweep of
+    perfbench."""
+    report = sweep_calculating(CoxeterSystem.I2(m), x=x)
+    h_special = 3 * 2 ** (m - 1) + 2 * fibonacci(m + 1) - 4
+    assert report["max_length"] == m and report["ok"] is True
+    assert report["totals"] == {
+        "intervals_scanned": 4 * m + 1,
+        "matchings_enumerated": 5 * 2 ** (m - 1) - 4,
+        "h_special": h_special,
+        "calculating": h_special,
+    }
+
+
+def enumerated_counts(marked, x, special, table):
+    """`_ladder_counts` recounted from the listed special matchings, each
+    checked on its own."""
+    every, h_special, calculating = Counter(), Counter(), Counter()
+    for M in special:
+        top = M.pairing[-1]
+        every[top] += 1
+        if is_H_special(marked, M):
+            h_special[top] += 1
+            calculating[top] += verify_calculating(marked, x, M, table)[0]
+    return every, h_special, calculating
+
+
+@pytest.mark.parametrize("group, max_length",
+                         [("I2(%d)" % m, m) for m in range(2, 17)]
+                         + [("B4", 4), ("F4", 4)])
+def test_ladder_counts_match_the_enumeration(group, max_length):
+    # every interval with at most two atoms lies in a rank-2 parabolic
+    # subgroup, whose bonds are at most 4 in B4 and F4; each of its units,
+    # for both x, counts the same matchings by M(w) as the enumeration
+    sys = CoxeterSystem.from_name(group)
+    for w in sys.elements_up_to_length(max_length):
+        interval = build_lower_interval(sys, w)
+        if len(interval.hasse_up[0]) > 2:
+            continue
+        special = enumerate_special_matchings(interval)
+        for H in range(1 << sys.rank):
+            if w.rdesc & H:
+                continue
+            marked = mark_interval(interval, H)
+            for x in ("-1", "q"):
+                want = enumerated_counts(marked, x, special,
+                                         get_context(sys, H, x))
+                got = _ladder_counts(marked, x)
+                assert [Counter(c) for c in got] == list(want), (w, H, x)
 
 
 def test_sweep_deterministic_across_runs():
@@ -212,17 +291,19 @@ def fabricated_record(b2):
     }
 
 
-def plant_discrepancy(monkeypatch, v):
-    """Make every table read R(e, v) as one more than it is, without
-    touching the stored row, so a matching M of [e, w] with M(w) = v stops
-    calculating, and so does every matching of [e, v] itself."""
+def plant_discrepancy(monkeypatch, v, u=None):
+    """Make every table read R(u, v), by default R(e, v), as one more than
+    it is, without touching the stored row.  Planted at e, a matching M of
+    [e, w] with M(w) = v stops calculating, and so does every matching of
+    [e, v] itself."""
     real = KLContext._R_row
 
     def planted(self, top):
         row = real(self, top)
         if top is v:
             row = dict(row)
-            row[self.system.identity] += 1  # adds 1 to the constant term
+            # adds 1 to the constant term
+            row[self.system.identity if u is None else u] += 1
         return row
 
     monkeypatch.setattr(KLContext, "_R_row", planted)
@@ -296,17 +377,33 @@ def test_verify_calculating_writes_the_sweep_record(a3, monkeypatch):
         assert stored.keys() == record.keys()
 
 
+def per_matching_records(sys, max_length, x):
+    """The records of a sweep over all H that lists and checks every
+    H-special matching one at a time, in the sweep's order."""
+    records = []
+    for w, H in sweep_units(sys, max_length, range(1 << sys.rank)):
+        interval = build_lower_interval(sys, w)
+        marked = mark_interval(interval, H)
+        for M in enumerate_special_matchings(interval):
+            if is_H_special(marked, M):
+                ok, record = verify_calculating(marked, x, M,
+                                                KLContext(sys, H, x))
+                if not ok:
+                    records.append(record)
+    return records
+
+
 @pytest.mark.parametrize("x", ["-1", "q"])
 def test_failing_column_unit_writes_the_per_matching_records(monkeypatch, x):
-    # [e, w] in I2(7) with l(w) = 5 has 10 elements and 16 special
-    # matchings, so the sweep checks its units column by column; with
-    # R(e, v) planted wrong for a coatom v, the matchings with M(w) = v
-    # fail and the others calculate
+    # [e, w] in I2(7) with l(w) = 5 has two atoms, so the sweep counts its
+    # 16 special matchings rank by rank; with R(e, v) planted wrong for a
+    # coatom v, the matchings with M(w) = v fail and the others calculate,
+    # so the unit is listed and checked one matching at a time
     i27 = CoxeterSystem.I2(7)
     w, v = el(i27, "s1s2s1s2s1"), el(i27, "s2s1s2s1")
     interval = build_lower_interval(i27, w)
     special = enumerate_special_matchings(interval)
-    assert len(special) == 16 > len(interval) == 10
+    assert len(special) == 16 and len(interval.hasse_up[0]) == 2
     plant_discrepancy(monkeypatch, v)
     report = sweep_calculating(i27, max_length=5, x=x)
     assert report["ok"] is False
@@ -315,6 +412,9 @@ def test_failing_column_unit_writes_the_per_matching_records(monkeypatch, x):
         == totals["h_special"] > totals["calculating"]
     for H in (0, genset([1])):  # the H with w in W^H
         marked = mark_interval(interval, H)
+        _, h_special, calculating = _ladder_counts(marked, x)
+        assert calculating == dict.fromkeys(h_special, 0) | {
+            t: n for t, n in h_special.items() if t != interval.id_of(v)}
         want = []
         for M in special:
             if is_H_special(marked, M):
@@ -329,20 +429,39 @@ def test_failing_column_unit_writes_the_per_matching_records(monkeypatch, x):
         assert got == want
 
 
-def test_column_check_fails_with_any_one_failing_matching(a3):
-    # the column check evaluates each distinct step once, however many
-    # matchings share it, and must still fail when one matching fails,
-    # wherever it sits among the matchings that share its M(w)
-    interval = build_lower_interval(a3, el(a3, NON_SPECIAL_A3["w"]))
-    marked = mark_interval(interval, 0)
-    table = KLContext(a3, 0, "-1")
+def test_ladder_refuses_any_one_pair():
+    # with one pair refused, the ladder counts exactly the special
+    # matchings without that pair, wherever it sits, by their M(w)
+    i27 = CoxeterSystem.I2(7)
+    interval = build_lower_interval(i27, el(i27, "s1s2s1s2s1"))
     special = [M.pairing for M in enumerate_special_matchings(interval)]
-    bad = matching_from_json(interval, NON_SPECIAL_A3["matching"]).pairing
-    assert _all_calculate(marked, special, table)
-    assert sum(p[-1] == bad[-1] for p in special) > 1
-    for pos in range(len(special) + 1):
-        mixed = special[:pos] + [bad] + special[pos:]
-        assert not _all_calculate(marked, mixed, table)
+    up = interval.hasse_up
+    assert _ladder(up, lambda a, b: True) == Counter(p[-1] for p in special)
+    for a, b in {(a, b) for a in range(len(up)) for b in up[a]}:
+        got = _ladder(up, lambda p, q: (p, q) != (a, b))
+        assert Counter(got) == Counter(p[-1] for p in special if p[a] != b)
+
+
+@pytest.mark.parametrize("x", ["-1", "q"])
+def test_one_wrong_step_fails_the_ladder_and_keeps_the_records(monkeypatch,
+                                                               x):
+    # with the reference R(u, w) planted wrong for u of rank 2, every
+    # H-special matching of [e, w] fails at u, whether it moves u up or
+    # down: the ladder counts them as the listed matchings count, none of
+    # them calculating, and the sweep writes the per-matching records
+    i27 = CoxeterSystem.I2(7)
+    w, u = el(i27, "s1s2s1s2s1"), el(i27, "s2s1")
+    interval = build_lower_interval(i27, w)
+    special = enumerate_special_matchings(interval)
+    plant_discrepancy(monkeypatch, w, u)
+    for H in (0, genset([1])):  # the H with w in W^H
+        marked = mark_interval(interval, H)
+        want = enumerated_counts(marked, x, special, get_context(i27, H, x))
+        assert [Counter(c) for c in _ladder_counts(marked, x)] == list(want)
+        assert sum(want[2].values()) == 0 < sum(want[1].values())
+    report = sweep_calculating(i27, max_length=5, x=x)
+    assert report["ok"] is False
+    assert report["counterexamples"] == per_matching_records(i27, 5, x)
 
 
 def test_reverify_rejects_tampered_records(a3, monkeypatch):
