@@ -34,7 +34,8 @@ from .invariance import (
     sweep_calculating,
 )
 from .klpoly import QPolynomial, XParam, get_context
-from .matchings import enumerate_special_matchings, is_H_special
+from .matchings import enumerate_special_matchings, is_H_special, \
+    matching_to_json
 from .poset import build_interval, build_lower_interval, interval_to_json, \
     mark_interval
 
@@ -119,7 +120,8 @@ def cmd_matchings(args) -> int:
     interval = build_lower_interval(sys_, w)
     marked = mark_interval(interval, H)
     matchings = enumerate_special_matchings(interval)
-    tagged = [(M, is_H_special(marked, M)) for M in matchings]
+    tagged = [dict(matching_to_json(M), h_special=is_H_special(marked, M))
+              for M in matchings]
     words = [el.label_str() for el in interval.elements]
     data = {
         "group": sys_.spec,
@@ -127,17 +129,15 @@ def cmd_matchings(args) -> int:
         "w": w.label_str(),
         "elements": words,
         "count": len(matchings),
-        "matchings": [
-            dict(M.to_json(), h_special=h) for M, h in tagged
-        ],
+        "matchings": tagged,
     }
     lines = ["[e, %s]: %d special matchings" % (w.label_str(),
                                                 len(matchings))]
-    for M, h in tagged:
+    for M in tagged:
         pair_text = "  ".join("%s<->%s" % (words[a], words[b])
-                              for a, b in M.pairs())
-        tag = "  [H-special]" if h else ""
-        lines.append("%-12s %s%s" % (M.source, pair_text, tag))
+                              for a, b in M["pairs"])
+        tag = "  [H-special]" if M["h_special"] else ""
+        lines.append("%-12s %s%s" % (M["source"], pair_text, tag))
     _emit(args, data, lines)
     return 0
 

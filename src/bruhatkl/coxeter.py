@@ -267,6 +267,9 @@ class Element:
 
 
 _NAMED_RE = re.compile(r"^([ABDF])(\d+)$|^I2\((\d+)\)$")
+# the largest n of a named A_n, B_n or D_n: a name of a few bytes would
+# otherwise ask for an n-by-n matrix
+_MAX_NAMED_RANK = 256
 
 
 class CoxeterSystem:
@@ -431,6 +434,9 @@ class CoxeterSystem:
         if mt.group(3) is not None:
             return cls.I2(int(mt.group(3)))
         family, n = mt.group(1), int(mt.group(2))
+        if n > _MAX_NAMED_RANK:
+            raise ValueError("named groups have rank at most %d; got %s"
+                             % (_MAX_NAMED_RANK, _excerpt(name)))
         if family == "A":
             return cls.A(n)
         if family == "B":
@@ -656,17 +662,6 @@ class CoxeterSystem:
             (el._rmul if right else el._lmul)[s] = w
         return el
 
-    def multiply(self, u: Element, v: Element) -> Element:
-        self._check_owned(u, v)
-        w = u
-        for s in v.word:
-            w = self.multiply_by_generator(w, s)
-        return w
-
-    def inverse(self, w: Element) -> Element:
-        self._check_owned(w)
-        return self.element_from_word(tuple(reversed(w.word)))
-
     # -- Bruhat order ----------------------------------------------------------
 
     def bruhat_leq(self, u: Element, v: Element) -> bool:
@@ -756,8 +751,3 @@ class CoxeterSystem:
                 raise ValueError("group exceeds %d elements" % cap)
             self._extend_levels(len(self._levels))
         return self.elements_up_to_length(len(self._levels) - 1)
-
-    def longest_length(self) -> int:
-        """Length of the longest element (finite groups only)."""
-        self.group_elements()
-        return len(self._levels) - 1

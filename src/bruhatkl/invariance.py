@@ -61,6 +61,8 @@ from .poset import (
 
 # groups with at most this many elements are swept whole by default
 _WHOLE_GROUP_CAP = 400
+# above this rank the default H family, every generator subset, is refused
+_MAX_DEFAULT_H_RANK = 16
 
 
 def default_max_length(sys: CoxeterSystem) -> int:
@@ -123,7 +125,8 @@ def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
     [e, w] with w in W^H and len(w) <= max_length reproduces the
     reference R-polynomials.  Counterexamples are reported, not raised.
 
-    H_set defaults to all subsets of the generators; max_length to
+    H_set defaults to all subsets of the generators, and must be given
+    above rank ``_MAX_DEFAULT_H_RANK``; max_length defaults to
     ``default_max_length``.  Totals are per (w, H) unit, so an interval
     scanned under several H contributes its matchings once per H.
     Returns the campaign's JSON: its inputs, ``totals``, the
@@ -131,10 +134,14 @@ def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
     them) and ``ok``, true iff there are none.
     """
     x = XParam.parse(x)
+    if H_set is None:
+        if sys.rank > _MAX_DEFAULT_H_RANK:
+            raise ValueError(
+                "rank %d has 2^%d generator subsets; pass --H to choose H "
+                "above rank %d" % (sys.rank, sys.rank, _MAX_DEFAULT_H_RANK))
+        H_set = range(1 << sys.rank)
     if max_length is None:
         max_length = default_max_length(sys)
-    if H_set is None:
-        H_set = range(1 << sys.rank)
     H_set = sorted(set(H_set))
     for H in H_set:
         if not 0 <= H < (1 << sys.rank):
@@ -203,7 +210,9 @@ def reverify_counterexample(sys: CoxeterSystem, record: dict) -> bool:
     `verify_calculating` on a fresh table, so a re-check never reads the
     sweep's shared memo.  Raises ValueError on a record that cannot be
     read, and unless it meets both hypotheses of the theorem: its matching
-    is special and H-special."""
+    is special and H-special.  The record is written again with source
+    "enumerated", the only source the program writes, so a record with
+    any other source does not re-verify."""
     try:
         w = sys.element_from_labels(record["w"])
         H = parse_genset(sys, record["H"])

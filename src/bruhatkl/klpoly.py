@@ -59,7 +59,7 @@ from typing import Optional
 
 from .coxeter import CoxeterSystem, Element, _low_bit, format_genset
 from .poset import MarkedInterval
-from .matchings import Matching, is_H_special
+from .matchings import is_H_special, matching_to_json
 
 __all__ = [
     "QPolynomial",
@@ -416,13 +416,13 @@ def get_context(sys: CoxeterSystem, H: int, x) -> KLContext:
     return ctx
 
 
-def verify_calculating(marked: MarkedInterval, x, M: Matching,
+def verify_calculating(marked: MarkedInterval, x, M: tuple[int, ...],
                        table: Optional[KLContext] = None
                        ) -> tuple[bool, Optional[dict]]:
-    """Whether the matching recurrence reproduces the reference
-    R-polynomials on every quotient element of the interval.  Returns
-    (True, None) or (False, the JSON-ready counterexample record of the
-    first quotient element where they differ)."""
+    """Whether the matching recurrence of the pairing M reproduces the
+    reference R-polynomials on every quotient element of the interval.
+    Returns (True, None) or (False, the JSON-ready counterexample record
+    of the first quotient element where they differ)."""
     iv = marked.interval
     if iv.bottom is not iv.system.identity:
         raise ValueError("matching recurrences apply to lower intervals")
@@ -439,15 +439,14 @@ def verify_calculating(marked: MarkedInterval, x, M: Matching,
     return _matching_calculates(marked, M, table)
 
 
-def _matching_calculates(marked: MarkedInterval, M: Matching,
+def _matching_calculates(marked: MarkedInterval, M: tuple[int, ...],
                          table: KLContext) -> tuple[bool, Optional[dict]]:
     """The result of `verify_calculating`, for inputs that are already
     known to pass its checks: `_calculates` over M's steps (u, M(u)), in
     id order.  The record needs nothing but the system to be re-checked
     (`invariance.reverify_counterexample`)."""
-    pairing = M.pairing
     # the top element has the last id
-    failed = _calculates(marked, table, pairing[-1], enumerate(pairing))
+    failed = _calculates(marked, table, M[-1], enumerate(M))
     if failed is None:
         return True, None
     u_id, got = failed
@@ -458,7 +457,7 @@ def _matching_calculates(marked: MarkedInterval, M: Matching,
         "w": iv.top.label_str(),
         "H": format_genset(iv.system, marked.H),
         "x": table.x.value,
-        "matching": M.to_json(),
+        "matching": matching_to_json(M),
         "via_matching": _decode(got).to_json(),
         "reference": _decode(table._R_row(iv.top)[u]).to_json(),
     }

@@ -15,64 +15,43 @@ intervals a special matching is pinned down by its restriction to the
 lowest ranks, so the search stays small even on the 1152-element interval
 [e, w0] of F4.
 
-Interval ids are sorted by (length, word), so along a Hasse edge the
-smaller id is the lower element: the search orders each pair by id, and a
-matching moves i down exactly when it sends i to a smaller id.
+A matching is held as its pairing, the tuple whose entry i is the id of
+the partner of id i.  Interval ids are sorted by (length, word), so along
+a Hasse edge the smaller id is the lower element: the search orders each
+pair by id, and a matching moves i down exactly when it sends i to a
+smaller id.  `matching_to_json` writes a pairing for records and for the
+``matchings`` command, and `matching_from_json` reads it back.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .coxeter import Element
+from .coxeter import _excerpt
 from .poset import Interval, MarkedInterval
 
 __all__ = [
-    "Matching",
-    "multiplication_matching",
     "is_special",
     "enumerate_special_matchings",
     "is_H_special",
+    "matching_to_json",
     "matching_from_json",
 ]
 
-
-class Matching:
-    """An involution on interval ids moving every element along a Hasse
-    edge.  `source` records how it was produced."""
-
-    __slots__ = ("interval", "pairing", "source")
-
-    def __init__(self, interval: Interval, pairing: Sequence[int],
-                 source: str = "enumerated"):
-        self.interval = interval
-        self.pairing = tuple(pairing)
-        self.source = source
-
-    def image(self, el: Element) -> Element:
-        iv = self.interval
-        return iv.elements[self.pairing[iv.id_of(el)]]
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return sorted((i, j) for i, j in enumerate(self.pairing) if i < j)
-
-    def to_json(self) -> dict:
-        return {"source": self.source, "pairs": [list(p) for p in self.pairs()]}
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Matching)
-                and self.interval == other.interval
-                and self.pairing == other.pairing)
-
-    def __hash__(self) -> int:
-        return hash((self.interval, self.pairing))
-
-    def __repr__(self) -> str:
-        return "Matching(%s on %r)" % (self.source, self.interval)
+# `enumerate_special_matchings` raises past this many matchings, since a
+# dihedral [e, w] has 2^(l(w)-1); I2(16)'s [e, w0] has 2^15, the most the
+# test suite lists
+MAX_LISTED = 1 << 16
 
 
-def matching_from_json(interval: Interval, data: dict) -> Matching:
-    """The matching a `Matching.to_json` record describes.  Raises
+def matching_to_json(pairing: Sequence[int]) -> dict:
+    """The JSON of a matching: its pairs (i, j), i < j, in order."""
+    return {"source": "enumerated",
+            "pairs": [[i, j] for i, j in enumerate(pairing) if i < j]}
+
+
+def matching_from_json(interval: Interval, data: dict) -> tuple[int, ...]:
+    """The pairing a `matching_to_json` record describes.  Raises
     ValueError unless it is an object with a list of pairs, and every pair
     is two interval ids (ints, not bools) that together form a
     special-matching candidate: a fixed-point-free involution along Hasse
@@ -88,7 +67,7 @@ def matching_from_json(interval: Interval, data: dict) -> Matching:
             raise ValueError("bad pair %r: want two ids below %d" % (pair, n))
         pairing[pair[0]], pairing[pair[1]] = pair[1], pair[0]
     _check_matching(interval, pairing)
-    return Matching(interval, pairing, data.get("source", "enumerated"))
+    return tuple(pairing)
 
 
 def _check_matching(interval: Interval, pairing: Sequence[int]) -> None:
@@ -103,29 +82,9 @@ def _check_matching(interval: Interval, pairing: Sequence[int]) -> None:
                 "pair (%d, %d) is not a Hasse edge" % (min(i, j), max(i, j)))
 
 
-def multiplication_matching(interval: Interval, s: int,
-                            side: str = "right") -> Matching:
-    """The matching u -> us (or su).  Requires s to be a descent of the
-    interval's top element on that side, which makes [e, w] stable."""
-    sys = interval.system
-    w = interval.top
-    desc = w.rdesc if side == "right" else w.ldesc
-    if not (desc >> s) & 1:
-        raise ValueError(
-            "%s is not a %s descent of %s"
-            % (sys.generator_names[s], side, w.label_str()))
-    pairing = [
-        interval.id_of(sys.multiply_by_generator(el, s, side))
-        for el in interval.elements
-    ]
-    tag = "%s-mult(%s)" % (side, sys.generator_names[s])
-    return Matching(interval, pairing, tag)
-
-
-def is_special(interval: Interval, matching) -> bool:
+def is_special(interval: Interval, pairing: Sequence[int]) -> bool:
     """Check the special condition.  Raises if the input is not a total
     matching along Hasse edges."""
-    pairing = matching.pairing if isinstance(matching, Matching) else matching
     _check_matching(interval, pairing)
     for b in range(len(interval.elements)):
         for a in interval.hasse_down[b]:
@@ -134,8 +93,10 @@ def is_special(interval: Interval, matching) -> bool:
     return True
 
 
-def enumerate_special_matchings(interval: Interval) -> list[Matching]:
-    """All special matchings of the interval, sorted by pairing.
+def enumerate_special_matchings(interval: Interval
+                                ) -> list[tuple[int, ...]]:
+    """All special matchings of the interval as pairings (the partner id
+    of every id), sorted.  Raises ValueError past ``MAX_LISTED`` of them.
 
     A constraint search.  The domain of an element is the bitmask of the
     Hasse neighbours it may still be matched with.  Matching lo with its
@@ -208,6 +169,10 @@ def enumerate_special_matchings(interval: Interval) -> list[Matching]:
         dom, free = stack.pop()
         if not free:
             found.append(tuple([d.bit_length() - 1 for d in dom]))
+            if len(found) > MAX_LISTED:
+                raise ValueError(
+                    "[e, w] has more than %d special matchings, for w = %s"
+                    % (MAX_LISTED, _excerpt(interval.top.label_str())))
             continue
         # every free domain has at least two candidates after settle
         best, size = -1, n
@@ -230,18 +195,18 @@ def enumerate_special_matchings(interval: Interval) -> list[Matching]:
             child_free = settle(child, free, [best])
             if child_free != -1:
                 stack.append((child, child_free))
-    return [Matching(interval, p) for p in sorted(found)]
+    found.sort()
+    return found
 
 
-def is_H_special(marked: MarkedInterval, M: Matching) -> bool:
-    """True iff M maps every marked element that it moves down to a marked
-    element.  M pairs ids along Hasse edges and ids are sorted by rank, so
-    M moves i down exactly when M(i) < i."""
-    # identity first: a sweep makes this check once per (matching, H)
-    if M.interval is not marked.interval and M.interval != marked.interval:
-        raise ValueError("matching belongs to a different interval")
+def is_H_special(marked: MarkedInterval, M: Sequence[int]) -> bool:
+    """True iff the pairing M maps every marked element that it moves down
+    to a marked element.  M pairs ids along Hasse edges and ids are sorted
+    by rank, so M moves i down exactly when M(i) < i."""
     marks = marked.marks
-    for i, j in enumerate(M.pairing):
+    if len(M) != len(marks):
+        raise ValueError("pairing has wrong size")
+    for i, j in enumerate(M):
         if j < i and marks[i] and not marks[j]:
             return False
     return True

@@ -72,15 +72,6 @@ class Interval:
             above[i] = m
         self.above = tuple(above)
 
-    def __eq__(self, other) -> bool:
-        # elements are interned per system, so identity compares them
-        return self is other or (isinstance(other, Interval)
-                                 and self.bottom is other.bottom
-                                 and self.top is other.top)
-
-    def __hash__(self) -> int:
-        return hash((self.bottom.id, self.top.id))
-
     def __len__(self) -> int:
         return len(self.elements)
 

@@ -1,4 +1,5 @@
-"""Helpers that only the test suite uses: dihedral-interval detection,
+"""Helpers that only the test suite uses: products and inverses of group
+elements, multiplication matchings, dihedral-interval detection,
 restriction of a matching to a subinterval, orbits and commutation of a
 pair of matchings, commutation tested on lower dihedral intervals only,
 the search for a commuting multiplication matching, parabolic subgroups,
@@ -6,6 +7,9 @@ coset decompositions, and the dihedral systems (side, J, s, t, M_st) of
 Brenti-Caselli-Marietti (Adv. Math. 202 (2006)), whose associated
 matchings of [e, w] conjugate a special matching M_st of a dihedral
 interval through coset decompositions.
+
+A matching is a pairing, as `bruhatkl.matchings` returns it: the tuple
+whose entry i is the id of the partner of id i in its interval.
 """
 
 from __future__ import annotations
@@ -14,13 +18,40 @@ from dataclasses import dataclass
 from typing import Optional
 
 from bruhatkl.coxeter import CoxeterSystem, Element, genset, genset_indices
-from bruhatkl.matchings import (
-    Matching,
-    enumerate_special_matchings,
-    is_special,
-    multiplication_matching,
-)
+from bruhatkl.matchings import enumerate_special_matchings, is_special
 from bruhatkl.poset import Interval, build_lower_interval
+
+Pairing = tuple[int, ...]
+
+
+def multiply(sys: CoxeterSystem, u: Element, v: Element) -> Element:
+    """The product uv."""
+    return sys.element_from_word(u.word + v.word)
+
+
+def inverse(sys: CoxeterSystem, w: Element) -> Element:
+    """The inverse of w: its word reversed."""
+    return sys.element_from_word(reversed(w.word))
+
+
+def image(interval: Interval, M: Pairing, el: Element) -> Element:
+    """The element the matching M of the interval pairs el with."""
+    return interval.elements[M[interval.id_of(el)]]
+
+
+def multiplication_matching(interval: Interval, s: int,
+                            side: str = "right") -> Pairing:
+    """The matching u -> us (or su).  Requires s to be a descent of the
+    interval's top element on that side, which makes [e, w] stable."""
+    sys = interval.system
+    w = interval.top
+    desc = w.rdesc if side == "right" else w.ldesc
+    if not (desc >> s) & 1:
+        raise ValueError(
+            "%s is not a %s descent of %s"
+            % (sys.generator_names[s], side, w.label_str()))
+    return tuple(interval.id_of(sys.multiply_by_generator(el, s, side))
+                 for el in interval.elements)
 
 
 def is_dihedral_interval(interval: Interval) -> bool:
@@ -43,42 +74,46 @@ def is_dihedral_interval(interval: Interval) -> bool:
     return True
 
 
-def restrict_matching(interval: Interval, M: Matching, u: Element,
-                      v: Element) -> Matching:
-    """Restriction of M to [u, v] where M moves v down and u up; the
-    restriction of a special matching is again a total special matching."""
+def restrict_matching(interval: Interval, M: Pairing, u: Element,
+                      v: Element) -> tuple[Interval, Pairing]:
+    """The interval [u, v] and the restriction of M to it, where M moves v
+    down and u up; the restriction of a special matching is again a total
+    special matching."""
     iu, iv_ = interval.id_of(u), interval.id_of(v)
-    if M.pairing[iv_] > iv_:
+    if M[iv_] > iv_:
         raise ValueError("M must move the requested top down")
-    if M.pairing[iu] < iu:
+    if M[iu] < iu:
         raise ValueError("M must move the requested bottom up")
     sub, ids = interval.subinterval(iu, iv_)
     back = {p: i for i, p in enumerate(ids)}
     pairing = []
     for p in ids:
-        q = M.pairing[p]
+        q = M[p]
         if q not in back:
             raise ValueError("matching does not stabilize [%s, %s]"
                              % (u.label_str(), v.label_str()))
         pairing.append(back[q])
-    out = Matching(sub, pairing, M.source)
-    if not is_special(sub, out):
+    if not is_special(sub, pairing):
         raise AssertionError("restriction failed to be special")
-    return out
+    return sub, tuple(pairing)
 
 
-def orbit(M: Matching, N: Matching, u: Element) -> tuple[Element, ...]:
-    """The orbit of u under the group generated by two matchings, as the
-    cycle (u, M(u), N(M(u)), ...)."""
-    if M.interval != N.interval:
+def _check_same_size(M: Pairing, N: Pairing) -> None:
+    if len(M) != len(N):
         raise ValueError("matchings live on different intervals")
-    iv = M.interval
+
+
+def orbit(iv: Interval, M: Pairing, N: Pairing,
+          u: Element) -> tuple[Element, ...]:
+    """The orbit of u under the group generated by two matchings of iv, as
+    the cycle (u, M(u), N(M(u)), ...)."""
+    _check_same_size(M, N)
     i = iv.id_of(u)
     seq = [i]
     cur = i
     use_m = True
     while True:
-        cur = (M if use_m else N).pairing[cur]
+        cur = (M if use_m else N)[cur]
         if cur == i:
             break
         seq.append(cur)
@@ -86,40 +121,36 @@ def orbit(M: Matching, N: Matching, u: Element) -> tuple[Element, ...]:
     return tuple(iv.elements[j] for j in seq)
 
 
-def commutes(M: Matching, N: Matching) -> bool:
+def commutes(M: Pairing, N: Pairing) -> bool:
     """Pointwise commutation MN == NM on the whole interval."""
-    if M.interval != N.interval:
-        raise ValueError("matchings live on different intervals")
-    mp, np_ = M.pairing, N.pairing
-    return all(mp[np_[i]] == np_[mp[i]] for i in range(len(mp)))
+    _check_same_size(M, N)
+    return all(M[N[i]] == N[M[i]] for i in range(len(M)))
 
 
-def commutes_on_lower_dihedral(M: Matching, N: Matching) -> bool:
-    """Commutation tested only on lower dihedral intervals containing the
-    atoms M(e) and N(e); equivalent to full commutation for special
-    matchings (checked empirically in the test suite)."""
-    if M.interval != N.interval:
-        raise ValueError("matchings live on different intervals")
-    iv = M.interval
+def commutes_on_lower_dihedral(iv: Interval, M: Pairing, N: Pairing
+                               ) -> bool:
+    """Commutation tested only on lower dihedral intervals of iv
+    containing the atoms M(e) and N(e); equivalent to full commutation for
+    special matchings (checked empirically in the test suite)."""
+    _check_same_size(M, N)
     sys = iv.system
-    s = iv.elements[M.pairing[0]].word[0]
-    t = iv.elements[N.pairing[0]].word[0]
+    s = iv.elements[M[0]].word[0]
+    t = iv.elements[N[0]].word[0]
     pairs = [(s, t)] if s != t else [
         (s, r) for r in range(sys.rank) if r != s]
-    mp, np_ = M.pairing, N.pairing
     for a, b in pairs:
         top = iv.id_of(max_parabolic_below(sys, iv.top, genset([a, b])))
         # ids are sorted by length, so everything below top has a smaller id
         for i in range(top + 1):
-            if iv.leq(i, top) and mp[np_[i]] != np_[mp[i]]:
+            if iv.leq(i, top) and M[N[i]] != N[M[i]]:
                 return False
     return True
 
 
 def find_commuting_multiplication_matching(
-        interval: Interval, M: Matching, side: str,
+        interval: Interval, M: Pairing, side: str,
         require_differs_on_top: bool = False
-) -> Optional[tuple[Matching, bool]]:
+) -> Optional[tuple[Pairing, bool]]:
     """A multiplication matching on the given side commuting with M,
     preferring one that differs from M at the top element.  Returns
     (matching, differs_on_top) or None."""
@@ -132,7 +163,7 @@ def find_commuting_multiplication_matching(
         N = multiplication_matching(interval, s, side)
         if not commutes(M, N):
             continue
-        differs = N.pairing[top_id] != M.pairing[top_id]
+        differs = N[top_id] != M[top_id]
         if differs:
             return N, True
         if fallback is None:
@@ -200,8 +231,8 @@ def coset_decompose_left(sys: CoxeterSystem, u: Element, J: int):
     """Unique decomposition u = b * a with b in W_J, a with no left
     descent in J, and l(u) = l(b) + l(a).  Returns (b, a): the inverse
     of the right decomposition of u^-1."""
-    a, b = coset_decompose_right(sys, sys.inverse(u), J)
-    return sys.inverse(b), sys.inverse(a)
+    a, b = coset_decompose_right(sys, inverse(sys, u), J)
+    return inverse(sys, b), inverse(sys, a)
 
 
 def _outer_inner(sys: CoxeterSystem, side: str, u: Element, J: int):
@@ -221,16 +252,17 @@ def _outer_inner(sys: CoxeterSystem, side: str, u: Element, J: int):
 class DihedralSystem:
     """The data (side, J, s, t, M_st) inducing a special matching of [e, w].
 
-    `M_st` is a special matching of [e, m], where m is the maximum of
-    W_{s,t} inside [e, w].  On the right side M_st must send e to s and t
-    to ts; on the left side e to s and t to st.
+    `M_st` is a special matching of its domain `dom` = [e, m], where m is
+    the maximum of W_{s,t} inside [e, w].  On the right side M_st must
+    send e to s and t to ts; on the left side e to s and t to st.
     """
 
     side: str  # "right" or "left"
     J: int
     s: int
     t: int
-    M_st: Matching
+    dom: Interval
+    M_st: Pairing
 
 
 def _associated_image(sys: CoxeterSystem, system: DihedralSystem,
@@ -250,10 +282,11 @@ def _associated_image(sys: CoxeterSystem, system: DihedralSystem,
         L_mask, R_mask = s_mask, st_mask
     outer, mid = coset_decompose_right(sys, L, L_mask)
     head, tail = coset_decompose_left(sys, R, R_mask)
-    arg = sys.multiply(mid, head)
-    if arg not in system.M_st.interval.index:
+    arg = multiply(sys, mid, head)
+    if arg not in system.dom.index:
         return None
-    return sys.multiply(sys.multiply(outer, system.M_st.image(arg)), tail)
+    return multiply(sys, multiply(
+        sys, outer, image(system.dom, system.M_st, arg)), tail)
 
 
 def _associated_pairing(interval: Interval, system: DihedralSystem
@@ -269,7 +302,7 @@ def _associated_pairing(interval: Interval, system: DihedralSystem
     return pairing
 
 
-def _commutes_with_mult_below(dom: Interval, M_st: Matching, s: int,
+def _commutes_with_mult_below(dom: Interval, M_st: Pairing, s: int,
                               side: str, v: Element) -> bool:
     """M_st commutes with multiplication by s on the elements of dom below
     v, that is on W_{s,t} cap [e, v]; a product that escapes the domain
@@ -279,8 +312,8 @@ def _commutes_with_mult_below(dom: Interval, M_st: Matching, s: int,
         if not sys.bruhat_leq(z, v):
             continue
         zs = sys.multiply_by_generator(z, s, side)
-        if zs not in dom.index or M_st.image(zs) is not \
-                sys.multiply_by_generator(M_st.image(z), s, side):
+        if zs not in dom.index or image(dom, M_st, zs) is not \
+                sys.multiply_by_generator(image(dom, M_st, z), s, side):
             return False
     return True
 
@@ -290,12 +323,11 @@ def verify_system(interval: Interval, system: DihedralSystem
     """Check the five axioms of a dihedral system over the interval
     [e, w]; returns (ok, violated axiom ids)."""
     sys, w = interval.system, interval.top
-    side, J, s, t, M_st = (system.side, system.J, system.s, system.t,
-                           system.M_st)
+    side, J, s, t, dom, M_st = (system.side, system.J, system.s, system.t,
+                                system.dom, system.M_st)
     other = "left" if side == "right" else "right"
     tag = "R" if side == "right" else "L"
     st_mask = genset([s, t])
-    dom = M_st.interval
 
     # axiom 1: shape of M_st
     s_el, t_el = sys.generator(s), sys.generator(t)
@@ -307,11 +339,11 @@ def verify_system(interval: Interval, system: DihedralSystem
             ax1 = is_special(dom, M_st)
         except ValueError:  # not a matching along Hasse edges
             ax1 = False
-    ax1 = ax1 and M_st.image(sys.identity) is s_el
+    ax1 = ax1 and image(dom, M_st, sys.identity) is s_el
     if ax1 and t_el in dom.index:
-        want = (sys.multiply(t_el, s_el) if side == "right"
-                else sys.multiply(s_el, t_el))
-        ax1 = M_st.image(t_el) is want
+        want = (multiply(sys, t_el, s_el) if side == "right"
+                else multiply(sys, s_el, t_el))
+        ax1 = image(dom, M_st, t_el) is want
     if not ax1:
         return False, [tag + "1"]
 
@@ -357,21 +389,20 @@ def verify_system(interval: Interval, system: DihedralSystem
 
 
 def matching_from_system(interval: Interval, system: DihedralSystem
-                         ) -> Matching:
+                         ) -> Pairing:
     """The special matching of the interval [e, w] associated with a
     verified system."""
     pairing = _associated_pairing(interval, system)
     if pairing is None:
         raise ValueError("system does not induce a matching of [e, %s]"
                          % interval.top.label_str())
-    out = Matching(interval, pairing, "from-%s-system" % system.side)
-    if not is_special(interval, out):
+    if not is_special(interval, pairing):
         raise AssertionError("associated matching is not special")
-    return out
+    return tuple(pairing)
 
 
 def enumerate_verified_systems(sys: CoxeterSystem, w: Element
-                               ) -> list[tuple[DihedralSystem, Matching]]:
+                               ) -> list[tuple[DihedralSystem, Pairing]]:
     """All verified dihedral systems over [e, w] and their matchings.
 
     J ranges over the nonempty subsets of the support of w (enlarging J by
@@ -380,7 +411,7 @@ def enumerate_verified_systems(sys: CoxeterSystem, w: Element
     the domain of M_st and its special matchings for each {s, t}.
     """
     interval = build_lower_interval(sys, w)
-    candidates: dict[int, list[Matching]] = {}
+    candidates: dict[int, tuple[Interval, list[Pairing]]] = {}
     out = []
     for side in ("right", "left"):
         for J in range(1, w.support + 1):
@@ -392,11 +423,13 @@ def enumerate_verified_systems(sys: CoxeterSystem, w: Element
                         continue
                     st_mask = genset([s, t])
                     if st_mask not in candidates:
-                        candidates[st_mask] = enumerate_special_matchings(
-                            build_lower_interval(sys, max_parabolic_below(
-                                sys, w, st_mask)))
-                    for M_st in candidates[st_mask]:
-                        cand = DihedralSystem(side, J, s, t, M_st)
+                        dom = build_lower_interval(sys, max_parabolic_below(
+                            sys, w, st_mask))
+                        candidates[st_mask] = (
+                            dom, enumerate_special_matchings(dom))
+                    dom, found = candidates[st_mask]
+                    for M_st in found:
+                        cand = DihedralSystem(side, J, s, t, dom, M_st)
                         if verify_system(interval, cand)[0]:
                             out.append(
                                 (cand, matching_from_system(interval, cand)))

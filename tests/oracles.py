@@ -32,7 +32,12 @@ from bruhatkl.coxeter import (
     genset_indices,
 )
 
-from matching_helpers import longest_element_of_parabolic, parabolic_group
+from matching_helpers import (
+    inverse,
+    longest_element_of_parabolic,
+    multiply,
+    parabolic_group,
+)
 
 
 def _braid_word(s: int, t: int, m: int) -> tuple[int, ...]:
@@ -227,10 +232,10 @@ def coset_decompose_right_oracle(sys: CoxeterSystem, u: Element, J: int):
     for b in parabolic_group(sys, J):
         if b.length > u.length:
             continue
-        binv = sys.inverse(b)
-        a = sys.multiply(u, binv)
+        binv = inverse(sys, b)
+        a = multiply(sys, u, binv)
         if a.length + b.length == u.length and (a.rdesc & J) == 0:
-            if sys.multiply(a, b) is u:
+            if multiply(sys, a, b) is u:
                 found.append((a, b))
     assert len(found) == 1, "expected unique decomposition, got %r" % found
     return found[0]
@@ -241,10 +246,10 @@ def coset_decompose_left_oracle(sys: CoxeterSystem, u: Element, J: int):
     for b in parabolic_group(sys, J):
         if b.length > u.length:
             continue
-        binv = sys.inverse(b)
-        a = sys.multiply(binv, u)
+        binv = inverse(sys, b)
+        a = multiply(sys, binv, u)
         if b.length + a.length == u.length and (a.ldesc & J) == 0:
-            if sys.multiply(b, a) is u:
+            if multiply(sys, b, a) is u:
                 found.append((b, a))
     assert len(found) == 1, "expected unique decomposition, got %r" % found
     return found[0]
@@ -633,10 +638,10 @@ def deodhar_identity_check(contexts, H: int, u: Element, v: Element
     alt: dict = {}
     for z in parabolic_group(sys, H):
         sign = -1 if z.length % 2 else 1
-        term = ordinary.P(sys.multiply(u, z), v).coeffs
+        term = ordinary.P(multiply(sys, u, z), v).coeffs
         alt = poly_add(alt, {i: sign * c for i, c in enumerate(term)})
     if alt != {i: c for i, c in enumerate(want) if c}:
         return False
     w0 = longest_element_of_parabolic(sys, H)
-    shifted = ordinary.P(sys.multiply(u, w0), sys.multiply(v, w0))
+    shifted = ordinary.P(multiply(sys, u, w0), multiply(sys, v, w0))
     return contexts(H, "-1").P(u, v) == shifted

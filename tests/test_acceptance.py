@@ -28,6 +28,7 @@ from bruhatkl.poset import build_interval, build_lower_interval
 from matching_helpers import (
     commutes,
     enumerate_verified_systems,
+    image,
     is_dihedral_interval,
     orbit,
 )
@@ -91,7 +92,8 @@ def test_criterion_2_main_theorem_sweep(a2, a3, b2, b3):
             report = sweep_calculating(sys_, x=x)
             h_special += report["totals"]["h_special"]
             if not (report["ok"]
-                    and report["max_length"] == sys_.longest_length()
+                    and report["max_length"]
+                    == sys_.group_elements()[-1].length
                     and report["totals"]["h_special"] > 0):
                 bad.append("%s:x=%s:%d counterexamples"
                            % (sys_.name, x, len(report["counterexamples"])))
@@ -126,8 +128,8 @@ WHOLE_GROUP_TOTALS = {
 def whole_group_sweep_failures(sys_):
     bad = []
     for x in X_VARIANTS:
-        report = sweep_calculating(sys_, max_length=sys_.longest_length(),
-                                   x=x)
+        report = sweep_calculating(
+            sys_, max_length=sys_.group_elements()[-1].length, x=x)
         totals = tuple(report["totals"][k] for k in (
             "intervals_scanned", "matchings_enumerated", "h_special",
             "calculating"))
@@ -159,7 +161,7 @@ WHOLE_F4_SWEEP_SCRIPT = """
 from bruhatkl.coxeter import CoxeterSystem
 from bruhatkl.invariance import sweep_calculating
 f4 = CoxeterSystem.F4()
-r = sweep_calculating(f4, max_length=f4.longest_length(), x="-1")
+r = sweep_calculating(f4, max_length=f4.group_elements()[-1].length, x="-1")
 with open("/proc/self/status") as status:
     peak = next(line.split()[1] for line in status
                 if line.startswith("VmHWM:"))
@@ -324,7 +326,7 @@ def check_orbits(sys_, counts):
                 for u in interval.elements:
                     if u in orbits:
                         continue
-                    elements = orbit(M, N, u)
+                    elements = orbit(interval, M, N, u)
                     for v in elements:
                         orbits[v] = len(elements)
                     bottom = min(elements)
@@ -338,8 +340,8 @@ def check_orbits(sys_, counts):
                     counts["orbits"] += 1
                     if members != set(elements) or not is_dihedral:
                         return "orbit of %s under a pair on [e,%s]" % (u, w)
-                s_el = M.image(sys_.identity)
-                t_el = N.image(sys_.identity)
+                s_el = image(interval, M, sys_.identity)
+                t_el = image(interval, N, sys_.identity)
                 if s_el is t_el:
                     continue
                 J = s_el.support | t_el.support

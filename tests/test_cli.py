@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import bruhatkl.cli
+import bruhatkl.matchings
 from bruhatkl.cli import load_group, main
 from bruhatkl.coxeter import CoxeterSystem, genset
 from bruhatkl.klpoly import get_context
@@ -147,6 +148,19 @@ def test_long_rejected_string_is_one_short_error_line(capsys, argv):
     assert "characters)" in err
 
 
+# a few bytes of argument that would ask for a huge matrix or H family
+@pytest.mark.parametrize("argv, message", [
+    (["poly", "--group", "A30000", "--u", "e", "--w", "s1s2"],
+     "named groups have rank at most 256; got 'A30000'"),
+    (["verify", "--group", "A26", "--max-length", "1"],
+     "rank 26 has 2^26 generator subsets; pass --H to choose H above "
+     "rank 16"),
+], ids=["named-rank", "default-H"])
+def test_oversized_input_is_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (1, "", "error: %s\n" % message)
+
+
 # ---------------------------------------------------------------------------
 # poly
 
@@ -271,6 +285,29 @@ def test_matchings_w0_stdout_pinned(capsys, group, w, H, digest):
         "matchings", "--group", group, "--w", w, "--H", H, "--format", "json"])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_matchings_human_stdout_pinned(capsys):
+    # the human lines are rendered from the same JSON records
+    code, out, err = run(capsys, [
+        "matchings", "--group", "F4", "--w", "s1s2s3s2s1s4", "--H", "s1"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "7fc61b8464abf2ad728b30d6382f2ca19b214bd49d57f4ff734ce53a093a4cdf"
+
+
+def test_matchings_past_the_listing_cap_is_one_error_line(capsys,
+                                                          monkeypatch):
+    # [e, s1s2s1s2] in I2(6) has 8 special matchings, [e, s1s2s1] 4
+    monkeypatch.setattr(bruhatkl.matchings, "MAX_LISTED", 4)
+    code, data = run_json(capsys, [
+        "matchings", "--group", "I2(6)", "--w", "s1s2s1"])
+    assert (code, data["count"]) == (0, 4)
+    code, out, err = run(capsys, [
+        "matchings", "--group", "I2(6)", "--w", "s1s2s1s2"])
+    assert (code, out) == (1, "")
+    assert err == ("error: [e, w] has more than 4 special matchings, "
+                   "for w = 's1s2s1s2'\n")
 
 
 def test_closed_stdout_pipe_ends_quietly():

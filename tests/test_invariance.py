@@ -24,6 +24,7 @@ from bruhatkl.invariance import (
     sweep_calculating,
 )
 import bruhatkl.invariance
+import bruhatkl.matchings
 import bruhatkl.poset
 from bruhatkl.klpoly import (
     KLContext,
@@ -37,6 +38,7 @@ from bruhatkl.matchings import (
     is_H_special,
     is_special,
     matching_from_json,
+    matching_to_json,
 )
 from bruhatkl.poset import Interval, build_lower_interval, mark_interval
 
@@ -190,7 +192,7 @@ def enumerated_counts(marked, x, special, table):
     checked on its own."""
     every, h_special, calculating = Counter(), Counter(), Counter()
     for M in special:
-        top = M.pairing[-1]
+        top = M[-1]
         every[top] += 1
         if is_H_special(marked, M):
             h_special[top] += 1
@@ -248,6 +250,21 @@ def test_sweep_rejects_bad_H(a2):
         sweep_calculating(a2, H_set=[1 << 5])
 
 
+def test_default_H_family_is_refused_at_large_rank(monkeypatch):
+    # every subset of 17 generators would be 2^17 H; an explicit family
+    # is still swept
+    a17 = CoxeterSystem.A(17)
+    with pytest.raises(ValueError, match="pass --H"):
+        sweep_calculating(a17, max_length=1)
+    report = sweep_calculating(a17, max_length=1, H_set=[0])
+    assert report["ok"] and report["totals"]["intervals_scanned"] == 18
+    # the bound is inclusive
+    monkeypatch.setattr(bruhatkl.invariance, "_MAX_DEFAULT_H_RANK", 2)
+    assert sweep_calculating(CoxeterSystem.A(2))["ok"]
+    with pytest.raises(ValueError, match="pass --H"):
+        sweep_calculating(CoxeterSystem.A(3))
+
+
 def test_sweep_restricted_length(b2):
     report = sweep_calculating(b2, max_length=2, H_set=[0], x="-1")
     # intervals: e, s1, s2, s1s2, s2s1
@@ -284,8 +301,8 @@ def fabricated_record(b2):
     reference = table.R(u, w)
     return {
         "w": "s2s1s2", "u": u.label_str(), "H": "{s1}", "x": "q",
-        "matching": {"source": M.source,
-                     "pairs": [list(p) for p in M.pairs()]},
+        "matching": {"source": "enumerated",
+                     "pairs": [[i, j] for i, j in enumerate(M) if i < j]},
         "via_matching": {"coeffs": list(reference.coeffs)},
         "reference": {"coeffs": list(reference.coeffs)},
     }
@@ -420,7 +437,7 @@ def test_failing_column_unit_writes_the_per_matching_records(monkeypatch, x):
             if is_H_special(marked, M):
                 ok, record = verify_calculating(marked, x, M,
                                                 KLContext(i27, H, x))
-                assert ok is (M.image(w) is not v)
+                assert ok is (M[-1] != interval.id_of(v))
                 if not ok:
                     want.append(record)
         assert want
@@ -429,12 +446,25 @@ def test_failing_column_unit_writes_the_per_matching_records(monkeypatch, x):
         assert got == want
 
 
+def test_failing_unit_past_the_listing_cap_raises(monkeypatch):
+    # a failing dihedral unit is listed to write its records; past the cap
+    # the sweep ends in one ValueError instead of a list that outgrows
+    # memory.  [e, v] has 8 special matchings and fails too, within the cap
+    i27 = CoxeterSystem.I2(7)
+    v = el(i27, "s2s1s2s1")
+    monkeypatch.setattr(bruhatkl.matchings, "MAX_LISTED", 8)
+    plant_discrepancy(monkeypatch, v)
+    assert not sweep_calculating(i27, max_length=4, H_set=[0])["ok"]
+    with pytest.raises(ValueError, match="more than 8 special matchings"):
+        sweep_calculating(i27, max_length=5, H_set=[0])
+
+
 def test_ladder_refuses_any_one_pair():
     # with one pair refused, the ladder counts exactly the special
     # matchings without that pair, wherever it sits, by their M(w)
     i27 = CoxeterSystem.I2(7)
     interval = build_lower_interval(i27, el(i27, "s1s2s1s2s1"))
-    special = [M.pairing for M in enumerate_special_matchings(interval)]
+    special = enumerate_special_matchings(interval)
     up = interval.hasse_up
     assert _ladder(up, lambda a, b: True) == Counter(p[-1] for p in special)
     for a, b in {(a, b) for a in range(len(up)) for b in up[a]}:
@@ -466,7 +496,7 @@ def test_one_wrong_step_fails_the_ladder_and_keeps_the_records(monkeypatch,
 
 def test_reverify_rejects_tampered_records(a3, monkeypatch):
     record = planted_sweep_record(a3, monkeypatch)
-    other = [M.to_json()["pairs"] for M in enumerate_special_matchings(
+    other = [matching_to_json(M)["pairs"] for M in enumerate_special_matchings(
         build_lower_interval(a3, el(a3, "s1s2")))]
     other.remove(record["matching"]["pairs"])
     tampered = [
@@ -478,6 +508,20 @@ def test_reverify_rejects_tampered_records(a3, monkeypatch):
     for bad in tampered:
         assert reverify_counterexample(a3, bad) is False
     assert reverify_counterexample(a3, record) is True
+
+
+def test_reverify_rejects_a_source_the_program_does_not_write(
+        a3, monkeypatch):
+    # a record is written again with source "enumerated", the only source
+    # the program writes, so a hand-written other source, or none, differs
+    record = planted_sweep_record(a3, monkeypatch)
+    assert record["matching"]["source"] == "enumerated"
+    assert reverify_counterexample(a3, record) is True
+    relabelled = dict(record, matching=dict(record["matching"],
+                                            source="left-mult(s1)"))
+    unlabelled = dict(record, matching={"pairs": record["matching"]["pairs"]})
+    assert reverify_counterexample(a3, relabelled) is False
+    assert reverify_counterexample(a3, unlabelled) is False
 
 
 def with_pairs(pairs):

@@ -13,11 +13,7 @@ import pytest
 
 from bruhatkl.coxeter import CoxeterSystem, QuotientMembershipError, genset
 from bruhatkl.poset import build_lower_interval, mark_interval
-from bruhatkl.matchings import (
-    enumerate_special_matchings,
-    is_H_special,
-    multiplication_matching,
-)
+from bruhatkl.matchings import enumerate_special_matchings, is_H_special
 from bruhatkl.klpoly import (
     QPolynomial,
     ZERO,
@@ -33,6 +29,7 @@ from bruhatkl.klpoly import (
 )
 
 import oracles
+from matching_helpers import multiplication_matching, multiply
 from test_matchings import random_coxeter_matrix
 
 
@@ -594,15 +591,15 @@ def test_lemma_configuration_R_equality(b3):
             for w in b3.group_elements():
                 if (w.support >> t) & 1:
                     continue
-                stw = b3.multiply(b3.multiply(s_el, t_el), w)
+                stw = multiply(b3, multiply(b3, s_el, t_el), w)
                 if stw.length != w.length + 2 or (stw.rdesc & H):
                     continue
                 for v in b3.group_elements():
                     if (v.ldesc >> s) & 1 or not b3.bruhat_leq(v, w):
                         continue
-                    sv = b3.multiply(s_el, v)
-                    tv = b3.multiply(t_el, v)
-                    stv = b3.multiply(s_el, tv)
+                    sv = multiply(b3, s_el, v)
+                    tv = multiply(b3, t_el, v)
+                    stv = multiply(b3, s_el, tv)
                     if any(z.rdesc & H for z in (v, sv, tv, stv)):
                         continue
                     assert ctx.R(sv, stw) == ctx.R(tv, stw)
@@ -720,9 +717,10 @@ def test_matching_and_marks_from_separate_builds(b3):
     # marked interval taken from another build of it
     H = genset([0])
     w = max(quotient(b3, H))
+    built = build_lower_interval(b3, w)
     marked = mark_interval(build_lower_interval(b3, w), H)
-    matchings = enumerate_special_matchings(build_lower_interval(b3, w))
-    assert matchings[0].interval is not marked.interval
+    assert built is not marked.interval
+    matchings = enumerate_special_matchings(built)
     assert matchings == enumerate_special_matchings(
         build_lower_interval(b3, w))
     special = [M for M in matchings if is_H_special(marked, M)]

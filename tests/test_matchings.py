@@ -11,12 +11,11 @@ import pytest
 from bruhatkl.coxeter import CoxeterSystem, genset
 from bruhatkl.poset import build_lower_interval, mark_interval
 from bruhatkl.matchings import (
-    Matching,
-    multiplication_matching,
     is_special,
     enumerate_special_matchings,
     is_H_special,
     matching_from_json,
+    matching_to_json,
 )
 
 import matching_helpers
@@ -27,8 +26,11 @@ from matching_helpers import (
     commutes_on_lower_dihedral,
     enumerate_verified_systems,
     find_commuting_multiplication_matching,
+    image,
     matching_from_system,
     max_parabolic_below,
+    multiplication_matching,
+    multiply,
     orbit,
     restrict_matching,
     verify_system,
@@ -39,13 +41,13 @@ def el(sys, labels):
     return sys.element_from_labels(labels)
 
 
-def matching_from_element_pairs(interval, pairs, source="enumerated"):
+def matching_from_element_pairs(interval, pairs):
     pairing = [-1] * len(interval.elements)
     for a, b in pairs:
         ia, ib = interval.id_of(a), interval.id_of(b)
         pairing[ia] = ib
         pairing[ib] = ia
-    return Matching(interval, pairing, source)
+    return tuple(pairing)
 
 
 # ---------------------------------------------------------------------------
@@ -57,10 +59,10 @@ def test_multiplication_matching_pairs(b2):
     iv = build_lower_interval(b2, w)
     rho = multiplication_matching(iv, 0, "right")
     for u in iv.elements:
-        assert rho.image(u) is b2.multiply(u, b2.generator(0))
+        assert image(iv, rho, u) is multiply(b2, u, b2.generator(0))
     lam = multiplication_matching(iv, 1, "left")
     for u in iv.elements:
-        assert lam.image(u) is b2.multiply(b2.generator(1), u)
+        assert image(iv, lam, u) is multiply(b2, b2.generator(1), u)
     assert is_special(iv, rho) and is_special(iv, lam)
 
 
@@ -100,8 +102,7 @@ def test_is_special_negative_example(a3):
     ]
     M = matching_from_element_pairs(iv, pairs)
     assert not is_special(iv, M)
-    assert M.pairing not in {
-        N.pairing for N in enumerate_special_matchings(iv)}
+    assert M not in enumerate_special_matchings(iv)
 
 
 # ---------------------------------------------------------------------------
@@ -125,14 +126,14 @@ def interval_corpus():
 def test_enumeration_matches_bruteforce(case):
     sys_, w = interval_corpus()[case]
     iv = build_lower_interval(sys_, w)
-    got = [M.pairing for M in enumerate_special_matchings(iv)]
+    got = enumerate_special_matchings(iv)
     assert got == oracles.brute_special_matchings(iv)
     assert len(set(got)) == len(got)
     for s in range(sys_.rank):
         for side in ("right", "left"):
             desc = w.rdesc if side == "right" else w.ldesc
             if w.length and (desc >> s) & 1:
-                assert multiplication_matching(iv, s, side).pairing in got
+                assert multiplication_matching(iv, s, side) in got
 
 
 # name -> factory of (system, max length of w or None for the whole group)
@@ -159,7 +160,7 @@ def test_enumeration_matches_recursive_backtracker(name):
                 else sys_.elements_up_to_length(max_length))
         for w in tops:
             iv = build_lower_interval(sys_, w)
-            got = [M.pairing for M in enumerate_special_matchings(iv)]
+            got = enumerate_special_matchings(iv)
             assert got == oracles.backtrack_special_matchings(iv), (
                 sys_.name, w.label_str())
 
@@ -254,7 +255,7 @@ def test_enumeration_matches_bruteforce_random_groups():
                 iv = build_lower_interval(sys_, w)
                 if len(iv) > 24:
                     break
-                got = [M.pairing for M in enumerate_special_matchings(iv)]
+                got = enumerate_special_matchings(iv)
                 assert got == oracles.brute_special_matchings(iv), (
                     sys_.matrix, w.label_str())
                 checked += 1
@@ -263,8 +264,8 @@ def test_enumeration_matches_bruteforce_random_groups():
 
 def test_enumeration_cached(b2):
     iv = build_lower_interval(b2, el(b2, "s1 s2 s1"))
-    assert [M.pairing for M in enumerate_special_matchings(iv)] == \
-        [M.pairing for M in enumerate_special_matchings(iv)]
+    assert enumerate_special_matchings(iv) == \
+        enumerate_special_matchings(iv)
 
 
 # ---------------------------------------------------------------------------
@@ -288,27 +289,27 @@ def test_dihedral_case2_matching_is_special_not_multiplication():
     i24 = CoxeterSystem.I2(4)
     iv, M = case2_matching(i24)
     assert is_special(iv, M)
-    assert M.pairing in {N.pairing for N in enumerate_special_matchings(iv)}
+    assert M in enumerate_special_matchings(iv)
     mults = set()
     for s in (0, 1):
         for side in ("right", "left"):
-            mults.add(multiplication_matching(iv, s, side).pairing)
+            mults.add(multiplication_matching(iv, s, side))
     assert len(mults) == 4
-    assert M.pairing not in mults
+    assert M not in mults
 
 
 def test_orbit_example():
     i24 = CoxeterSystem.I2(4)
     iv, M = case2_matching(i24)
     lam_t = multiplication_matching(iv, 1, "left")
-    orb = orbit(M, lam_t, i24.identity)
+    orb = orbit(iv, M, lam_t, i24.identity)
     assert [u.label_str() for u in orb] == ["e", "s1", "s2s1", "s2"]
-    orb2 = orbit(M, lam_t, el(i24, "s1 s2"))
+    orb2 = orbit(iv, M, lam_t, el(i24, "s1 s2"))
     assert [u.label_str() for u in orb2] == ["s1s2", "s2s1s2"]
     # orbits of an involution pair partition the interval
     seen = set()
     for u in iv.elements:
-        seen.update(orbit(M, lam_t, u))
+        seen.update(orbit(iv, M, lam_t, u))
     assert len(seen) == len(iv.elements)
 
 
@@ -320,16 +321,16 @@ def test_orbit_sizes_have_dihedral_witness(b3):
     sms = enumerate_special_matchings(iv)
     for M in sms:
         for N in sms:
-            s = M.image(b3.identity)
-            t = N.image(b3.identity)
+            s = image(iv, M, b3.identity)
+            t = image(iv, N, b3.identity)
             if s is t:
                 continue
             top0 = max_parabolic_below(b3, w, s.support | t.support)
             dihedral_sizes = set()
             for u in build_lower_interval(b3, top0).elements:
-                dihedral_sizes.add(len(orbit(M, N, u)))
+                dihedral_sizes.add(len(orbit(iv, M, N, u)))
             for u in iv.elements:
-                assert len(orbit(M, N, u)) in dihedral_sizes
+                assert len(orbit(iv, M, N, u)) in dihedral_sizes
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +348,8 @@ def test_commutes_matches_dihedral_criterion():
         sms = enumerate_special_matchings(iv)
         for M in sms:
             for N in sms:
-                assert commutes(M, N) == commutes_on_lower_dihedral(M, N)
+                assert commutes(M, N) == commutes_on_lower_dihedral(
+                    iv, M, N)
 
 
 def test_find_commuting_multiplication_matching(b2):
@@ -395,21 +397,23 @@ def test_is_H_special_matches_length_definition(sys_):
             marked = mark_interval(iv, H)
             for M in matchings:
                 want = all(
-                    not els[M.pairing[i]].rdesc & H
+                    not els[M[i]].rdesc & H
                     for i, u in enumerate(els)
-                    if not u.rdesc & H and els[M.pairing[i]].length < u.length)
+                    if not u.rdesc & H and els[M[i]].length < u.length)
                 assert is_H_special(marked, M) == want, (
-                    sys_.name, w.label_str(), H, M.pairing)
+                    sys_.name, w.label_str(), H, M)
                 outcomes.add(want)
     assert outcomes == {True, False}
 
 
-def test_is_H_special_wrong_interval(b2, a2):
+def test_is_H_special_rejects_wrong_length(b2):
+    # a pairing is only ids, so its length is all that ties it to an
+    # interval: one of the 6-element [e, s1s2s1] is refused on [e, s1s2]
     iv = build_lower_interval(b2, el(b2, "s1 s2"))
-    other = build_lower_interval(a2, el(a2, "s1 s2"))
+    other = build_lower_interval(b2, el(b2, "s1 s2 s1"))
     marked = mark_interval(iv, genset([0]))
-    with pytest.raises(ValueError):
-        is_H_special(marked, multiplication_matching(other, 1, "right"))
+    with pytest.raises(ValueError, match="wrong size"):
+        is_H_special(marked, multiplication_matching(other, 0, "right"))
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +424,10 @@ def test_restrict_matching(b2):
     top = el(b2, "s1 s2 s1 s2")
     iv = build_lower_interval(b2, top)
     rho_s = multiplication_matching(iv, 0, "right")
-    sub = restrict_matching(iv, rho_s, el(b2, "s2"), top)
-    assert len(sub.interval.elements) == 6
-    assert sub.image(el(b2, "s2")) is el(b2, "s2 s1")
-    assert sub.image(top) is el(b2, "s2 s1 s2")
+    sub, R = restrict_matching(iv, rho_s, el(b2, "s2"), top)
+    assert len(sub.elements) == 6
+    assert image(sub, R, el(b2, "s2")) is el(b2, "s2 s1")
+    assert image(sub, R, top) is el(b2, "s2 s1 s2")
     with pytest.raises(ValueError):
         # rho_s moves s2s1s2 up, not down
         restrict_matching(iv, rho_s, el(b2, "s2"), el(b2, "s2 s1 s2"))
@@ -442,12 +446,12 @@ def test_trivial_right_system_is_right_multiplication(a3):
     dom = build_lower_interval(
         a3, max_parabolic_below(a3, w, genset([1, 0])))
     M_st = multiplication_matching(dom, 1, "right")
-    system = DihedralSystem("right", genset([1]), 1, 0, M_st)
+    system = DihedralSystem("right", genset([1]), 1, 0, dom, M_st)
     iv = build_lower_interval(a3, w)
     ok, bad = verify_system(iv, system)
     assert ok, bad
     M = matching_from_system(iv, system)
-    assert M.pairing == multiplication_matching(iv, 1, "right").pairing
+    assert M == multiplication_matching(iv, 1, "right")
 
 
 def test_trivial_left_system_is_left_multiplication(b3):
@@ -456,19 +460,19 @@ def test_trivial_left_system_is_left_multiplication(b3):
     dom = build_lower_interval(
         b3, max_parabolic_below(b3, w, genset([1, 2])))
     M_st = multiplication_matching(dom, 1, "left")
-    system = DihedralSystem("left", genset([1]), 1, 2, M_st)
+    system = DihedralSystem("left", genset([1]), 1, 2, dom, M_st)
     iv = build_lower_interval(b3, w)
     ok, bad = verify_system(iv, system)
     assert ok, bad
     M = matching_from_system(iv, system)
-    assert M.pairing == multiplication_matching(iv, 1, "left").pairing
+    assert M == multiplication_matching(iv, 1, "left")
 
 
 def test_verify_system_rejects_bad_shape(b2):
     w = el(b2, "s1 s2 s1 s2")
     dom = build_lower_interval(b2, w)
     M_st = multiplication_matching(dom, 1, "right")  # sends e to t, not s
-    system = DihedralSystem("right", genset([0]), 0, 1, M_st)
+    system = DihedralSystem("right", genset([0]), 0, 1, dom, M_st)
     ok, bad = verify_system(dom, system)
     assert not ok and bad == ["R1"]
 
@@ -479,14 +483,13 @@ def test_systems_cover_all_special_matchings_small():
         if w.length == 0:
             continue
         iv = build_lower_interval(a2, w)
-        want = {M.pairing for M in enumerate_special_matchings(iv)}
-        got = {M.pairing for _, M in enumerate_verified_systems(a2, w)}
+        want = set(enumerate_special_matchings(iv))
+        got = {M for _, M in enumerate_verified_systems(a2, w)}
         assert got == want
     b2 = CoxeterSystem.B(2)
     w = b2.element_from_word((0, 1, 0))
-    want = {M.pairing for M in enumerate_special_matchings(
-        build_lower_interval(b2, w))}
-    got = {M.pairing for _, M in enumerate_verified_systems(b2, w)}
+    want = set(enumerate_special_matchings(build_lower_interval(b2, w)))
+    got = {M for _, M in enumerate_verified_systems(b2, w)}
     assert got == want
 
 
@@ -505,12 +508,12 @@ def test_triangle_group_system_without_distinguishing_left_matching(
     s, t = W.generator(0), W.generator(1)
     M_st = matching_from_element_pairs(dom, [
         (W.identity, s),
-        (t, W.multiply(t, s)),
-        (W.multiply(s, t), W.element_from_word((1, 0, 1))),
+        (t, multiply(W, t, s)),
+        (multiply(W, s, t), W.element_from_word((1, 0, 1))),
         (W.element_from_word((0, 1, 0)), top0),
     ])
     assert is_special(dom, M_st)
-    system = DihedralSystem("right", genset([0, 2]), 0, 1, M_st)
+    system = DihedralSystem("right", genset([0, 2]), 0, 1, dom, M_st)
     iv = build_lower_interval(W, w)
     ok, bad = verify_system(iv, system)
     assert ok, bad
@@ -518,9 +521,9 @@ def test_triangle_group_system_without_distinguishing_left_matching(
 
     assert w.ldesc == genset([1])  # the only left multiplication matching
     lam_t = multiplication_matching(iv, 1, "left")
-    assert M.pairing != lam_t.pairing
+    assert M != lam_t
     assert commutes(M, lam_t)
-    assert M.image(w) is lam_t.image(w)
+    assert image(iv, M, w) is image(iv, lam_t, w)
     got = find_commuting_multiplication_matching(iv, M, "left")
     assert got is not None and got[1] is False
     assert find_commuting_multiplication_matching(
@@ -534,7 +537,7 @@ def test_system_matchings_are_special_everywhere(b2):
         iv = build_lower_interval(b2, w)
         for system, M in enumerate_verified_systems(b2, w):
             assert is_special(iv, M)
-            assert M.image(iv.bottom) is b2.generator(system.s)
+            assert image(iv, M, iv.bottom) is b2.generator(system.s)
 
 
 def test_verified_systems_build_each_interval_once(b3, monkeypatch):
@@ -564,9 +567,9 @@ def test_verified_systems_build_each_interval_once(b3, monkeypatch):
 def test_matching_json_roundtrip(b2):
     iv = build_lower_interval(b2, el(b2, "s1 s2 s1 s2"))
     for M in enumerate_special_matchings(iv):
-        data = M.to_json()
-        back = matching_from_json(iv, data)
-        assert back == M
+        data = matching_to_json(M)
+        assert data["source"] == "enumerated"
+        assert matching_from_json(iv, data) == M
     with pytest.raises(ValueError):
         matching_from_json(iv, {"pairs": [[0, len(iv.elements) - 1]]})
 

@@ -142,19 +142,6 @@ def test_general_interval(b2):
                        b2.element_from_labels("s1"))
 
 
-def test_intervals_compare_by_bottom_and_top(b2):
-    w = b2.element_from_labels("s1s2s1")
-    iv = build_lower_interval(b2, w)
-    again = build_lower_interval(b2, w)
-    assert again is not iv
-    assert again == iv and hash(again) == hash(iv)
-    assert build_interval(b2, b2.identity, w) == iv
-    assert build_lower_interval(b2, b2.element_from_labels("s2s1s2")) != iv
-    twin = CoxeterSystem.B(2)
-    assert build_lower_interval(twin, twin.element_from_labels("s1s2s1")) \
-        != iv
-
-
 def test_dihedral_detection(a3, b2):
     assert is_dihedral_interval(
         build_lower_interval(b2, b2.element_from_labels("s1")))
