@@ -16,6 +16,9 @@ function in ``bruhatkl.invariance`` returns) with ``--format json``, or
 renders it as human lines.  JSON output is deterministic: keys sorted, no
 timing, so identical invocations are byte-identical.  Only the human
 ``verify`` output shows a wall time, which is measured here.
+``matchings`` writes its listing one matching at a time, in either
+format, so a listing at the cap of 2^16 matchings never holds every
+record at once; its bytes are those of the whole dict.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .invariance import (
     mongelli_reproduction,
     sweep_calculating,
 )
-from .klpoly import QPolynomial, XParam, get_context
+from .klpoly import QPolynomial, get_context
 from .matchings import enumerate_special_matchings, is_H_special, \
     matching_to_json
 from .poset import build_interval, build_lower_interval, interval_to_json, \
@@ -90,16 +93,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def cmd_poly(args) -> int:
     sys_ = load_group(args.group)
     H = parse_genset(sys_, args.H)
-    x = XParam.parse(args.x)
     u = sys_.element_from_labels(args.u)
     w = sys_.element_from_labels(args.w)
-    ctx = get_context(sys_, H, x)
+    ctx = get_context(sys_, H, args.x)
     r = ctx.R(u, w)
     p = ctx.P(u, w)
     _emit(args, {
         "group": sys_.spec,
         "H": format_genset(sys_, H),
-        "x": x.value,
+        "x": args.x,
         "u": u.label_str(),
         "w": w.label_str(),
         "R": r.to_json(),
@@ -120,25 +122,32 @@ def cmd_matchings(args) -> int:
     interval = build_lower_interval(sys_, w)
     marked = mark_interval(interval, H)
     matchings = enumerate_special_matchings(interval)
-    tagged = [dict(matching_to_json(M), h_special=is_H_special(marked, M))
-              for M in matchings]
     words = [el.label_str() for el in interval.elements]
-    data = {
-        "group": sys_.spec,
-        "H": format_genset(sys_, H),
-        "w": w.label_str(),
-        "elements": words,
-        "count": len(matchings),
-        "matchings": tagged,
-    }
-    lines = ["[e, %s]: %d special matchings" % (w.label_str(),
-                                                len(matchings))]
+    # one record at a time: a listing at the cap holds 2^16 of them
+    tagged = (dict(matching_to_json(M), h_special=is_H_special(marked, M))
+              for M in matchings)
+    if args.format == "json":
+        # the record's JSON with the matchings written in at their key
+        head, key, tail = json.dumps({
+            "group": sys_.spec,
+            "H": format_genset(sys_, H),
+            "w": w.label_str(),
+            "elements": words,
+            "count": len(matchings),
+            "matchings": [],
+        }, sort_keys=True).partition('"matchings": [')
+        write = sys.stdout.write
+        write(head + key)
+        for k, M in enumerate(tagged):
+            write((", " if k else "") + json.dumps(M, sort_keys=True))
+        write(tail + "\n")
+        return 0
+    print("[e, %s]: %d special matchings" % (w.label_str(), len(matchings)))
     for M in tagged:
         pair_text = "  ".join("%s<->%s" % (words[a], words[b])
                               for a, b in M["pairs"])
         tag = "  [H-special]" if M["h_special"] else ""
-        lines.append("%-12s %s%s" % (M["source"], pair_text, tag))
-    _emit(args, data, lines)
+        print("%-12s %s%s" % (M["source"], pair_text, tag))
     return 0
 
 

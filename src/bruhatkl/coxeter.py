@@ -12,7 +12,9 @@ generalized Cartan matrix, infinite groups included.  A left product by s
 changes lam in O(n) and coordinate s of each column; a right product
 subtracts A cols[s] from lam.  Rank <= 2 systems use direct
 alternating-word arithmetic instead, which handles any finite bond order
-m >= 2.
+m >= 2: an element is held as (first letter, length), a left product is
+one case analysis, and a right product is read through the inverse,
+w*s = (s*w^-1)^-1, since the word of w^-1 is that of w read backwards.
 
 Elements are interned per system in ShortLex-least reduced-word form:
 element equality is object identity, and products by generators are
@@ -20,7 +22,8 @@ cached, so group arithmetic amortizes to dictionary lookups.  On both
 backends one rule names a new element w: its word is its smallest left
 descent s followed by the word of s*w (ch. 3 of the same book), so
 smallest left descents are stripped, on keys alone, until an interned
-element is reached and its word is appended.  Infinite
+element is reached and its word is appended; an element stores no
+support, which is `genset(w.word)`.  Infinite
 systems (e.g. a rank-3 system with bond orders 4,3,3) are supported for
 all bounded-length operations; only whole-group enumeration requires the
 group to be finite.
@@ -58,17 +61,6 @@ __all__ = [
 class QuotientMembershipError(ValueError):
     """Raised when an element is required to be a minimal coset
     representative (no right descent inside H) but is not."""
-
-    def __init__(self, element: "Element", H: int, offending: int):
-        self.element = element
-        self.H = H
-        self.offending = offending
-        sys = element.system
-        super().__init__(
-            "element %s is not minimal in its coset: right descent %s lies in "
-            "H=%s" % (element, sys.generator_names[offending],
-                      format_genset(sys, H))
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +215,6 @@ class Element:
         length:  Coxeter length (== len(word))
         ldesc:   bitmask of left descents  {s : l(s w) < l(w)}
         rdesc:   bitmask of right descents {s : l(w s) < l(w)}
-        support: bitmask of generators occurring in reduced words of w
         id:      dense index in the system's interning order
 
     A root-backend element also holds its state (cols, lam): the images
@@ -231,8 +222,8 @@ class Element:
     is its intern key, which is faithful because only e fixes rho.
     """
 
-    __slots__ = ("system", "word", "length", "ldesc", "rdesc", "support",
-                 "id", "_state", "_rmul", "_lmul", "_coatoms", "_down")
+    __slots__ = ("system", "word", "length", "ldesc", "rdesc", "id",
+                 "_state", "_rmul", "_lmul", "_coatoms", "_down")
 
     def __init__(self, system, word, ldesc, rdesc, state, id):
         self.system = system
@@ -240,7 +231,6 @@ class Element:
         self.length = len(word)
         self.ldesc = ldesc
         self.rdesc = rdesc
-        self.support = genset(word)
         self.id = id
         self._state = state
         self._rmul = [None] * system.rank
@@ -498,9 +488,11 @@ class CoxeterSystem:
         try:
             return self._name_to_index[label]
         except KeyError:
+            have = ", ".join(self.generator_names)
+            if len(have) > _EXCERPT:
+                have = "%s... (%d labels)" % (have[:_EXCERPT], self.rank)
             raise ValueError("unknown generator label %s (have %s)"
-                             % (_excerpt(label),
-                                ", ".join(self.generator_names)))
+                             % (_excerpt(label), have))
 
     def generator(self, i: int) -> Element:
         return self.multiply_by_generator(self.identity, i)
@@ -518,34 +510,31 @@ class CoxeterSystem:
         a root key's left descents are the i with lam_i < 0."""
         if self.backend == "dihedral-word":
             s = _low_bit(self._state_descents(key)[0])
-            return s, self._state_mult(key, s, "left")
+            return s, self._state_mult(key, s)
         for s, l in enumerate(key):
             if l < 0:
                 return s, _lam_left(key, s, self._cartan)
 
-    def _state_mult(self, state, s: int, side: str):
-        """The dihedral-word state of w*s or s*w."""
+    def _state_mult(self, state, s: int):
+        """The dihedral-word state (first letter, length) of s*w."""
         m = self._m
         f, k = state
-        if side == "right":
-            if k == 0:
-                return (s, 1)
-            if k == m:
-                # the longest element; use its word ending with s
-                return ((s if m % 2 == 1 else 1 - s), m - 1)
-            last = f if k % 2 == 1 else 1 - f
-            if s == last:
-                return (f, k - 1) if k > 1 else (0, 0)
-            return (0, m) if k + 1 == m else (f, k + 1)
-        else:
-            if k == 0:
-                return (s, 1)
-            if k == m:
-                # strip s from the word of the longest element starting s
-                return (1 - s, m - 1)
-            if s == f:
-                return ((1 - f), k - 1) if k > 1 else (0, 0)
-            return (0, m) if k + 1 == m else (s, k + 1)
+        if k == 0:
+            return (s, 1)
+        if k == m:
+            # strip s from the word of the longest element starting s
+            return (1 - s, m - 1)
+        if s == f:
+            return ((1 - f), k - 1) if k > 1 else (0, 0)
+        return (0, m) if k + 1 == m else (s, k + 1)
+
+    def _state_inverse(self, state):
+        """The dihedral-word state of w^-1: w's word read backwards, so
+        it starts with w's last letter.  e and w0 are involutions."""
+        f, k = state
+        if k == 0 or k == self._m:
+            return state
+        return (f if k % 2 == 1 else 1 - f, k)
 
     def _state_descents(self, state) -> tuple[int, int]:
         """Return (ldesc, rdesc) bitmasks for a backend state."""
@@ -555,8 +544,7 @@ class CoxeterSystem:
                 return 0, 0
             if k == self._m:
                 return 0b11, 0b11
-            last = f if k % 2 == 1 else 1 - f
-            return 1 << f, 1 << last
+            return 1 << f, 1 << self._state_inverse(state)[0]
         # Each column is the image of a simple root, a real root: its
         # coordinates share one sign, so their sum has that sign.
         cols, lam = state
@@ -568,8 +556,11 @@ class CoxeterSystem:
         the product's key lam is computed first, and its columns only
         for an element that is new."""
         if self.backend == "dihedral-word":
-            return self._intern(self._state_mult(
-                w._state, s, "right" if right else "left"))
+            if not right:
+                return self._intern(self._state_mult(w._state, s))
+            # w*s = (s*w^-1)^-1
+            inv = self._state_inverse
+            return self._intern(inv(self._state_mult(inv(w._state), s)))
         cols, lam = w._state
         c = self._cartan
         lam = _lam_right(lam, cols[s], c) if right else _lam_left(lam, s, c)
@@ -713,8 +704,12 @@ class CoxeterSystem:
         return (u.rdesc & H) == 0
 
     def check_min_coset_rep(self, u: Element, H: int) -> None:
-        if u.rdesc & H:
-            raise QuotientMembershipError(u, H, _low_bit(u.rdesc & H))
+        bad = u.rdesc & H
+        if bad:
+            raise QuotientMembershipError(
+                "element %s is not minimal in its coset: right descent %s "
+                "lies in H=%s" % (u, self.generator_names[_low_bit(bad)],
+                                  format_genset(self, H)))
 
     # -- enumeration -------------------------------------------------------------
 

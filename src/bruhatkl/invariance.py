@@ -35,8 +35,8 @@ from .coxeter import (
 )
 from .klpoly import (
     KLContext,
-    XParam,
     _calculates,
+    _check_x,
     _matching_calculates,
     _unpack,
     get_context,
@@ -120,7 +120,7 @@ def _ladder_counts(marked, x) -> tuple[dict, dict, dict]:
 
 def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
                       H_set: Optional[Sequence[int]] = None,
-                      x=XParam.MINUS_ONE) -> dict:
+                      x: str = "-1") -> dict:
     """Check that every H-special matching of every lower interval
     [e, w] with w in W^H and len(w) <= max_length reproduces the
     reference R-polynomials.  Counterexamples are reported, not raised.
@@ -133,7 +133,7 @@ def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
     ``counterexamples`` (records as ``reverify_counterexample`` reads
     them) and ``ok``, true iff there are none.
     """
-    x = XParam.parse(x)
+    _check_x(x)
     if H_set is None:
         if sys.rank > _MAX_DEFAULT_H_RANK:
             raise ValueError(
@@ -187,10 +187,10 @@ def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
     assert (calculating == h_special) == ok
     group_id = sys.name or ("rank%d" % sys.rank)
     return {
-        "campaign": "calculating:%s:x=%s:len<=%d" % (group_id, x.value,
+        "campaign": "calculating:%s:x=%s:len<=%d" % (group_id, x,
                                                      max_length),
         "group": sys.spec,
-        "x": x.value,
+        "x": x,
         "max_length": max_length,
         "H_set": [format_genset(sys, H) for H in H_set],
         "totals": {
@@ -216,7 +216,7 @@ def reverify_counterexample(sys: CoxeterSystem, record: dict) -> bool:
     try:
         w = sys.element_from_labels(record["w"])
         H = parse_genset(sys, record["H"])
-        x = XParam.parse(record["x"])
+        x = record["x"]
         matching = record["matching"]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError("malformed record: %r" % exc) from None
@@ -257,7 +257,7 @@ def _scan_pair(a, b) -> dict:
     els_a, els_b = marked_a.interval.elements, marked_b.interval.elements
     equal = True
     checked = 0
-    for x in (XParam.MINUS_ONE, XParam.Q):
+    for x in ("-1", "q"):
         # packed values, equal iff their polynomials are; P values passed
         # the decoder's guard when their column was filled, R values below
         ctx_a, ctx_b = get_context(sys_a, H_a, x), get_context(sys_b, H_b, x)
@@ -341,9 +341,9 @@ def mongelli_reproduction(sys: Optional[CoxeterSystem] = None) -> dict:
     full_iso = find_isomorphism(build_interval(sys, u1, v1),
                                 build_interval(sys, u2, v2)) is not None
     p_values = {
-        x.value: [get_context(sys, H, x).P(u1, v1).to_json(),
-                  get_context(sys, H, x).P(u2, v2).to_json()]
-        for x in (XParam.Q, XParam.MINUS_ONE)
+        x: [get_context(sys, H, x).P(u1, v1).to_json(),
+            get_context(sys, H, x).P(u2, v2).to_json()]
+        for x in ("q", "-1")
     }
     return {
         "group": sys.spec,

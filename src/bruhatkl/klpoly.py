@@ -16,9 +16,11 @@ new P column, which decodes every P-value new to its context and so puts
 it through the guard.  `QPolynomial`, a dense
 coefficient tuple, is the type every caller sees.
 
-The parameter x takes the two values -1 and q; it is substituted eagerly,
-so (q-1-x) becomes the polynomial q when x = -1 and the constant -1 when
-x = q.
+The parameter x takes the two values -1 and q, the roots of
+x^2 = q + (q-1)x, and is spelled as the string "-1" or "q" everywhere: in
+a `KLContext`, in records and in campaign JSON.  It is substituted
+eagerly, so (q-1-x) becomes the polynomial q when x = -1 and the constant
+-1 when x = q.
 
 A `KLContext` owns the memoized R- and P-tables for one choice of
 (system, H, x); `get_context` keeps one per system.  Both are filled one
@@ -54,10 +56,10 @@ writing it again.
 
 from __future__ import annotations
 
-import enum
 from typing import Optional
 
-from .coxeter import CoxeterSystem, Element, _low_bit, format_genset
+from .coxeter import CoxeterSystem, Element, _excerpt, _low_bit, \
+    format_genset
 from .poset import MarkedInterval
 from .matchings import is_H_special, matching_to_json
 
@@ -67,7 +69,6 @@ __all__ = [
     "ONE",
     "Q",
     "Q_MINUS_ONE",
-    "XParam",
     "KLContext",
     "get_context",
     "verify_calculating",
@@ -201,18 +202,11 @@ def _decode(n: int) -> QPolynomial:
     return QPolynomial(_unpack(n))
 
 
-class XParam(enum.Enum):
-    """The two admissible values of the parameter x, the roots of
-    x^2 = q + (q-1)x."""
-
-    MINUS_ONE = "-1"
-    Q = "q"
-
-    @classmethod
-    def parse(cls, value) -> "XParam":
-        if isinstance(value, XParam):
-            return value
-        return cls(str(value))
+def _check_x(x) -> None:
+    """Raise ValueError unless x is "-1" or "q"."""
+    if x not in ("-1", "q"):
+        raise ValueError("x must be '-1' or 'q'; got %s" % (
+            _excerpt(x) if isinstance(x, str) else type(x).__name__))
 
 
 class KLContext:
@@ -234,13 +228,14 @@ class KLContext:
     __slots__ = ("system", "H", "x", "_R", "_P", "_mu", "_values", "_digits",
                  "_qm1mx")
 
-    def __init__(self, system: CoxeterSystem, H: int, x):
+    def __init__(self, system: CoxeterSystem, H: int, x: str):
         if not 0 <= H < (1 << system.rank):
             raise ValueError("H is not a subset of the generators")
+        _check_x(x)
         self.system = system
         self.H = H
-        self.x = XParam.parse(x)
-        self._qm1mx = _Q if self.x is XParam.MINUS_ONE else -1
+        self.x = x
+        self._qm1mx = _Q if x == "-1" else -1
         self._R: dict = {}
         self._P: dict = {}
         self._mu: dict = {}
@@ -321,7 +316,7 @@ class KLContext:
         if col is not None:
             return col
         sys, H, mus = self.system, self.H, self._mu
-        minus_one = self.x is XParam.MINUS_ONE
+        minus_one = self.x == "-1"
         stack = [w]
         while stack:
             top = stack[-1]
@@ -406,9 +401,9 @@ class KLContext:
         return acc
 
 
-def get_context(sys: CoxeterSystem, H: int, x) -> KLContext:
+def get_context(sys: CoxeterSystem, H: int, x: str) -> KLContext:
     """The shared memoized context registered on the system."""
-    key = (H, XParam.parse(x))
+    key = (H, x)
     ctx = sys._kl_contexts.get(key)
     if ctx is None:
         ctx = KLContext(sys, H, x)
@@ -416,7 +411,7 @@ def get_context(sys: CoxeterSystem, H: int, x) -> KLContext:
     return ctx
 
 
-def verify_calculating(marked: MarkedInterval, x, M: tuple[int, ...],
+def verify_calculating(marked: MarkedInterval, x: str, M: tuple[int, ...],
                        table: Optional[KLContext] = None
                        ) -> tuple[bool, Optional[dict]]:
     """Whether the matching recurrence of the pairing M reproduces the
@@ -426,11 +421,10 @@ def verify_calculating(marked: MarkedInterval, x, M: tuple[int, ...],
     iv = marked.interval
     if iv.bottom is not iv.system.identity:
         raise ValueError("matching recurrences apply to lower intervals")
-    x = XParam.parse(x)
     if table is None:
         table = get_context(iv.system, marked.H, x)
     elif table.system is not iv.system or table.H != marked.H \
-            or table.x is not x:
+            or table.x != x:
         raise ValueError("reference table does not match (system, H, x)")
     iv.system.check_min_coset_rep(iv.top, marked.H)
     if not is_H_special(marked, M):
@@ -456,7 +450,7 @@ def _matching_calculates(marked: MarkedInterval, M: tuple[int, ...],
         "u": u.label_str(),
         "w": iv.top.label_str(),
         "H": format_genset(iv.system, marked.H),
-        "x": table.x.value,
+        "x": table.x,
         "matching": matching_to_json(M),
         "via_matching": _decode(got).to_json(),
         "reference": _decode(table._R_row(iv.top)[u]).to_json(),

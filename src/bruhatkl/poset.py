@@ -4,9 +4,11 @@ An interval is a plain value that a caller builds, uses and drops: its
 elements get dense integer ids sorted by (length, word), covers are stored
 as adjacency lists, and the full order relation is kept as per-element
 up-set bitmasks so comparisons inside an interval are O(1).  Two intervals are
-equal when they have the same bottom and the same top.  A lower interval
-[e, w] takes its members from the down-set of w and its covers from the
-coatoms of each member, both kept by the `CoxeterSystem`.
+equal when they have the same bottom and the same top.  A caller gives
+only the members: a lower interval [e, w] takes them from the down-set of
+w, kept by the `CoxeterSystem`, and a subinterval from its parent.  The
+covers are read from the group too: an interval is convex, so the lower
+covers of a member are its coatoms that are members.
 
 Marked intervals attach the parabolic-quotient membership flag
 (no right descent inside H) to each element.
@@ -39,23 +41,24 @@ __all__ = [
 class Interval:
     """A Bruhat interval [bottom, top], graded by l(z) - l(bottom).
 
-    Element ids are positions in `elements`, which is sorted by
-    (length, word); id 0 is the bottom and the last id is the top.  The
-    lower covers of each id are given in increasing id order, and the upper
-    covers are listed in that order too.
+    Element ids are positions in `elements`, the members of a Bruhat
+    interval sorted by (length, word), whose coatoms the system has filled
+    (`CoxeterSystem.down_set`); id 0 is the bottom and the last id is the
+    top.  Coatoms are sorted by (length, word) too, so the lower covers of
+    each id come out in increasing id order, and the upper covers are
+    listed in that order too.
     """
 
-    def __init__(self, system: CoxeterSystem, bottom: Element, top: Element,
-                 elements: Sequence[Element],
-                 hasse_down: Sequence[Sequence[int]]):
+    def __init__(self, system: CoxeterSystem, elements: Sequence[Element]):
         self.system = system
-        self.bottom = bottom
-        self.top = top
         self.elements = tuple(elements)
-        self.index = {el: i for i, el in enumerate(self.elements)}
-        base = bottom.length
+        self.bottom, self.top = self.elements[0], self.elements[-1]
+        self.index = index = {el: i for i, el in enumerate(self.elements)}
+        base = self.bottom.length
         self.rank_of = tuple(el.length - base for el in self.elements)
-        self.hasse_down = tuple(tuple(d) for d in hasse_down)
+        self.hasse_down = tuple(
+            tuple([index[c] for c in el._coatoms if c in index])
+            for el in self.elements)
         n = len(self.elements)
         up: list[list[int]] = [[] for _ in range(n)]
         for b in range(n):
@@ -91,17 +94,11 @@ class Interval:
 
     def subinterval(self, lo: int, hi: int):
         """The interval [lo, hi] as its own Interval plus the id map
-        (sub id -> parent id).  Bruhat intervals are convex, so covers are
-        inherited by restriction."""
+        (sub id -> parent id)."""
         above = self.above
-        ids = [j for j in genset_indices(above[lo]) if above[j] >> hi & 1]
-        pos = {p: i for i, p in enumerate(ids)}
-        hasse_down = [
-            [pos[a] for a in self.hasse_down[p] if a in pos] for p in ids
-        ]
-        sub = Interval(self.system, self.elements[lo], self.elements[hi],
-                       [self.elements[p] for p in ids], hasse_down)
-        return sub, tuple(ids)
+        ids = tuple(j for j in genset_indices(above[lo]) if above[j] >> hi & 1)
+        els = self.elements
+        return Interval(self.system, [els[p] for p in ids]), ids
 
 
 class MarkedInterval(NamedTuple):
@@ -118,10 +115,8 @@ def build_lower_interval(sys: CoxeterSystem, w: Element) -> Interval:
     if w.system is not sys:
         raise ValueError("element belongs to a different system")
     by_id = sys._by_id
-    elements = sorted(by_id[i] for i in genset_indices(sys.down_set(w)))
-    index = {el: i for i, el in enumerate(elements)}
-    hasse_down = [[index[c] for c in el._coatoms] for el in elements]
-    return Interval(sys, sys.identity, w, elements, hasse_down)
+    return Interval(sys, sorted(by_id[i]
+                                for i in genset_indices(sys.down_set(w))))
 
 
 def build_interval(sys: CoxeterSystem, u: Element, v: Element) -> Interval:

@@ -29,6 +29,12 @@ def multiply(sys: CoxeterSystem, u: Element, v: Element) -> Element:
     return sys.element_from_word(u.word + v.word)
 
 
+def support(w: Element) -> int:
+    """The bitmask of generators occurring in the reduced words of w (all
+    reduced words of w use the same letters)."""
+    return genset(w.word)
+
+
 def inverse(sys: CoxeterSystem, w: Element) -> Element:
     """The inverse of w: its word reversed."""
     return sys.element_from_word(reversed(w.word))
@@ -354,14 +360,14 @@ def verify_system(interval: Interval, system: DihedralSystem
 
     # axiom 3: generators of J occurring in the outer part commute with s
     outer = _outer_inner(sys, side, w, J)[0]
-    if any((outer.support >> r) & 1 and r != s and sys.matrix[r][s] != 2
+    if any((support(outer) >> r) & 1 and r != s and sys.matrix[r][s] != 2
            for r in genset_indices(J)):
         bad.append(tag + "3")
 
     # axiom 4: conditions forced by the {s,t}-free part of the top;
     # multiplication_matching raises ValueError unless its generator is a
     # descent of the domain's top on that side
-    free = _outer_inner(sys, side, outer, st_mask)[0].support
+    free = support(_outer_inner(sys, side, outer, st_mask)[0])
     has_s, has_t = (free >> s) & 1, (free >> t) & 1
     try:
         if has_s and has_t:
@@ -380,7 +386,7 @@ def verify_system(interval: Interval, system: DihedralSystem
     for v in interval.elements:
         inner = _outer_inner(sys, side, v, J)[1]
         part = _outer_inner(sys, other, inner, 1 << s)[0]
-        if (part.support >> s) & 1 and not _commutes_with_mult_below(
+        if (support(part) >> s) & 1 and not _commutes_with_mult_below(
                 dom, M_st, s, side, v):
             bad.append(tag + "5")
             break
@@ -414,8 +420,8 @@ def enumerate_verified_systems(sys: CoxeterSystem, w: Element
     candidates: dict[int, tuple[Interval, list[Pairing]]] = {}
     out = []
     for side in ("right", "left"):
-        for J in range(1, w.support + 1):
-            if J & ~w.support:
+        for J in range(1, support(w) + 1):
+            if J & ~support(w):
                 continue
             for s in genset_indices(J):
                 for t in range(sys.rank):

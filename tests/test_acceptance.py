@@ -18,7 +18,6 @@ from bruhatkl.invariance import mongelli_reproduction, sweep_calculating
 from bruhatkl.klpoly import (
     KLContext,
     QPolynomial,
-    XParam,
     _unpack,
     get_context,
 )
@@ -31,6 +30,7 @@ from matching_helpers import (
     image,
     is_dihedral_interval,
     orbit,
+    support,
 )
 from oracles import deodhar_identity_check, parabolic_R_oracle
 
@@ -344,9 +344,9 @@ def check_orbits(sys_, counts):
                 t_el = image(interval, N, sys_.identity)
                 if s_el is t_el:
                     continue
-                J = s_el.support | t_el.support
+                J = support(s_el) | support(t_el)
                 witness = {orbits[v] for v in interval.elements
-                           if v.support & ~J == 0}
+                           if support(v) & ~J == 0}
                 sizes = {orbits[u] for u in interval.elements}
                 if commutes(M, N):
                     counts["klein_pairs"] += 1

@@ -12,10 +12,12 @@ import pytest
 import bruhatkl.cli
 import bruhatkl.matchings
 from bruhatkl.cli import load_group, main
-from bruhatkl.coxeter import CoxeterSystem, genset
+from bruhatkl.coxeter import CoxeterSystem, format_genset, genset, \
+    parse_genset
 from bruhatkl.klpoly import get_context
-from bruhatkl.matchings import is_special, matching_from_json
-from bruhatkl.poset import build_lower_interval
+from bruhatkl.matchings import enumerate_special_matchings, is_H_special, \
+    is_special, matching_from_json, matching_to_json
+from bruhatkl.poset import build_lower_interval, mark_interval
 
 from oracles import brute_special_matchings
 
@@ -161,6 +163,19 @@ def test_oversized_input_is_one_error_line(capsys, argv, message):
     assert (code, out, err) == (1, "", "error: %s\n" % message)
 
 
+# the label list of an unknown-label error is cut as a rejected string is
+@pytest.mark.parametrize("group, have", [
+    ("D256", "s1, s2, s3, s4, s5, s6, s7, s8, s9, s10,... (256 labels)"),
+    ("A2", "s1, s2"),
+])
+def test_unknown_label_error_lists_the_first_labels(capsys, group, have):
+    code, out, err = run(capsys, [
+        "verify", "--group", group, "--H", "e", "--max-length", "1"])
+    assert (code, out) == (1, "")
+    assert err == "error: unknown generator label 'e' (have %s)\n" % have
+    assert len(err.encode()) < 200
+
+
 # ---------------------------------------------------------------------------
 # poly
 
@@ -294,6 +309,45 @@ def test_matchings_human_stdout_pinned(capsys):
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "7fc61b8464abf2ad728b30d6382f2ca19b214bd49d57f4ff734ce53a093a4cdf"
+
+
+def rendered_matchings(group, w, H):
+    """The `matchings` output built whole: the record through one
+    json.dumps, and the human lines rendered from its matchings."""
+    sys_ = load_group(group)
+    top = sys_.element_from_labels(w)
+    interval = build_lower_interval(sys_, top)
+    marked = mark_interval(interval, parse_genset(sys_, H))
+    found = enumerate_special_matchings(interval)
+    tagged = [dict(matching_to_json(M), h_special=is_H_special(marked, M))
+              for M in found]
+    words = [el.label_str() for el in interval.elements]
+    data = {"group": sys_.spec, "H": format_genset(sys_, marked.H),
+            "w": top.label_str(), "elements": words, "count": len(found),
+            "matchings": tagged}
+    lines = ["[e, %s]: %d special matchings" % (top.label_str(), len(found))]
+    for M in tagged:
+        pair_text = "  ".join("%s<->%s" % (words[a], words[b])
+                              for a, b in M["pairs"])
+        tag = "  [H-special]" if M["h_special"] else ""
+        lines.append("%-12s %s%s" % (M["source"], pair_text, tag))
+    return (json.dumps(data, sort_keys=True) + "\n",
+            "".join(line + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("group, w, H", [
+    ("A2", "e", ""),
+    ("I2(7)", "s1s2s1s2s1", "s1"),
+    ("F4", "s1s2s3s2s1s4s3", "s2"),
+], ids=["e", "I2(7)", "F4"])
+def test_matchings_streamed_output_equals_whole_rendering(capsys, group, w,
+                                                         H):
+    # the command writes one matching at a time; the bytes are those of
+    # the whole record and of all its lines
+    want_json, want_human = rendered_matchings(group, w, H)
+    argv = ["matchings", "--group", group, "--w", w, "--H", H]
+    assert run(capsys, argv + ["--format", "json"]) == (0, want_json, "")
+    assert run(capsys, argv) == (0, want_human, "")
 
 
 def test_matchings_past_the_listing_cap_is_one_error_line(capsys,

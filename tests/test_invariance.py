@@ -29,7 +29,6 @@ import bruhatkl.poset
 from bruhatkl.klpoly import (
     KLContext,
     QPolynomial,
-    XParam,
     get_context,
     verify_calculating,
 )
@@ -659,7 +658,7 @@ def planted_b2(table: str, value):
     b2 = CoxeterSystem.B(2)
     entries = [(b2, parse_genset(b2, H), el(b2, w)) for H, w in SWAPPED_B2]
     _, H, w = entries[1]
-    ctx = get_context(b2, H, XParam.Q)
+    ctx = get_context(b2, H, "q")
     values = ctx._R_row(w) if table == "R" else ctx._P_column(w)
     u = el(b2, "s1")
     values[u] = value(values[u])

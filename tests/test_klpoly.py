@@ -12,6 +12,7 @@ from sys import getrecursionlimit, setrecursionlimit
 import pytest
 
 from bruhatkl.coxeter import CoxeterSystem, QuotientMembershipError, genset
+from bruhatkl.invariance import sweep_calculating
 from bruhatkl.poset import build_lower_interval, mark_interval
 from bruhatkl.matchings import enumerate_special_matchings, is_H_special
 from bruhatkl.klpoly import (
@@ -20,7 +21,6 @@ from bruhatkl.klpoly import (
     ONE,
     Q,
     Q_MINUS_ONE,
-    XParam,
     KLContext,
     get_context,
     verify_calculating,
@@ -29,7 +29,7 @@ from bruhatkl.klpoly import (
 )
 
 import oracles
-from matching_helpers import multiplication_matching, multiply
+from matching_helpers import multiplication_matching, multiply, support
 from test_matchings import random_coxeter_matrix
 
 
@@ -38,11 +38,11 @@ def el(sys, labels):
 
 
 def ordinary_R(sys, u, w):
-    return get_context(sys, 0, XParam.MINUS_ONE).R(u, w)
+    return get_context(sys, 0, "-1").R(u, w)
 
 
 def ordinary_P(sys, u, w):
-    return get_context(sys, 0, XParam.MINUS_ONE).P(u, w)
+    return get_context(sys, 0, "-1").P(u, w)
 
 
 def all_H(sys):
@@ -137,16 +137,34 @@ def test_oracles_keep_their_own_arithmetic():
     assert imported and "bruhatkl.klpoly" not in imported
 
 
-def test_xparam_substitution_identity():
-    for x in (XParam.MINUS_ONE, XParam.Q):
-        xp = QPolynomial((-1,)) if x is XParam.MINUS_ONE else Q
+def test_xparam_substitution_identity(b2):
+    for x in ("-1", "q"):
+        xp = QPolynomial((-1,)) if x == "-1" else Q
         assert xp * xp == Q + Q_MINUS_ONE * xp
         # the factor (q-1-x) is q for x = -1 and -1 for x = q
-        assert Q_MINUS_ONE - xp == (Q if x is XParam.MINUS_ONE else -1)
-    assert XParam.parse("q") is XParam.Q
-    assert XParam.parse("-1") is XParam.MINUS_ONE
+        assert Q_MINUS_ONE - xp == (Q if x == "-1" else -1)
+        assert KLContext(b2, 0, x).x == x
     with pytest.raises(ValueError):
-        XParam.parse("2")
+        KLContext(b2, 0, "2")
+
+
+@pytest.mark.parametrize("x", ["2", -1, "Q", " q"])
+def test_bad_x_is_refused_everywhere(x):
+    # x is the string "-1" or "q"; anything else, the int -1 included,
+    # is refused before a table or a campaign name is made
+    b2 = CoxeterSystem.B(2)
+    marked = mark_interval(build_lower_interval(b2, el(b2, "s1s2")), 0)
+    M = multiplication_matching(marked.interval, 1)
+    with pytest.raises(ValueError, match="x must be"):
+        KLContext(b2, 0, x)
+    with pytest.raises(ValueError, match="x must be"):
+        get_context(b2, 0, x)
+    with pytest.raises(ValueError, match="x must be"):
+        verify_calculating(marked, x, M)
+    # [e, e] is the one unit, and it never builds a table
+    with pytest.raises(ValueError, match="x must be"):
+        sweep_calculating(b2, max_length=0, x=x)
+    assert not b2._kl_contexts
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +607,7 @@ def test_lemma_configuration_R_equality(b3):
         for x in ("-1", "q"):
             ctx = get_context(b3, H, x)
             for w in b3.group_elements():
-                if (w.support >> t) & 1:
+                if (support(w) >> t) & 1:
                     continue
                 stw = multiply(b3, multiply(b3, s_el, t_el), w)
                 if stw.length != w.length + 2 or (stw.rdesc & H):
@@ -762,7 +780,12 @@ def test_deodhar_identity_requires_membership(b2):
 
 
 def test_get_context_is_shared(b2):
-    assert get_context(b2, 0, "q") is get_context(b2, 0, XParam.Q)
+    assert get_context(b2, 0, "q") is get_context(b2, 0, "q")
+    assert get_context(b2, 0, "-1") is get_context(b2, 0, "-1")
     assert get_context(b2, 0, "q") is not get_context(b2, 0, "-1")
+    fresh = CoxeterSystem.B(2)
+    for x in ("q", "-1", "q", "-1"):
+        get_context(fresh, 0, x)
+    assert len(fresh._kl_contexts) == 2
     with pytest.raises(ValueError):
         KLContext(b2, 1 << 5, "q")

@@ -33,6 +33,7 @@ from matching_helpers import (
     multiply,
     orbit,
     restrict_matching,
+    support,
     verify_system,
 )
 
@@ -325,7 +326,7 @@ def test_orbit_sizes_have_dihedral_witness(b3):
             t = image(iv, N, b3.identity)
             if s is t:
                 continue
-            top0 = max_parabolic_below(b3, w, s.support | t.support)
+            top0 = max_parabolic_below(b3, w, support(s) | support(t))
             dihedral_sizes = set()
             for u in build_lower_interval(b3, top0).elements:
                 dihedral_sizes.add(len(orbit(iv, M, N, u)))

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import importlib
+import importlib.util
 import io
 import os
 import pkgutil
@@ -91,3 +92,21 @@ def test_readme_quick_start_prints_what_its_comments_say():
         exec(code, {})
     assert out.getvalue().splitlines() == [
         "R = q^3 - 2q^2 + 2q - 1", "P = 1", "5 3", "True"]
+
+
+def test_tracer_targets_resolve():
+    # perfbench/tracing.py wraps functions by "module:qualname"; a src/
+    # deletion that leaves one of them dangling breaks `--trace 1` runs
+    path = Path(__file__).parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    targets = [*tracing.SPANS, *tracing.COUNTERS]
+    assert targets
+    unresolved = []
+    for target in targets:
+        try:
+            tracing._resolve(target)
+        except (ImportError, AttributeError):
+            unresolved.append(target)
+    assert unresolved == []
