@@ -6,21 +6,21 @@ Multiplication by a descent of the top element on either side is the basic
 example.  A matching is H-special if it sends minimal coset representatives
 that it moves down to minimal coset representatives.
 
-`enumerate_special_matchings` lists the special matchings of an interval by
-constraint propagation: every element keeps the bitmask of Hasse neighbours
-it may still be matched with, each accepted pair narrows the masks of the
-upper covers of both its elements by the special condition, and the search
-branches only where no element is forced.  Outside dihedral
-intervals a special matching is pinned down by its restriction to the
-lowest ranks, so the search stays small even on the 1152-element interval
-[e, w0] of F4.
+`enumerate_special_matchings` lists the special matchings of an interval in
+one pass up the ids.  When the pass reaches an element, every lower cover
+already has its partner: an element matched from below is checked against
+their partners, and any other is matched with one of its free upper covers
+that lies above all of them.  The search branches only where several upper
+covers qualify.  Outside dihedral intervals a special matching is pinned
+down by its restriction to the lowest ranks, so the search branches
+little even on the 1152-element interval [e, w0] of F4.
 
 A matching is held as its pairing, the tuple whose entry i is the id of
 the partner of id i.  Interval ids are sorted by (length, word), so along
-a Hasse edge the smaller id is the lower element: the search orders each
-pair by id, and a matching moves i down exactly when it sends i to a
-smaller id.  `matching_to_json` writes a pairing for records and for the
-``matchings`` command, and `matching_from_json` reads it back.
+a Hasse edge the smaller id is the lower element, and a matching moves i
+down exactly when it sends i to a smaller id.  `matching_to_json` writes a
+pairing for records and for the ``matchings`` command, and
+`matching_from_json` reads it back.
 """
 
 from __future__ import annotations
@@ -98,103 +98,79 @@ def enumerate_special_matchings(interval: Interval
     """All special matchings of the interval as pairings (the partner id
     of every id), sorted.  Raises ValueError past ``MAX_LISTED`` of them.
 
-    A constraint search.  The domain of an element is the bitmask of the
-    Hasse neighbours it may still be matched with.  Matching lo with its
-    upper cover hi (lo < hi as ids) narrows the domains of the upper covers
-    of both, by the special condition, in this order:
+    One pass up the ids, branching on an explicit stack.  Ids are sorted
+    by rank, so when the pass reaches id i every lower cover a of i has
+    its partner M(a) already, and none of them is i unless i is matched
+    down.  The special condition on a cover a < i, M(a) = i or
+    M(a) <= M(i), is then checked at i:
 
-        neighbours   matched within        except
-        up[lo]       above[hi]             hi
-        up[hi]       above[lo] minus hi
+    - if i is matched down to p, every other lower cover a must have p
+      above M(a);
+    - otherwise M(i) is an upper cover of i that lies above M(a) for every
+      lower cover a.  No such cover ends the branch.  With several, the
+      pass goes on with the first and stacks a copy of the pairing for
+      each of the others.
 
-    The special condition on a cover a < b, M(a) = b or M(a) <= M(b), is
-    checked from a's side only: once a is matched, the row for a narrows
-    b's domain to the elements above M(a).  If b is free, its partner will
-    come from that domain; if b is already matched, its domain is one bit,
-    so a violation empties it.  Either way every constraint has been
-    checked by the time the matching is complete, and narrowing the lower
-    covers as well would only check them earlier.
+    Each cover a < b is checked exactly once, when the pass reaches b, by
+    which time both M(a) and M(b) are fixed.  So a branch that gets past
+    the last id is a special matching, and every special matching is
+    reached: at each id it takes one of the candidates the pass tries.
 
-    A pair is accepted only if each endpoint is in the other's domain, so
-    an element that is already taken is never accepted as a partner.  An
-    element left with one candidate is matched at once, and an empty
-    domain ends the branch.  Otherwise the search branches, on an explicit
-    stack, over the free element with the fewest candidates.  A finished
-    matching has one bit left in every domain, its partner's id.
+    An upper cover b that an earlier id p has already taken needs no
+    test of its own: pairing it with i leaves M(p) = b while M(b) = i,
+    and the check at b refuses that, since b is not below i.  In practice
+    the filter already leaves such covers out; on every [e, w] of A5, B4
+    and F4 and every [u, v] of A4 and D4 it never lets one through.
     """
     n = len(interval.elements)
     if n < 2:
         return []
-    up = interval.hasse_up
+    down = interval.hasse_down
     above = interval.above
-
-    def settle(dom: list[int], free: int, todo: list[int]) -> int:
-        """Match each free element of `todo` with the one candidate left in
-        its domain, and everything that forces.  Returns the new mask of
-        free elements, or -1 on a contradiction."""
-        while todo:
-            x = todo.pop()
-            if not (free >> x) & 1:
-                continue
-            y = dom[x].bit_length() - 1
-            if not (dom[y] >> x) & 1:
-                return -1
-            dom[y] = 1 << x
-            free ^= (1 << x) | (1 << y)
-            # ids are sorted by rank, so the smaller id is the lower one
-            lo, hi = (x, y) if x < y else (y, x)
-            for nbrs, mask, partner in ((up[lo], above[hi], hi),
-                                        (up[hi], above[lo] ^ (1 << hi), -1)):
-                for z in nbrs:
-                    d = dom[z]
-                    if d & mask != d and z != partner:
-                        d &= mask
-                        if not d:
-                            return -1
-                        dom[z] = d
-                        if not d & (d - 1):
-                            todo.append(z)
-        return free
-
-    dom = [0] * n
-    for i in range(n):
-        for j in up[i]:
-            dom[i] |= 1 << j
-            dom[j] |= 1 << i
-    free = settle(dom, (1 << n) - 1,
-                  [i for i in range(n) if not dom[i] & (dom[i] - 1)])
-    stack = [(dom, free)] if free != -1 else []
+    up = [0] * n
+    for b in range(n):
+        bit = 1 << b
+        for a in down[b]:
+            up[a] |= bit
     found: list[tuple[int, ...]] = []
+    stack = [(0, [-1] * n)]
     while stack:
-        dom, free = stack.pop()
-        if not free:
-            found.append(tuple([d.bit_length() - 1 for d in dom]))
+        i, M = stack.pop()
+        while i < n:
+            p = M[i]
+            if p < 0:
+                cands = up[i]
+                for a in down[i]:
+                    cands &= above[M[a]]
+                if not cands:
+                    break
+                low = cands & -cands
+                cands ^= low
+                while cands:
+                    alt = cands & -cands
+                    cands ^= alt
+                    j = alt.bit_length() - 1
+                    child = M[:]
+                    child[i], child[j] = j, i
+                    stack.append((i + 1, child))
+                j = low.bit_length() - 1
+                M[i], M[j] = j, i
+            else:
+                bit = 1 << p
+                for a in down[i]:
+                    if not above[M[a]] & bit and a != p:
+                        break
+                else:
+                    i += 1
+                    continue
+                break
+            i += 1
+        else:
+            found.append(tuple(M))
             if len(found) > MAX_LISTED:
                 raise ValueError(
                     "[e, w] has more than %d special matchings, for w = %s"
                     % (MAX_LISTED, _excerpt(interval.top.label_str())))
-            continue
-        # every free domain has at least two candidates after settle
-        best, size = -1, n
-        rest = free
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            i = low.bit_length() - 1
-            c = dom[i].bit_count()
-            if c < size:
-                best, size = i, c
-                if c == 2:
-                    break
-        cands = dom[best]
-        while cands:
-            low = cands & -cands
-            cands ^= low
-            child = dom[:] if cands else dom
-            child[best] = low
-            child_free = settle(child, free, [best])
-            if child_free != -1:
-                stack.append((child, child_free))
     found.sort()
     return found
 

@@ -3,12 +3,11 @@
 An interval is a plain value that a caller builds, uses and drops: its
 elements get dense integer ids sorted by (length, word), covers are stored
 as adjacency lists, and the full order relation is kept as per-element
-up-set bitmasks so comparisons inside an interval are O(1).  Two intervals are
-equal when they have the same bottom and the same top.  A caller gives
-only the members: a lower interval [e, w] takes them from the down-set of
-w, kept by the `CoxeterSystem`, and a subinterval from its parent.  The
-covers are read from the group too: an interval is convex, so the lower
-covers of a member are its coatoms that are members.
+up-set bitmasks so comparisons inside an interval are O(1).  A caller
+gives only the members: a lower interval [e, w] takes them from the
+down-set of w, kept by the `CoxeterSystem`, and a subinterval from its
+parent.  The covers are read from the group too: an interval is convex,
+so the lower covers of a member are its coatoms that are members.
 
 Marked intervals attach the parabolic-quotient membership flag
 (no right descent inside H) to each element.

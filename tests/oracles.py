@@ -4,12 +4,13 @@ These deliberately avoid the production code paths: words are compared by
 exhaustive braid/nil rewriting, Bruhat order by subword enumeration or by
 the left-descent rule, coatoms by letter deletion, coset decompositions
 by exhaustive search, and matchings by unpruned backtracking or, for
-intervals too large for that, by the recursive backtracker that the
-constraint search in `bruhatkl.matchings` replaced.  `MatrixPairSystem`
-is the root backend that the (cols, lam) states of `bruhatkl.coxeter`
-replaced: each element carries the matrices of w and of w^-1 on the root
-lattice, keyed by the first.  The descent rule and
-the deletion rule are the ones the down-set bitmasks and lifting-property
+intervals too large for that, by the two enumerators that came before the
+one-pass search in `bruhatkl.matchings`: the recursive backtracker that
+the constraint search replaced, and that constraint search
+(`propagation_special_matchings`).  `MatrixPairSystem` is the root
+backend that the (cols, lam) states of `bruhatkl.coxeter` replaced: each
+element carries the matrices of w and of w^-1 on the root lattice, keyed
+by the first.  The descent rule and the deletion rule are the ones the down-set bitmasks and lifting-property
 coatoms of `bruhatkl.coxeter` replaced, and the pull-form R-convolution is
 the per-pair P recursion that the column fill of `bruhatkl.klpoly`
 replaced.  `union_refinement_isomorphism` is the isomorphism search that
@@ -365,6 +366,104 @@ def backtrack_special_matchings(interval) -> list[tuple[int, ...]]:
 
     rec(0)
     return sorted(found)
+
+
+def propagation_special_matchings(interval) -> list[tuple[int, ...]]:
+    """All special matchings, as sorted pairings, by the constraint search
+    that the one-pass enumerator replaced.
+
+    The domain of an element is the bitmask of the Hasse neighbours it may
+    still be matched with.  Matching lo with its upper cover hi (lo < hi
+    as ids) narrows the domains of the upper covers of both, by the
+    special condition, in this order:
+
+        neighbours   matched within        except
+        up[lo]       above[hi]             hi
+        up[hi]       above[lo] minus hi
+
+    The special condition on a cover a < b, M(a) = b or M(a) <= M(b), is
+    checked from a's side only: once a is matched, the row for a narrows
+    b's domain to the elements above M(a).  If b is free, its partner will
+    come from that domain; if b is already matched, its domain is one bit,
+    so a violation empties it.
+
+    An element left with one candidate is matched at once, and an empty
+    domain ends the branch.  Otherwise the search branches, on an explicit
+    stack, over the free element with the fewest candidates.  A finished
+    matching has one bit left in every domain, its partner's id.  Unlike
+    the production enumerator it lists every matching, with no cap.
+    """
+    n = len(interval.elements)
+    if n < 2:
+        return []
+    up = interval.hasse_up
+    above = interval.above
+
+    def settle(dom: list[int], free: int, todo: list[int]) -> int:
+        """Match each free element of `todo` with the one candidate left in
+        its domain, and everything that forces.  Returns the new mask of
+        free elements, or -1 on a contradiction."""
+        while todo:
+            x = todo.pop()
+            if not (free >> x) & 1:
+                continue
+            y = dom[x].bit_length() - 1
+            if not (dom[y] >> x) & 1:
+                return -1
+            dom[y] = 1 << x
+            free ^= (1 << x) | (1 << y)
+            # ids are sorted by rank, so the smaller id is the lower one
+            lo, hi = (x, y) if x < y else (y, x)
+            for nbrs, mask, partner in ((up[lo], above[hi], hi),
+                                        (up[hi], above[lo] ^ (1 << hi), -1)):
+                for z in nbrs:
+                    d = dom[z]
+                    if d & mask != d and z != partner:
+                        d &= mask
+                        if not d:
+                            return -1
+                        dom[z] = d
+                        if not d & (d - 1):
+                            todo.append(z)
+        return free
+
+    dom = [0] * n
+    for i in range(n):
+        for j in up[i]:
+            dom[i] |= 1 << j
+            dom[j] |= 1 << i
+    free = settle(dom, (1 << n) - 1,
+                  [i for i in range(n) if not dom[i] & (dom[i] - 1)])
+    stack = [(dom, free)] if free != -1 else []
+    found: list[tuple[int, ...]] = []
+    while stack:
+        dom, free = stack.pop()
+        if not free:
+            found.append(tuple([d.bit_length() - 1 for d in dom]))
+            continue
+        # every free domain has at least two candidates after settle
+        best, size = -1, n
+        rest = free
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
+            c = dom[i].bit_count()
+            if c < size:
+                best, size = i, c
+                if c == 2:
+                    break
+        cands = dom[best]
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            child = dom[:] if cands else dom
+            child[best] = low
+            child_free = settle(child, free, [best])
+            if child_free != -1:
+                stack.append((child, child_free))
+    found.sort()
+    return found
 
 
 def order_isomorphism_oracle(rel_a, rel_b):

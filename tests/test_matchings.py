@@ -2,8 +2,8 @@
 matchings, orbits, restriction, dihedral systems and their associated
 matchings."""
 
+import itertools
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -166,62 +166,54 @@ def test_enumeration_matches_recursive_backtracker(name):
                 sys_.name, w.label_str())
 
 
-def settled_domains(iv):
-    """(domains, free mask) after every propagation step of the
-    enumerator on iv that ends without a contradiction, read from the
-    frames of its inner `settle` as they return."""
-    snapshots = []
-
-    def hook(frame, event, arg):
-        if (event == "return" and frame.f_code.co_name == "settle"
-                and isinstance(arg, int) and arg != -1):
-            snapshots.append((list(frame.f_locals["dom"]), arg))
-
-    previous = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        enumerate_special_matchings(iv)
-    finally:
-        sys.setprofile(previous)
-    return snapshots
-
-
-@pytest.mark.parametrize("sys_, max_length", [
-    (CoxeterSystem.B(3), None), (CoxeterSystem.A(4), None),
-    (CoxeterSystem.I2(8), None), (CoxeterSystem.F4(), 5),
-], ids=["B3", "A4", "I2(8)", "F4"])
-def test_settle_reaches_special_condition_fixed_point(sys_, max_length):
-    # after each propagation step every free domain holds at least two
-    # candidates, all Hasse neighbours, those below it free, and each one
-    # keeping the special condition with every matched lower cover.  The
-    # search narrows upper covers only, so a taken candidate above is
-    # refused only when it is tried, and the condition with a matched upper
-    # cover is checked only when the free element is matched.  With either
-    # narrowing rule deleted the output oracles still pass (the search just
-    # grows), so this test is what sees a rule go missing
+def lower_intervals(sys_, max_length=None):
+    """Every [e, w] of the group, or with l(w) up to `max_length`."""
     tops = (sys_.group_elements() if max_length is None
             else sys_.elements_up_to_length(max_length))
-    steps = 0
-    for w in tops[1:]:
-        iv = build_lower_interval(sys_, w)
-        for dom, free in settled_domains(iv):
-            steps += 1
-            partner = {x: d.bit_length() - 1 for x, d in enumerate(dom)
-                       if not (free >> x) & 1}
-            assert all(partner[y] == x for x, y in partner.items())
-            for z in range(len(dom)):
-                if z in partner:
-                    continue
-                cands = [c for c in range(len(dom)) if (dom[z] >> c) & 1]
-                assert len(cands) >= 2
-                for c in cands:
-                    assert c in iv.hasse_up[z] or c in iv.hasse_down[z]
-                    if c in iv.hasse_down[z]:
-                        assert c not in partner
-                    for a in iv.hasse_down[z]:
-                        if a in partner:
-                            assert iv.leq(partner[a], c), (w, z, c, a)
-    assert steps
+    for w in tops:
+        yield build_lower_interval(sys_, w)
+
+
+def general_intervals(sys_):
+    """Every [u, v] of the group, as a subinterval of [e, v]."""
+    for iv in lower_intervals(sys_):
+        top = len(iv) - 1
+        for lo in range(top + 1):
+            yield iv.subinterval(lo, top)[0]
+
+
+def test_enumeration_matches_propagation_search():
+    # same pairings as the constraint search that the one-pass enumerator
+    # replaced, on every [e, w] of B4 and D4, F4 up to length 9, and every
+    # [u, v] of A4: general intervals are what a [u, v] census feeds it
+    for iv in itertools.chain(lower_intervals(CoxeterSystem.B(4)),
+                              lower_intervals(CoxeterSystem.D(4)),
+                              lower_intervals(CoxeterSystem.F4(), 9),
+                              general_intervals(CoxeterSystem.A(4))):
+        assert enumerate_special_matchings(iv) == \
+            oracles.propagation_special_matchings(iv), iv
+
+
+@pytest.mark.parametrize("sys_", [CoxeterSystem.A(3), CoxeterSystem.B(3)],
+                         ids=["A3", "B3"])
+def test_enumeration_matches_bruteforce_on_general_intervals(sys_):
+    checked = 0
+    for iv in general_intervals(sys_):
+        if len(iv) <= 12:
+            assert enumerate_special_matchings(iv) == \
+                oracles.brute_special_matchings(iv), iv
+            checked += 1
+    assert checked > 100
+
+
+@pytest.mark.f4sweep
+@pytest.mark.parametrize("sys_", [
+    CoxeterSystem.F4(), CoxeterSystem.A(5), CoxeterSystem.D(5),
+], ids=["F4", "A5", "D5"])
+def test_enumeration_matches_propagation_search_whole_group(sys_):
+    for iv in lower_intervals(sys_):
+        assert enumerate_special_matchings(iv) == \
+            oracles.propagation_special_matchings(iv), iv
 
 
 def random_coxeter_matrix(rng, rank):
