@@ -8,11 +8,10 @@ that it moves down to minimal coset representatives.
 
 `enumerate_special_matchings` lists the special matchings of an interval in
 one pass up the ids.  When the pass reaches an element, every lower cover
-already has its partner: an element matched from below is checked against
-their partners, and any other is matched with one of its free upper covers
-that lies above all of them.  The search branches only where several upper
-covers qualify.  Outside dihedral intervals a special matching is pinned
-down by its restriction to the lowest ranks, so the search branches
+already has its partner, and an element not yet matched takes an upper
+cover that lies above all of them.  The search branches only where several
+upper covers qualify.  Outside dihedral intervals a special matching is
+pinned down by its restriction to the lowest ranks, so the search branches
 little even on the 1152-element interval [e, w0] of F4.
 
 A matching is held as its pairing, the tuple whose entry i is the id of
@@ -95,32 +94,41 @@ def is_special(interval: Interval, pairing: Sequence[int]) -> bool:
 
 def enumerate_special_matchings(interval: Interval
                                 ) -> list[tuple[int, ...]]:
-    """All special matchings of the interval as pairings (the partner id
-    of every id), sorted.  Raises ValueError past ``MAX_LISTED`` of them.
+    """All special matchings of the interval as pairings (the partner id of
+    every id), sorted.  Raises ValueError past ``MAX_LISTED`` of them.
 
-    One pass up the ids, branching on an explicit stack.  Ids are sorted
-    by rank, so when the pass reaches id i every lower cover a of i has
-    its partner M(a) already, and none of them is i unless i is matched
-    down.  The special condition on a cover a < i, M(a) = i or
-    M(a) <= M(i), is then checked at i:
+    One pass up the ids, branching on an explicit stack.  Ids are sorted by
+    rank, so at id i every lower cover a has its partner M(a) already.  A
+    matched id is passed over; any other takes as M(i) an upper cover that
+    passes the filter at i, lying above M(a) for every lower cover a.  None
+    ends the branch; with several, the pass goes on with the first and
+    stacks a copy of the pairing for each of the others.
 
-    - if i is matched down to p, every other lower cover a must have p
-      above M(a);
-    - otherwise M(i) is an upper cover of i that lies above M(a) for every
-      lower cover a.  No such cover ends the branch.  With several, the
-      pass goes on with the first and stacks a copy of the pairing for
-      each of the others.
+    The filter is the special condition on the covers below an id the pass
+    matches up, so every special matching is reached.  A branch that gets
+    past the last id is one, since (A) no candidate is already taken and
+    (B) an id x matched down to p has M(a) < p for every other lower cover
+    a.  Both hold on every interval [u, v], by thinness (a length-2
+    interval has two middle elements) and since the coatoms of [u, x] are
+    connected through shared lower covers, its proper part being a regular
+    CW sphere (Björner, Europ. J. Combin. 5 (1984)).
 
-    Each cover a < b is checked exactly once, when the pass reaches b, by
-    which time both M(a) and M(b) are fixed.  So a branch that gets past
-    the last id is a special matching, and every special matching is
-    reached: at each id it takes one of the candidates the pass tries.
-
-    An upper cover b that an earlier id p has already taken needs no
-    test of its own: pairing it with i leaves M(p) = b while M(b) = i,
-    and the check at b refuses that, since b is not below i.  In practice
-    the filter already leaves such covers out; on every [e, w] of A5, B4
-    and F4 and every [u, v] of A4 and D4 it never lets one through.
+    Lemma: if every id of rank below p's is settled, p is unmatched and x
+    passes the filter at p, then every coatom a != p of x has M(a) < p.  By
+    induction on rank(p), the special condition holds on the covers below ids
+    of lower rank and below each coatom q of x with M(q) < q.  (1) If a coatom
+    q of x shares a lower cover c with p, [c, x] = {c, p, q, x}.  If M(c) > c,
+    the filter at p puts it in (c, x) and p is unmatched, so M(c) = q.  If
+    M(c) = d < c, let c' be the other middle element of [d, p]: the special
+    condition on d < c' gives M(c') >= c, the filter at p M(c') <= x, so
+    M(c') = q.  Either way M(q) < p.  (2) If M(q) = z < p and a coatom
+    a != p, q shares a lower cover c with q (c != z, by thinness of [z, x]),
+    the special condition on c < q gives M(c) = d < z.  Let c3 be the middle
+    element of [d, p] other than z; c3 != c, or else p = a.  The special
+    condition on d < c3 gives M(c3) >= c, the filter at p M(c3) <= x, so M(c3)
+    is in (c, x) = {q, a}, and not q: M(a) = c3 < p.  By connectivity, (1) and
+    (2) reach every coatom.  The lemma at p = M(x) is (B), and it gives (A):
+    every other coatom of a cover that p took is matched down already.
     """
     n = len(interval.elements)
     if n < 2:
@@ -137,8 +145,7 @@ def enumerate_special_matchings(interval: Interval
     while stack:
         i, M = stack.pop()
         while i < n:
-            p = M[i]
-            if p < 0:
+            if M[i] < 0:
                 cands = up[i]
                 for a in down[i]:
                     cands &= above[M[a]]
@@ -155,22 +162,14 @@ def enumerate_special_matchings(interval: Interval
                     stack.append((i + 1, child))
                 j = low.bit_length() - 1
                 M[i], M[j] = j, i
-            else:
-                bit = 1 << p
-                for a in down[i]:
-                    if not above[M[a]] & bit and a != p:
-                        break
-                else:
-                    i += 1
-                    continue
-                break
             i += 1
         else:
             found.append(tuple(M))
             if len(found) > MAX_LISTED:
                 raise ValueError(
-                    "[e, w] has more than %d special matchings, for w = %s"
-                    % (MAX_LISTED, _excerpt(interval.top.label_str())))
+                    "[%s, w] has more than %d special matchings, for w = %s"
+                    % (interval.bottom.label_str(), MAX_LISTED,
+                       _excerpt(interval.top.label_str())))
     found.sort()
     return found
 

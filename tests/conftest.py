@@ -52,3 +52,9 @@ def f4():
 def triangle443():
     # infinite rank-3 system: m(s1,s2)=4, m(s1,s3)=m(s2,s3)=3
     return CoxeterSystem([[1, 4, 3], [4, 1, 3], [3, 3, 1]])
+
+
+@pytest.fixture(scope="session")
+def triangle444():
+    # infinite rank-3 system with every bond order 4
+    return CoxeterSystem([[1, 4, 4], [4, 1, 4], [4, 4, 1]])

@@ -1,15 +1,19 @@
-"""Special matchings: enumeration against brute force, multiplication
-matchings, orbits, restriction, dihedral systems and their associated
-matchings."""
+"""Special matchings: enumeration against brute force and the other
+oracles, the enumerator's search budget and the premises of its proof,
+multiplication matchings, orbits, restriction, dihedral systems and their
+associated matchings."""
 
+import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import bruhatkl.matchings
 from bruhatkl.coxeter import CoxeterSystem, genset
-from bruhatkl.poset import build_lower_interval, mark_interval
+from bruhatkl.poset import build_interval, build_lower_interval, mark_interval
 from bruhatkl.matchings import (
     is_special,
     enumerate_special_matchings,
@@ -174,22 +178,26 @@ def lower_intervals(sys_, max_length=None):
         yield build_lower_interval(sys_, w)
 
 
-def general_intervals(sys_):
-    """Every [u, v] of the group, as a subinterval of [e, v]."""
-    for iv in lower_intervals(sys_):
+def general_intervals(sys_, max_length=None):
+    """Every [u, v] of the group, or with l(v) up to `max_length`, as a
+    subinterval of [e, v]."""
+    for iv in lower_intervals(sys_, max_length):
         top = len(iv) - 1
         for lo in range(top + 1):
             yield iv.subinterval(lo, top)[0]
 
 
-def test_enumeration_matches_propagation_search():
+def test_enumeration_matches_propagation_search(triangle444):
     # same pairings as the constraint search that the one-pass enumerator
-    # replaced, on every [e, w] of B4 and D4, F4 up to length 9, and every
-    # [u, v] of A4: general intervals are what a [u, v] census feeds it
+    # replaced, on every [e, w] of B4 and D4, F4 up to length 9, every
+    # [u, v] of A4, and every [u, v] of the (4,4,4) triangle group with
+    # l(v) <= 7: general intervals are what a [u, v] census feeds it, and
+    # the enumerator's docstring proves it correct on them
     for iv in itertools.chain(lower_intervals(CoxeterSystem.B(4)),
                               lower_intervals(CoxeterSystem.D(4)),
                               lower_intervals(CoxeterSystem.F4(), 9),
-                              general_intervals(CoxeterSystem.A(4))):
+                              general_intervals(CoxeterSystem.A(4)),
+                              general_intervals(triangle444, 7)):
         assert enumerate_special_matchings(iv) == \
             oracles.propagation_special_matchings(iv), iv
 
@@ -206,14 +214,117 @@ def test_enumeration_matches_bruteforce_on_general_intervals(sys_):
     assert checked > 100
 
 
+# name -> the intervals of a whole-group comparison
+WHOLE_GROUP_CORPORA = {
+    "F4": lambda: lower_intervals(CoxeterSystem.F4()),
+    "A5": lambda: lower_intervals(CoxeterSystem.A(5)),
+    "D5": lambda: lower_intervals(CoxeterSystem.D(5)),
+    # every [u, v] of B4: 40,249 intervals
+    "B4-general": lambda: general_intervals(CoxeterSystem.B(4)),
+}
+
+
 @pytest.mark.f4sweep
-@pytest.mark.parametrize("sys_", [
-    CoxeterSystem.F4(), CoxeterSystem.A(5), CoxeterSystem.D(5),
-], ids=["F4", "A5", "D5"])
-def test_enumeration_matches_propagation_search_whole_group(sys_):
-    for iv in lower_intervals(sys_):
+@pytest.mark.parametrize("name", list(WHOLE_GROUP_CORPORA))
+def test_enumeration_matches_propagation_search_whole_group(name):
+    for iv in WHOLE_GROUP_CORPORA[name]():
         assert enumerate_special_matchings(iv) == \
             oracles.propagation_special_matchings(iv), iv
+
+
+# ---------------------------------------------------------------------------
+# the enumerator's search budget
+
+
+# the counts on the budget test's corpus when the bounds were set, plus 10%:
+# 14,574 stack pops and 5,601,755 line events, the same on CPython 3.10-3.13
+MAX_POPS = 16_031
+MAX_LINE_EVENTS = 6_161_930
+
+
+def test_enumeration_search_budget(triangle444):
+    # stack pops and line events traced in the enumerator's frame over a
+    # fixed corpus.  The tracer raises as soon as a bound is passed, so a
+    # search that loses its pruning fails in seconds instead of running on
+    lines, first = inspect.getsourcelines(enumerate_special_matchings)
+    pops_at = [first + k for k, text in enumerate(lines)
+               if "stack.pop()" in text]
+    assert len(pops_at) == 1
+    code = enumerate_special_matchings.__code__
+    counts = {"pops": 0, "lines": 0}
+
+    def local(frame, event, arg):
+        if event == "line":
+            counts["lines"] += 1
+            counts["pops"] += frame.f_lineno == pops_at[0]
+            if counts["pops"] > MAX_POPS or counts["lines"] > MAX_LINE_EVENTS:
+                raise AssertionError("search budget passed: %r" % counts)
+        return local
+
+    # every [e, w] of B4, of F4 with l(w) <= 9 and of the (4,4,4) triangle
+    # group with l(w) <= 7
+    intervals = list(itertools.chain(lower_intervals(CoxeterSystem.B(4)),
+                                     lower_intervals(CoxeterSystem.F4(), 9),
+                                     lower_intervals(triangle444, 7)))
+    assert len(intervals) == 984
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code is code else None)
+    try:
+        found = sum(len(enumerate_special_matchings(iv)) for iv in intervals)
+    finally:
+        sys.settrace(previous)
+    assert found == 4207
+    assert counts["pops"] <= MAX_POPS
+    assert counts["lines"] <= MAX_LINE_EVENTS
+
+
+# ---------------------------------------------------------------------------
+# the premises of the enumerator's proof: every [u, x] of length >= 2 is
+# thin at its top, and its coatoms are connected through shared lower covers
+
+
+def check_top_premises(sys_, max_length=None):
+    """Check both premises on every [u, x] of the group with l(u, x) >= 2,
+    or with l(x) up to `max_length`, read inside [e, x]; returns how many
+    intervals it checked."""
+    checked = 0
+    for iv in lower_intervals(sys_, max_length):
+        down, above, rank = iv.hasse_down, iv.above, iv.rank_of
+        top = len(iv) - 1
+        for u in range(top + 1):
+            if rank[top] - rank[u] < 2:
+                break  # ids are sorted by rank
+            inside = above[u]
+            coatoms = [q for q in down[top] if inside >> q & 1]
+            # the coatoms above each element of corank 2
+            under: dict[int, list[int]] = {}
+            for q in coatoms:
+                for c in down[q]:
+                    if inside >> c & 1:
+                        under.setdefault(c, []).append(q)
+            assert all(len(qs) == 2 for qs in under.values()), (iv, u)
+            reached, todo = {coatoms[0]}, [coatoms[0]]
+            while todo:
+                q = todo.pop()
+                for c in down[q]:
+                    for r in under.get(c, ()):
+                        if r not in reached:
+                            reached.add(r)
+                            todo.append(r)
+            assert len(reached) == len(coatoms), (iv, u)
+            checked += 1
+    return checked
+
+
+def test_enumerator_proof_premises(triangle444):
+    assert check_top_premises(triangle444, 7) == 7056
+    assert check_top_premises(CoxeterSystem.A(4)) == 3217
+
+
+@pytest.mark.f4sweep
+def test_enumerator_proof_premises_b4():
+    assert check_top_premises(CoxeterSystem.B(4)) == 38125
 
 
 def random_coxeter_matrix(rng, rank):
@@ -253,6 +364,19 @@ def test_enumeration_matches_bruteforce_random_groups():
                     sys_.matrix, w.label_str())
                 checked += 1
     assert checked > 200 and infinite > 0
+
+
+def test_listing_cap_names_the_bottom(monkeypatch):
+    # [s1, s1s2s1s2s1] of I2(6) is a length-4 dihedral interval, with 8
+    # special matchings
+    i26 = CoxeterSystem.I2(6)
+    iv = build_interval(i26, el(i26, "s1"), el(i26, "s1 s2 s1 s2 s1"))
+    assert len(enumerate_special_matchings(iv)) == 8
+    monkeypatch.setattr(bruhatkl.matchings, "MAX_LISTED", 4)
+    with pytest.raises(ValueError) as err:
+        enumerate_special_matchings(iv)
+    assert str(err.value) == ("[s1, w] has more than 4 special matchings, "
+                              "for w = 's1s2s1s2s1'")
 
 
 def test_enumeration_cached(b2):
