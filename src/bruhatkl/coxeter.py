@@ -77,6 +77,8 @@ def genset(indices: Iterable[int]) -> int:
 
 def genset_indices(mask: int) -> tuple[int, ...]:
     """Unpack a bitmask into the sorted tuple of its set bits."""
+    if mask < 0:
+        raise ValueError("negative mask %d has no finite set of bits" % mask)
     out = []
     while mask:
         low = mask & -mask

@@ -75,26 +75,30 @@ def default_max_length(sys: CoxeterSystem) -> int:
         return 9
 
 
-def _ladder(up, allowed) -> dict:
+def _ladder(n, allowed) -> dict:
     """{M(w) id: count} over the special matchings of a lower interval
-    [e, w] with at most two atoms and upper covers `up` whose pairs
-    (a, b), a < b, pass allowed(a, b).  There w lies in a rank-2
-    parabolic subgroup: x < y exactly when x has the lower rank, and each
-    middle rank holds two elements.  So every matching that pairs the
-    element going up at each rank with one of the next rank, whose other
-    element goes up next, is special, and the count runs over ranks."""
-    ways, ends = {0: 1}, {}
+    [e, w] of n elements with at most two atoms whose pairs (a, b), a < b,
+    pass allowed(a, b).  There w lies in a rank-2 parabolic subgroup: x < y
+    exactly when x has the lower rank, and the ids run e, then two per
+    middle rank, 1 2, 3 4, ..., then w = n - 1.  So the upper covers of a
+    are c = (a + 1) | 1 and c + 1, or w alone from the last middle rank.
+    Every matching that pairs the element going up at each rank with one
+    of the next rank, whose other element goes up next, is special, and
+    the count runs over ranks; one element has no matching."""
+    w = n - 1
+    ways, ends = ({0: 1} if n > 1 else {}), {}
     while ways:
         nxt = {}
-        for a, n in ways.items():
-            for b in up[a]:
+        for a, k in ways.items():
+            c = (a + 1) | 1
+            for b in ((w,) if c >= w else (c, c + 1)):
                 if not allowed(a, b):
                     continue
-                if not up[b]:  # b is w
-                    ends[a] = n
-                else:  # ids run e, then two per middle rank: 1 2, 3 4, ...
+                if b == w:
+                    ends[a] = k
+                else:
                     other = b + 1 if b & 1 else b - 1
-                    nxt[other] = nxt.get(other, 0) + n
+                    nxt[other] = nxt.get(other, 0) + k
         ways = nxt
     return ends
 
@@ -104,18 +108,18 @@ def _ladder_counts(marked, x) -> tuple[dict, dict, dict]:
     H-special (not b marked with a unmarked), and, for each M(w) = t,
     over those of them whose steps (a, b) and (b, a) pass `_calculates`:
     the special, H-special and calculating matchings by M(w)."""
-    up, marks = marked.interval.hasse_up, marked.marks
+    n, marks = len(marked.interval), marked.marks
 
     def h_ok(a, b):
         return marks[a] or not marks[b]
 
-    special = _ladder(up, h_ok)
+    special = _ladder(n, h_ok)
     if special:
         table = get_context(marked.interval.system, marked.H, x)
-    calc = {t: _ladder(up, lambda a, b: h_ok(a, b) and _calculates(
+    calc = {t: _ladder(n, lambda a, b: h_ok(a, b) and _calculates(
         marked, table, t, ((a, b), (b, a))) is None).get(t, 0)
         for t in special}
-    return _ladder(up, lambda a, b: True), special, calc
+    return _ladder(n, lambda a, b: True), special, calc
 
 
 def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
@@ -154,9 +158,9 @@ def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
         if not Hs:
             continue
         interval = build_lower_interval(sys, w)
-        # at most two atoms: w lies in a rank-2 parabolic subgroup, and the
-        # 2^(l(w)-1) special matchings of [e, w] are counted, not listed
-        all_special = (None if len(interval.hasse_up[0]) <= 2
+        # at most two atoms (the letters of w): w lies in a rank-2 parabolic
+        # subgroup, and the 2^(l(w)-1) special matchings are counted
+        all_special = (None if len(set(w.word)) <= 2
                        else enumerate_special_matchings(interval))
         for H in Hs:
             marked = mark_interval(interval, H)

@@ -73,10 +73,11 @@ def _check_matching(interval: Interval, pairing: Sequence[int]) -> None:
     n = len(interval.elements)
     if len(pairing) != n:
         raise ValueError("pairing has wrong size")
+    down = interval.hasse_down
     for i, j in enumerate(pairing):
         if not 0 <= j < n or j == i or pairing[j] != i:
             raise ValueError("not an involution without fixed points")
-        if i not in interval.hasse_up[j] and i not in interval.hasse_down[j]:
+        if i not in down[j] and j not in down[i]:
             raise ValueError(
                 "pair (%d, %d) is not a Hasse edge" % (min(i, j), max(i, j)))
 

@@ -1,11 +1,11 @@
 """Bruhat intervals as graded posets.
 
 An interval is a plain value that a caller builds, uses and drops: its
-elements get dense integer ids sorted by (length, word), covers are stored
-as adjacency lists, and the full order relation is kept as per-element
-up-set bitmasks so comparisons inside an interval are O(1).  A caller
-gives only the members: a lower interval [e, w] takes them from the
-down-set of w, kept by the `CoxeterSystem`, and a subinterval from its
+elements get dense integer ids sorted by (length, word), each id's lower
+covers are stored as a list, and the full order relation is kept as
+per-element up-set bitmasks so comparisons inside an interval are O(1).
+A caller gives only the members: a lower interval [e, w] takes them from
+the down-set of w, kept by the `CoxeterSystem`, and a subinterval from its
 parent.  The covers are read from the group too: an interval is convex,
 so the lower covers of a member are its coatoms that are members.
 
@@ -44,8 +44,7 @@ class Interval:
     interval sorted by (length, word), whose coatoms the system has filled
     (`CoxeterSystem.down_set`); id 0 is the bottom and the last id is the
     top.  Coatoms are sorted by (length, word) too, so the lower covers of
-    each id come out in increasing id order, and the upper covers are
-    listed in that order too.
+    each id come out in increasing id order.
     """
 
     def __init__(self, system: CoxeterSystem, elements: Sequence[Element]):
@@ -58,20 +57,12 @@ class Interval:
         self.hasse_down = tuple(
             tuple([index[c] for c in el._coatoms if c in index])
             for el in self.elements)
-        n = len(self.elements)
-        up: list[list[int]] = [[] for _ in range(n)]
-        for b in range(n):
-            for a in self.hasse_down[b]:
-                up[a].append(b)
-        self.hasse_up = tuple(tuple(u) for u in up)
         # order bitmasks: above[i] = ids j with element i <= element j,
-        # computed by closing the covers
-        above = [0] * n
-        for i in range(n - 1, -1, -1):
-            m = 1 << i
-            for j in self.hasse_up[i]:
-                m |= above[j]
-            above[i] = m
+        # closed over the lower covers from the top id down
+        above = [1 << i for i in range(len(self.elements))]
+        for b in range(len(above) - 1, 0, -1):
+            for a in self.hasse_down[b]:
+                above[a] |= above[b]
         self.above = tuple(above)
 
     def __len__(self) -> int:
@@ -93,10 +84,11 @@ class Interval:
 
     def subinterval(self, lo: int, hi: int):
         """The interval [lo, hi] as its own Interval plus the id map
-        (sub id -> parent id)."""
-        above = self.above
+        (sub id -> parent id).  Raises ValueError unless lo <= hi."""
+        above, els = self.above, self.elements
+        if not above[lo] >> hi & 1:
+            raise ValueError("%r is not below %r" % (els[lo], els[hi]))
         ids = tuple(j for j in genset_indices(above[lo]) if above[j] >> hi & 1)
-        els = self.elements
         return Interval(self.system, [els[p] for p in ids]), ids
 
 
@@ -128,6 +120,8 @@ def build_interval(sys: CoxeterSystem, u: Element, v: Element) -> Interval:
 
 
 def mark_interval(interval: Interval, H: int) -> MarkedInterval:
+    if not 0 <= H < (1 << interval.system.rank):
+        raise ValueError("H is not a subset of the generators")
     marks = tuple((el.rdesc & H) == 0 for el in interval.elements)
     return MarkedInterval(interval, H, marks)
 
@@ -279,11 +273,8 @@ def find_order_isomorphism(rel_a: Sequence[int],
 def interval_to_json(interval: Interval,
                      marked: Optional[MarkedInterval] = None) -> dict:
     """JSON-friendly dict: canonical words, ranks, Hasse edges, marks."""
-    edges = sorted(
-        (a, b)
-        for b in range(len(interval.elements))
-        for a in interval.hasse_down[b]
-    )
+    edges = sorted((a, b) for b, down in enumerate(interval.hasse_down)
+                   for a in down)
     out = {
         "group": interval.system.spec,
         "bottom": interval.bottom.label_str(),

@@ -1,12 +1,12 @@
 """Helpers that only the test suite uses: products and inverses of group
-elements, multiplication matchings, dihedral-interval detection,
-restriction of a matching to a subinterval, orbits and commutation of a
-pair of matchings, commutation tested on lower dihedral intervals only,
-the search for a commuting multiplication matching, parabolic subgroups,
-coset decompositions, and the dihedral systems (side, J, s, t, M_st) of
-Brenti-Caselli-Marietti (Adv. Math. 202 (2006)), whose associated
-matchings of [e, w] conjugate a special matching M_st of a dihedral
-interval through coset decompositions.
+elements, the upper covers of an interval, multiplication matchings,
+dihedral-interval detection, restriction of a matching to a subinterval,
+orbits and commutation of a pair of matchings, commutation tested on
+lower dihedral intervals only, the search for a commuting multiplication
+matching, parabolic subgroups, coset decompositions, and the dihedral
+systems (side, J, s, t, M_st) of Brenti-Caselli-Marietti (Adv. Math. 202
+(2006)), whose associated matchings of [e, w] conjugate a special
+matching M_st of a dihedral interval through coset decompositions.
 
 A matching is a pairing, as `bruhatkl.matchings` returns it: the tuple
 whose entry i is the id of the partner of id i in its interval.
@@ -60,6 +60,16 @@ def multiplication_matching(interval: Interval, s: int,
                  for el in interval.elements)
 
 
+def upper_covers(interval: Interval) -> tuple[tuple[int, ...], ...]:
+    """The upper covers of each id of the interval, in increasing id order,
+    read off its lower covers."""
+    up: list[list[int]] = [[] for _ in interval.elements]
+    for b, covers in enumerate(interval.hasse_down):
+        for a in covers:
+            up[a].append(b)
+    return tuple(tuple(u) for u in up)
+
+
 def is_dihedral_interval(interval: Interval) -> bool:
     """True iff the interval looks like a lower interval of a rank-2
     system: one element at the extreme ranks, exactly two at every rank in
@@ -72,10 +82,11 @@ def is_dihedral_interval(interval: Interval) -> bool:
         want = 1 if r in (0, top_rank) else 2
         if len(level) != want:
             return False
+    up = upper_covers(interval)
     for r in range(top_rank):
         uppers = by_rank[r + 1]
         for a in by_rank[r]:
-            if not all(b in interval.hasse_up[a] for b in uppers):
+            if not all(b in up[a] for b in uppers):
                 return False
     return True
 

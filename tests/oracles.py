@@ -38,6 +38,7 @@ from matching_helpers import (
     longest_element_of_parabolic,
     multiply,
     parabolic_group,
+    upper_covers,
 )
 
 
@@ -260,8 +261,8 @@ def all_perfect_hasse_matchings(interval) -> list[tuple[int, ...]]:
     """Every involution pairing each interval element with a Hasse neighbor,
     by plain backtracking with no special-matching pruning."""
     n = len(interval.elements)
-    nbrs = [sorted(interval.hasse_up[i] + interval.hasse_down[i])
-            for i in range(n)]
+    up = upper_covers(interval)
+    nbrs = [sorted(up[i] + interval.hasse_down[i]) for i in range(n)]
     out = []
     pairing = [-1] * n
 
@@ -314,7 +315,7 @@ def backtrack_special_matchings(interval) -> list[tuple[int, ...]]:
     n = len(interval.elements)
     if n < 2:
         return []
-    up = interval.hasse_up
+    up = upper_covers(interval)
     down = interval.hasse_down
     rank_of = interval.rank_of
     leq = interval.leq
@@ -396,7 +397,7 @@ def propagation_special_matchings(interval) -> list[tuple[int, ...]]:
     n = len(interval.elements)
     if n < 2:
         return []
-    up = interval.hasse_up
+    up = upper_covers(interval)
     above = interval.above
 
     def settle(dom: list[int], free: int, todo: list[int]) -> int:

@@ -308,6 +308,13 @@ def test_descents_of_longest_dihedral():
     assert set(genset_indices(top.rdesc)) == {0, 1}
 
 
+def test_genset_indices_refuses_a_negative_mask():
+    assert genset_indices(0b1011) == (0, 1, 3)
+    for mask in (-1, -6):
+        with pytest.raises(ValueError, match="negative mask"):
+            genset_indices(mask)
+
+
 def test_inverse_and_multiply(b3):
     els = b3.group_elements()
     for w in els[:20] + els[-5:]:

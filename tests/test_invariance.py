@@ -41,6 +41,7 @@ from bruhatkl.matchings import (
 )
 from bruhatkl.poset import Interval, build_lower_interval, mark_interval
 
+from matching_helpers import upper_covers
 from oracles import brute_special_matchings
 
 
@@ -209,7 +210,7 @@ def test_ladder_counts_match_the_enumeration(group, max_length):
     sys = CoxeterSystem.from_name(group)
     for w in sys.elements_up_to_length(max_length):
         interval = build_lower_interval(sys, w)
-        if len(interval.hasse_up[0]) > 2:
+        if len(upper_covers(interval)[0]) > 2:
             continue
         special = enumerate_special_matchings(interval)
         for H in range(1 << sys.rank):
@@ -419,7 +420,7 @@ def test_failing_column_unit_writes_the_per_matching_records(monkeypatch, x):
     w, v = el(i27, "s1s2s1s2s1"), el(i27, "s2s1s2s1")
     interval = build_lower_interval(i27, w)
     special = enumerate_special_matchings(interval)
-    assert len(special) == 16 and len(interval.hasse_up[0]) == 2
+    assert len(special) == 16 and len(upper_covers(interval)[0]) == 2
     plant_discrepancy(monkeypatch, v)
     report = sweep_calculating(i27, max_length=5, x=x)
     assert report["ok"] is False
@@ -464,10 +465,11 @@ def test_ladder_refuses_any_one_pair():
     i27 = CoxeterSystem.I2(7)
     interval = build_lower_interval(i27, el(i27, "s1s2s1s2s1"))
     special = enumerate_special_matchings(interval)
-    up = interval.hasse_up
-    assert _ladder(up, lambda a, b: True) == Counter(p[-1] for p in special)
+    up = upper_covers(interval)
+    n = len(interval)
+    assert _ladder(n, lambda a, b: True) == Counter(p[-1] for p in special)
     for a, b in {(a, b) for a in range(len(up)) for b in up[a]}:
-        got = _ladder(up, lambda p, q: (p, q) != (a, b))
+        got = _ladder(n, lambda p, q: (p, q) != (a, b))
         assert Counter(got) == Counter(p[-1] for p in special if p[a] != b)
 
 

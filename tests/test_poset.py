@@ -19,7 +19,7 @@ from bruhatkl.poset import (
 )
 from bruhatkl.invariance import _quotient_relation
 
-from matching_helpers import is_dihedral_interval
+from matching_helpers import is_dihedral_interval, upper_covers
 from oracles import (
     order_isomorphism_oracle,
     subword_reachable,
@@ -49,7 +49,7 @@ def test_interval_membership_matches_subword_oracle(sys):
             assert list(b.elements) == sorted(b.elements)
             assert b.elements[0] is b.bottom
             assert b.elements[-1] is b.top
-            for covers in b.hasse_down + b.hasse_up:
+            for covers in b.hasse_down + upper_covers(b):
                 assert list(covers) == sorted(set(covers))
         assert iv.elements[0] is sys.identity
         assert iv.elements[-1] is w
@@ -83,26 +83,58 @@ def test_graded(b3):
     for w in b3.group_elements():
         iv = build_lower_interval(b3, w)
         n = len(iv.elements)
+        up = upper_covers(iv)
         for i in range(n):
             if i != n - 1:
-                assert iv.hasse_up[i], "non-top element missing an up cover"
+                assert up[i], "non-top element missing an up cover"
             if i != 0:
                 assert iv.hasse_down[i], "non-bottom element missing a cover"
 
 
-def test_leq_bitmasks(b3):
-    w = b3.element_from_labels("s1s2s3s2s1")
-    iv = build_lower_interval(b3, w)
-    for i, u in enumerate(iv.elements):
-        for j, v in enumerate(iv.elements):
-            assert iv.leq(i, j) == b3.bruhat_leq(u, v)
+def _lower_intervals(sys):
+    """[e, w] for every w of the group."""
+    return [build_lower_interval(sys, w) for w in sys.group_elements()]
+
+
+def _subintervals(sys):
+    """[u, v] for every u <= v of the group, each cut out of [e, w0] by
+    `subinterval`."""
+    top = build_lower_interval(sys, sys.group_elements()[-1])
+    n = len(top)
+    return [top.subinterval(lo, hi)[0]
+            for lo in range(n) for hi in range(n) if top.leq(lo, hi)]
+
+
+def test_leq_bitmasks():
+    # the up-sets, closed over the lower covers, are the Bruhat order on
+    # every [e, w] of B3 and A4 and every [u, v] of A3
+    for group, intervals in (("B3", _lower_intervals),
+                             ("A4", _lower_intervals),
+                             ("A3", _subintervals)):
+        sys = CoxeterSystem.from_name(group)
+        for iv in intervals(sys):
+            assert set(iv.elements) == {
+                z for z in sys.group_elements()
+                if sys.bruhat_leq(iv.bottom, z) and sys.bruhat_leq(z, iv.top)}
+            for i, u in enumerate(iv.elements):
+                for j, v in enumerate(iv.elements):
+                    assert iv.leq(i, j) == sys.bruhat_leq(u, v), (group, iv)
+
+
+def test_subinterval_refuses_a_pair_that_is_not_ordered(f4):
+    iv = build_lower_interval(f4, f4.element_from_labels("s1s2"))
+    with pytest.raises(ValueError, match="<s1> is not below <s2>"):
+        iv.subinterval(1, 2)
+    with pytest.raises(ValueError, match="<s1s2> is not below <s1>"):
+        iv.subinterval(3, 1)
 
 
 def test_atoms_coatoms(a2):
     sts = a2.element_from_labels("s1s2s1")
     iv = build_lower_interval(a2, sts)
     coatoms = tuple(iv.elements[j] for j in iv.hasse_down[iv.id_of(sts)])
-    atoms = tuple(iv.elements[j] for j in iv.hasse_up[iv.id_of(a2.identity)])
+    atoms = tuple(iv.elements[j]
+                  for j in upper_covers(iv)[iv.id_of(a2.identity)])
     assert coatoms == (
         a2.element_from_labels("s1s2"), a2.element_from_labels("s2s1"))
     assert atoms == (a2.generator(0), a2.generator(1))
@@ -117,6 +149,13 @@ def test_marking(f4):
     assert mi.marks[0]  # identity is always a minimal representative
     for i, el in enumerate(mi.interval.elements):
         assert mi.marks[i] == f4.is_min_coset_rep(el, H)
+
+
+@pytest.mark.parametrize("H", [-1, 1 << 4, 1 << 7])
+def test_marking_refuses_H_outside_the_generators(f4, H):
+    iv = build_lower_interval(f4, f4.element_from_labels("s1s2"))
+    with pytest.raises(ValueError, match="not a subset of the generators"):
+        mark_interval(iv, H)
 
 
 def test_subinterval(b3):
