@@ -262,6 +262,8 @@ _NAMED_RE = re.compile(r"^([ABDF])(\d+)$|^I2\((\d+)\)$")
 # the largest n of a named A_n, B_n or D_n: a name of a few bytes would
 # otherwise ask for an n-by-n matrix
 _MAX_NAMED_RANK = 256
+# the most elements enumerated by length; B6 (46,080) and E6 (51,840) fit
+_MAX_ELEMENTS = 1 << 16
 
 
 class CoxeterSystem:
@@ -715,20 +717,28 @@ class CoxeterSystem:
 
     # -- enumeration -------------------------------------------------------------
 
-    def _extend_levels(self, upto: int) -> None:
+    def _extend_levels(self, upto: int, cap: int = _MAX_ELEMENTS) -> None:
+        """Fill the levels up to length upto; ValueError past ``cap``."""
+        total = sum(len(lvl) for lvl in self._levels)
         while len(self._levels) <= upto and not self._levels_complete:
             nxt = set()
             for w in self._levels[-1]:
                 for s in range(self.rank):
                     if not (w.rdesc >> s) & 1:
                         nxt.add(self.multiply_by_generator(w, s))
+            total += len(nxt)
+            if total > cap:
+                raise ValueError("the group has more than %d elements of "
+                                 "length at most %d"
+                                 % (cap, len(self._levels)))
             if not nxt:
                 self._levels_complete = True
             else:
                 self._levels.append(sorted(nxt))
 
     def elements_up_to_length(self, max_length: int) -> list[Element]:
-        """All elements of length <= max_length, sorted by (length, word)."""
+        """All elements of length <= max_length, sorted by (length, word).
+        Raises ValueError past ``_MAX_ELEMENTS`` of them."""
         if max_length < 0:
             raise ValueError("length bound must be >= 0; got %d" % max_length)
         self._extend_levels(max_length)
@@ -737,14 +747,12 @@ class CoxeterSystem:
             out.extend(lvl)
         return out
 
-    def group_elements(self, cap: int = 1000000) -> list[Element]:
+    def group_elements(self, cap: int = _MAX_ELEMENTS) -> list[Element]:
         """All elements of a finite group, sorted by (length, word).
         Raises ValueError on an infinite group, and as soon as more than
         ``cap`` elements are found."""
         if self._cartan is not None and not _is_finite_type(self._cartan):
             raise ValueError("%r is an infinite group" % self)
         while not self._levels_complete:
-            if sum(len(l) for l in self._levels) > cap:
-                raise ValueError("group exceeds %d elements" % cap)
-            self._extend_levels(len(self._levels))
+            self._extend_levels(len(self._levels), cap)
         return self.elements_up_to_length(len(self._levels) - 1)

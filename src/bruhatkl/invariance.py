@@ -248,28 +248,29 @@ def _scan_entry(sys: CoxeterSystem, H: int, w: Element, intervals: dict,
         "H": format_genset(sys, H),
         "w": w.label_str(),
     }
-    return sys, H, w, marked, marked_colors(marked, palette), descriptor
+    return marked, marked_colors(marked, palette), descriptor
 
 
 def _scan_pair(a, b) -> dict:
-    sys_a, H_a, w_a, marked_a, colors_a, desc_a = a
-    sys_b, H_b, w_b, marked_b, colors_b, desc_b = b
+    marked_a, colors_a, desc_a = a
+    marked_b, colors_b, desc_b = b
     psi = find_marked_isomorphism(marked_a, marked_b, (colors_a, colors_b))
     if psi is None:
         return {"first": desc_a, "second": desc_b, "isomorphic": False,
                 "polynomials_equal": None, "pairs_checked": 0}
-    els_a, els_b = marked_a.interval.elements, marked_b.interval.elements
+    iv_a, iv_b = marked_a.interval, marked_b.interval
     equal = True
     checked = 0
     for x in ("-1", "q"):
         # packed values, equal iff their polynomials are; P values passed
         # the decoder's guard when their column was filled, R values below
-        ctx_a, ctx_b = get_context(sys_a, H_a, x), get_context(sys_b, H_b, x)
-        R_a, P_a = ctx_a._R_row(w_a), ctx_a._P_column(w_a)
-        R_b, P_b = ctx_b._R_row(w_b), ctx_b._P_column(w_b)
+        ctx_a = get_context(iv_a.system, marked_a.H, x)
+        ctx_b = get_context(iv_b.system, marked_b.H, x)
+        R_a, P_a = ctx_a._R_row(iv_a.top), ctx_a._P_column(iv_a.top)
+        R_b, P_b = ctx_b._R_row(iv_b.top), ctx_b._P_column(iv_b.top)
         r_values = set()
         for ua_id in [i for i, m in enumerate(marked_a.marks) if m]:
-            ua, ub = els_a[ua_id], els_b[psi[ua_id]]
+            ua, ub = iv_a.elements[ua_id], iv_b.elements[psi[ua_id]]
             ra, rb = R_a.get(ua, 0), R_b.get(ub, 0)
             r_values.update((ra, rb))
             checked += 1
@@ -306,23 +307,6 @@ def invariance_scan(pairs: Sequence[tuple[CoxeterSystem, int, Element]]
 # the rank-4 quotient counterexample
 
 
-def _quotient_relation(sys: CoxeterSystem, H: int, u: Element,
-                       v: Element) -> list[int]:
-    """The subposet of [u, v] cut out by quotient membership, as an
-    order relation (rel[i] = bitmask of j with i <= j)."""
-    interval = build_interval(sys, u, v)
-    ids = [i for i, el in enumerate(interval.elements)
-           if (el.rdesc & H) == 0]
-    rel = []
-    for i in ids:
-        mask = 0
-        for jj, j in enumerate(ids):
-            if interval.leq(i, j):
-                mask |= 1 << jj
-        rel.append(mask)
-    return rel
-
-
 def mongelli_reproduction(sys: Optional[CoxeterSystem] = None) -> dict:
     """Reproduce the rank-4 counterexample: in the group with bonds
     3-4-3 and H = {s1,s2,s3}, the quotient intervals [u,v]^H and
@@ -339,11 +323,10 @@ def mongelli_reproduction(sys: Optional[CoxeterSystem] = None) -> dict:
     v2 = sys.element_from_labels("s4s3s1s2s3s4")
 
     in_quotient = all(sys.is_min_coset_rep(z, H) for z in (u1, v1, u2, v2))
-    quotient_iso = find_order_isomorphism(
-        _quotient_relation(sys, H, u1, v1),
-        _quotient_relation(sys, H, u2, v2)) is not None
-    full_iso = find_isomorphism(build_interval(sys, u1, v1),
-                                build_interval(sys, u2, v2)) is not None
+    first, second = build_interval(sys, u1, v1), build_interval(sys, u2, v2)
+    quotient_iso = in_quotient and find_order_isomorphism(
+        mark_interval(first, H), mark_interval(second, H)) is not None
+    full_iso = find_isomorphism(first, second) is not None
     p_values = {
         x: [get_context(sys, H, x).P(u1, v1).to_json(),
             get_context(sys, H, x).P(u2, v2).to_json()]

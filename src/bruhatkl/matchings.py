@@ -102,8 +102,9 @@ def enumerate_special_matchings(interval: Interval
     rank, so at id i every lower cover a has its partner M(a) already.  A
     matched id is passed over; any other takes as M(i) an upper cover that
     passes the filter at i, lying above M(a) for every lower cover a.  None
-    ends the branch; with several, the pass goes on with the first and
-    stacks a copy of the pairing for each of the others.
+    ends the branch; with several, the pass goes on with the lowest and
+    stacks a copy of the pairing for each other, the highest first, so the
+    pairings come out sorted.
 
     The filter is the special condition on the covers below an id the pass
     matches up, so every special matching is reached.  A branch that gets
@@ -153,11 +154,9 @@ def enumerate_special_matchings(interval: Interval
                 if not cands:
                     break
                 low = cands & -cands
-                cands ^= low
-                while cands:
-                    alt = cands & -cands
-                    cands ^= alt
-                    j = alt.bit_length() - 1
+                while cands != low:
+                    j = cands.bit_length() - 1
+                    cands ^= 1 << j
                     child = M[:]
                     child[i], child[j] = j, i
                     stack.append((i + 1, child))
@@ -171,7 +170,6 @@ def enumerate_special_matchings(interval: Interval
                     "[%s, w] has more than %d special matchings, for w = %s"
                     % (interval.bottom.label_str(), MAX_LISTED,
                        _excerpt(interval.top.label_str())))
-    found.sort()
     return found
 
 

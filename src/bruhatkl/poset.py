@@ -6,8 +6,11 @@ covers are stored as a list, and the full order relation is kept as
 per-element up-set bitmasks so comparisons inside an interval are O(1).
 A caller gives only the members: a lower interval [e, w] takes them from
 the down-set of w, kept by the `CoxeterSystem`, and a subinterval from its
-parent.  The covers are read from the group too: an interval is convex,
-so the lower covers of a member are its coatoms that are members.
+parent.  The covers are read from the group too: the lower covers of a
+member are its coatoms that are members.  An interval is a Bruhat
+interval [u, v], which is convex, or a quotient interval [u, v]^H, the
+marked members of a marked [u, v], both graded by length since W^H is
+(Deodhar, Invent. Math. 39 (1977)).
 
 Marked intervals attach the parabolic-quotient membership flag
 (no right descent inside H) to each element.
@@ -38,13 +41,13 @@ __all__ = [
 
 
 class Interval:
-    """A Bruhat interval [bottom, top], graded by l(z) - l(bottom).
+    """A Bruhat or quotient interval, graded by l(z) - l(bottom).
 
-    Element ids are positions in `elements`, the members of a Bruhat
-    interval sorted by (length, word), whose coatoms the system has filled
+    Element ids are positions in `elements`, the members sorted by
+    (length, word), whose coatoms the system has filled
     (`CoxeterSystem.down_set`); id 0 is the bottom and the last id is the
-    top.  Coatoms are sorted by (length, word) too, so the lower covers of
-    each id come out in increasing id order.
+    top.  The lower covers of an id are its coatoms among the members,
+    sorted by (length, word) too, so they come out in increasing id order.
     """
 
     def __init__(self, system: CoxeterSystem, elements: Sequence[Element]):
@@ -226,48 +229,21 @@ def find_isomorphism(a: Interval, b: Interval) -> Optional[tuple[int, ...]]:
     return find_marked_isomorphism(mark_interval(a, 0), mark_interval(b, 0))
 
 
-def _cover_form(rel: Sequence[int]):
-    """An order relation (rel[i] = bitmask of j with i <= j) in the form
-    `_stable_colors` and `_isomorphism` take: the ids ordered by down-set
-    size, which lists each id after everything below it, then per position
-    its height (longest chain below it) and its lower covers (the
-    transitive reduction), both by position."""
-    n = len(rel)
-    below = [{i for i in range(n) if i != j and rel[i] >> j & 1}
-             for j in range(n)]
-    order = sorted(range(n), key=lambda j: len(below[j]))
-    pos = {j: k for k, j in enumerate(order)}
-    heights: list[int] = []
-    covers: list[list[int]] = []
-    for j in order:
-        inner = set().union(*(below[i] for i in below[j]))
-        lower = sorted(pos[i] for i in below[j] - inner)
-        heights.append(max((heights[c] + 1 for c in lower), default=0))
-        covers.append(lower)
-    return order, heights, covers
+def find_order_isomorphism(a: MarkedInterval, b: MarkedInterval
+                           ) -> Optional[tuple[int, ...]]:
+    """`find_isomorphism` of the quotient intervals [u, v]^H of two marked
+    intervals [u, v].  Raises ValueError unless u and v are marked."""
+    return find_isomorphism(_quotient_interval(a), _quotient_interval(b))
 
 
-def find_order_isomorphism(rel_a: Sequence[int],
-                           rel_b: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Isomorphism between two arbitrary finite posets given as order
-    relations (rel[i] is a bitmask of j with i <= j), or None.  Intended
-    for the small sub-posets cut out of intervals by quotient membership;
-    the posets need not be graded."""
-    if len(rel_a) != len(rel_b):
-        return None
-    order_a, heights_a, covers_a = _cover_form(rel_a)
-    order_b, heights_b, covers_b = _cover_form(rel_b)
-    palette: dict = {}
-    found = _isomorphism(_stable_colors(heights_a, covers_a, palette),
-                         covers_a,
-                         _stable_colors(heights_b, covers_b, palette),
-                         covers_b)
-    if found is None:
-        return None
-    mapping = [0] * len(rel_a)
-    for k, y in enumerate(found):
-        mapping[order_a[k]] = order_b[y]
-    return tuple(mapping)
+def _quotient_interval(m: MarkedInterval) -> Interval:
+    """[u, v]^H: the `Interval` on the marked members of a marked [u, v]."""
+    iv, marks = m.interval, m.marks
+    if not (marks[0] and marks[-1]):
+        raise ValueError("%r is not in W^H"
+                         % (iv.top if marks[0] else iv.bottom))
+    return Interval(iv.system,
+                    [el for el, mk in zip(iv.elements, marks) if mk])
 
 
 def interval_to_json(interval: Interval,

@@ -150,14 +150,17 @@ def test_long_rejected_string_is_one_short_error_line(capsys, argv):
     assert "characters)" in err
 
 
-# a few bytes of argument that would ask for a huge matrix or H family
+# a few bytes of argument that would ask for a huge matrix, H family or
+# sweep of an infinite group
 @pytest.mark.parametrize("argv, message", [
     (["poly", "--group", "A30000", "--u", "e", "--w", "s1s2"],
      "named groups have rank at most 256; got 'A30000'"),
     (["verify", "--group", "A26", "--max-length", "1"],
      "rank 26 has 2^26 generator subsets; pass --H to choose H above "
      "rank 16"),
-], ids=["named-rank", "default-H"])
+    (["verify", "--group", "[[1,4,4],[4,1,4],[4,4,1]]", "--max-length", "40"],
+     "the group has more than 65536 elements of length at most 18"),
+], ids=["named-rank", "default-H", "infinite-group-length"])
 def test_oversized_input_is_one_error_line(capsys, argv, message):
     code, out, err = run(capsys, argv)
     assert (code, out, err) == (1, "", "error: %s\n" % message)

@@ -498,6 +498,17 @@ def test_group_elements_raises_on_infinite_and_oversized_groups():
     assert len(CoxeterSystem.F4().group_elements()) == 1152
 
 
+def test_length_enumeration_is_capped():
+    # one cap for group_elements and elements_up_to_length: the largest
+    # finite named group of rank <= 6 and E6 fit whole; test_cli stops the
+    # (4,4,4) triangle group at length 18 with it
+    assert len(CoxeterSystem.B(6).elements_up_to_length(36)) == 46080
+    e6 = CoxeterSystem([[1, 3, 2, 2, 2, 2], [3, 1, 3, 2, 2, 2],
+                        [2, 3, 1, 3, 2, 3], [2, 2, 3, 1, 3, 2],
+                        [2, 2, 2, 3, 1, 2], [2, 2, 3, 2, 2, 1]])
+    assert len(e6.group_elements()) == 51840
+
+
 def test_group_elements_finite_iff_ascending_walks_end():
     # a finite group's ascending walks all end at w0, of length <= 24 at
     # rank <= 4; an infinite group has no element without right ascents

@@ -7,7 +7,9 @@ import pytest
 
 from bruhatkl.coxeter import CoxeterSystem, genset, parse_genset
 from bruhatkl.poset import (
-    _cover_form,
+    _isomorphism,
+    _quotient_interval,
+    _stable_colors,
     build_interval,
     build_lower_interval,
     find_isomorphism,
@@ -17,7 +19,6 @@ from bruhatkl.poset import (
     mark_interval,
     marked_colors,
 )
-from bruhatkl.invariance import _quotient_relation
 
 from matching_helpers import is_dihedral_interval, upper_covers
 from oracles import (
@@ -251,14 +252,110 @@ def test_isomorphism_nontrivial_negative(a3, b3):
     assert find_isomorphism(iv_a, iv_b) is None
 
 
-def test_order_isomorphism():
-    # chain of 3 vs antichain-in-the-middle diamond
-    chain = [0b111, 0b110, 0b100]
-    vee = [0b111, 0b010, 0b110]  # relabeled chain
-    assert find_order_isomorphism(chain, vee) is not None
-    diamond = [0b1111, 0b1010, 0b1100, 0b1000]
-    assert find_order_isomorphism(chain, diamond) is None
+# ---------------------------------------------------------------------------
+# quotient intervals [u, v]^H
+
+
+def _quotient(sys, H, u, v):
+    """The interval [u, v], given by labels, marked by H."""
+    return mark_interval(build_interval(sys, sys.element_from_labels(u),
+                                        sys.element_from_labels(v)), H)
+
+
+def _marked_quotients(sys):
+    """[u, v] marked by H for every H and every u <= v in W^H, each cut
+    out of [e, v] by `subinterval`."""
+    for v in sys.group_elements():
+        lower = build_lower_interval(sys, v)
+        top = len(lower) - 1
+        for H in range(1 << sys.rank):
+            if v.rdesc & H:
+                continue
+            for lo, u in enumerate(lower.elements):
+                if not u.rdesc & H:
+                    yield mark_interval(lower.subinterval(lo, top)[0], H)
+
+
+@pytest.mark.parametrize("name, count", [
+    ("A3", 448), ("B3", 1708), ("A4", 9862),
+    pytest.param("D4", 25166, marks=pytest.mark.f4sweep),
+])
+def test_quotient_interval_order_is_bruhat_order(name, count):
+    # W^H is graded by length, so the coatoms among the members of
+    # [u, v]^H are its covers, and the up-sets closed over them are the
+    # Bruhat order restricted to W^H and [u, v]
+    sys = CoxeterSystem.from_name(name)
+    seen = 0
+    for m in _marked_quotients(sys):
+        q = _quotient_interval(m)
+        assert q.elements == tuple(
+            el for el, mk in zip(m.interval.elements, m.marks) if mk)
+        for i, a in enumerate(q.elements):
+            assert q.above[i] == sum(1 << j for j, b in enumerate(q.elements)
+                                     if sys.bruhat_leq(a, b)), (m.H, q)
+        seen += 1
+    assert seen == count
+
+
+def test_order_isomorphism(a2, b2):
+    # quotient intervals shaped as a chain of 3 in A2 and in B2, a chain
+    # of 4 and a diamond
+    chain_a2 = _quotient(a2, genset([0]), "e", "s1s2")
+    chain_b2 = _quotient(b2, genset([1]), "e", "s2s1")
+    chain4 = _quotient(b2, genset([1]), "e", "s1s2s1")
+    diamond = _quotient(a2, 0, "e", "s1s2")
+    for m in (chain_a2, chain_b2):
+        assert _quotient_interval(m).hasse_down == ((), (0,), (1,))
+    assert _quotient_interval(chain4).hasse_down == ((), (0,), (1,), (2,))
+    assert _quotient_interval(diamond).hasse_down == ((), (0,), (0,), (1, 2))
+    assert find_order_isomorphism(chain_a2, chain_b2) == (0, 1, 2)
+    assert find_order_isomorphism(chain_a2, diamond) is None
+    assert find_order_isomorphism(chain4, diamond) is None
     assert find_order_isomorphism(diamond, diamond) == (0, 1, 2, 3)
+
+
+def test_order_isomorphism_refuses_an_unmarked_end(b2):
+    H = genset([1])
+    good = _quotient(b2, H, "e", "s2s1")
+    for bad, end in ((_quotient(b2, H, "s2", "s1s2s1"), "s2"),
+                     (_quotient(b2, H, "e", "s1s2"), "s1s2")):
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match=r"<%s> is not in W\^H" % end):
+                find_order_isomorphism(*pair)
+
+
+@pytest.mark.parametrize("sys", [CoxeterSystem.A(3), CoxeterSystem.B(3)])
+def test_order_isomorphism_matches_oracle_on_quotient_subposets(sys):
+    # every distinct [u, v]^H with itself and against the next distinct
+    # one of its size: the oracle agrees on whether an isomorphism exists,
+    # and the union-refinement engine returns the very same map
+    distinct = {}
+    for m in _marked_quotients(sys):
+        distinct.setdefault(_quotient_interval(m).above, m)
+    rels = sorted(distinct, key=lambda rel: (len(rel), rel))
+    outcomes = set()
+    for k, rel in enumerate(rels):
+        a = distinct[rel]
+        assert find_order_isomorphism(a, a) == tuple(range(len(rel)))
+        if k + 1 == len(rels) or len(rels[k + 1]) != len(rel):
+            continue
+        b = distinct[rels[k + 1]]
+        got = find_order_isomorphism(a, b)
+        want = order_isomorphism_oracle(rel, rels[k + 1])
+        assert (got is None) == (want is None), (a, b)
+        qa, qb = _quotient_interval(a), _quotient_interval(b)
+        assert got == union_refinement_isomorphism(
+            qa.rank_of, qa.hasse_down, qb.rank_of, qb.hasse_down)
+        if got is not None:
+            for i in range(len(rel)):
+                for j in range(len(rel)):
+                    assert qa.leq(i, j) == qb.leq(got[i], got[j])
+        outcomes.add(got is not None)
+    assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the isomorphism engine on posets that are not graded
 
 
 def _relabel(rel, perm):
@@ -311,14 +408,36 @@ def _is_graded(rel):
                if not any(a in less[c] for c in less[b]))
 
 
-def _union_order_isomorphism(rel_a, rel_b):
-    """find_order_isomorphism on the union-refinement engine."""
+def _cover_form(rel):
+    """An order relation (rel[i] = bitmask of j with i <= j) in the form
+    `_stable_colors` and `_isomorphism` take: the ids ordered by down-set
+    size, which lists each id after everything below it, then per position
+    its height (longest chain below it) and its lower covers (the
+    transitive reduction), both by position."""
+    n = len(rel)
+    below = [{i for i in range(n) if i != j and rel[i] >> j & 1}
+             for j in range(n)]
+    order = sorted(range(n), key=lambda j: len(below[j]))
+    pos = {j: k for k, j in enumerate(order)}
+    heights: list[int] = []
+    covers: list[list[int]] = []
+    for j in order:
+        inner = set().union(*(below[i] for i in below[j]))
+        lower = sorted(pos[i] for i in below[j] - inner)
+        heights.append(max((heights[c] + 1 for c in lower), default=0))
+        covers.append(lower)
+    return order, heights, covers
+
+
+def _order_isomorphism(rel_a, rel_b, engine):
+    """An isomorphism between two posets given as order relations, as a
+    tuple mapping a-ids to b-ids, or None, from `engine(heights_a,
+    covers_a, heights_b, covers_b)` on their `_cover_form`."""
     if len(rel_a) != len(rel_b):
         return None
     order_a, heights_a, covers_a = _cover_form(rel_a)
     order_b, heights_b, covers_b = _cover_form(rel_b)
-    found = union_refinement_isomorphism(heights_a, covers_a,
-                                         heights_b, covers_b)
+    found = engine(heights_a, covers_a, heights_b, covers_b)
     if found is None:
         return None
     mapping = [0] * len(rel_a)
@@ -327,15 +446,24 @@ def _union_order_isomorphism(rel_a, rel_b):
     return tuple(mapping)
 
 
+def _stable_color_isomorphism(heights_a, covers_a, heights_b, covers_b):
+    """`_isomorphism` on the `_stable_colors` of both posets."""
+    palette: dict = {}
+    return _isomorphism(_stable_colors(heights_a, covers_a, palette),
+                        covers_a,
+                        _stable_colors(heights_b, covers_b, palette),
+                        covers_b)
+
+
 def _agrees_with_oracle(rel_a, rel_b) -> bool:
-    """find_order_isomorphism and the oracle agree on whether an
-    isomorphism exists, a returned map preserves the order both ways, and
-    the union-refinement engine returns the very same map.  Returns
-    whether one was found."""
-    got = find_order_isomorphism(rel_a, rel_b)
+    """The engine and the oracle agree on whether an isomorphism exists,
+    a returned map preserves the order both ways, and the union-refinement
+    engine returns the very same map.  Returns whether one was found."""
+    got = _order_isomorphism(rel_a, rel_b, _stable_color_isomorphism)
     want = order_isomorphism_oracle(rel_a, rel_b)
     assert (got is None) == (want is None), (rel_a, rel_b)
-    assert got == _union_order_isomorphism(rel_a, rel_b), (rel_a, rel_b)
+    assert got == _order_isomorphism(rel_a, rel_b,
+                                     union_refinement_isomorphism)
     if got is None:
         return False
     n = len(rel_a)
@@ -344,24 +472,6 @@ def _agrees_with_oracle(rel_a, rel_b) -> bool:
         for j in range(n):
             assert (rel_a[i] >> j & 1) == (rel_b[got[i]] >> got[j] & 1)
     return True
-
-
-@pytest.mark.parametrize("sys", [CoxeterSystem.A(3), CoxeterSystem.B(3)])
-def test_order_isomorphism_matches_oracle_on_quotient_subposets(sys):
-    # every distinct [u,v]^H, against a relabeled copy of itself and
-    # against the next distinct one of the same size
-    rels = sorted({tuple(_quotient_relation(sys, H, u, v))
-                   for v in sys.group_elements()
-                   for u in build_lower_interval(sys, v).elements
-                   for H in range(1 << sys.rank)},
-                  key=lambda rel: (len(rel), rel))
-    rng = random.Random(2015)
-    outcomes = set()
-    for k, rel in enumerate(rels):
-        assert _agrees_with_oracle(rel, _shuffled(rng, rel))
-        if k + 1 < len(rels) and len(rels[k + 1]) == len(rel):
-            outcomes.add(_agrees_with_oracle(rel, rels[k + 1]))
-    assert outcomes == {True, False}
 
 
 def test_order_isomorphism_matches_oracle_on_random_posets():
