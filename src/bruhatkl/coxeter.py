@@ -708,6 +708,7 @@ class CoxeterSystem:
         return (u.rdesc & H) == 0
 
     def check_min_coset_rep(self, u: Element, H: int) -> None:
+        self._check_owned(u)
         bad = u.rdesc & H
         if bad:
             raise QuotientMembershipError(

@@ -3,11 +3,12 @@
 Three kinds of campaign, all exact:
 
 - ``sweep_calculating``: for every quotient element w up to a length
-  bound and every generator subset H in a given family, list (or, for
-  a dihedral [e, w], count) the special matchings of [e, w], keep the
-  H-special ones, and check that each reproduces the reference
-  R-polynomials through the three-branch matching recurrence.  Failures
-  are collected as self-contained counterexample records, never raised.
+  bound and every generator subset H in a given family, check the unit
+  (w, H) in one call: list (or, for a dihedral [e, w], count) the
+  special matchings of [e, w], keep the H-special ones, and check that
+  each reproduces the reference R-polynomials through the three-branch
+  matching recurrence.  Failures are collected as self-contained
+  counterexample records, never raised.
 - ``invariance_scan``: for pairs of marked lower intervals, search for a
   rank- and mark-preserving poset isomorphism and, when one exists,
   check that corresponding quotient elements carry identical parabolic
@@ -103,7 +104,7 @@ def _ladder(n, allowed) -> dict:
     return ends
 
 
-def _ladder_counts(marked, x) -> tuple[dict, dict, dict]:
+def _ladder_counts(marked, table) -> tuple[dict, dict, dict]:
     """`_ladder` over all the pairs, over the pairs that keep a matching
     H-special (not b marked with a unmarked), and, for each M(w) = t,
     over those of them whose steps (a, b) and (b, a) pass `_calculates`:
@@ -114,12 +115,32 @@ def _ladder_counts(marked, x) -> tuple[dict, dict, dict]:
         return marks[a] or not marks[b]
 
     special = _ladder(n, h_ok)
-    if special:
-        table = get_context(marked.interval.system, marked.H, x)
     calc = {t: _ladder(n, lambda a, b: h_ok(a, b) and _calculates(
         marked, table, t, ((a, b), (b, a))) is None).get(t, 0)
         for t in special}
     return _ladder(n, lambda a, b: True), special, calc
+
+
+def _check_unit(marked, table, listed) -> tuple[int, int, int, list]:
+    """One (w, H) unit of a sweep against its (system, H, x) table: the
+    numbers of special, H-special and calculating matchings of [e, w] and
+    the records of the H-special ones that do not calculate.  `listed` is
+    [e, w]'s special matchings, or None for an [e, w] with at most two
+    atoms, counted by `_ladder_counts` and listed only if the count finds
+    a failing matching, so the records are the same either way."""
+    if listed is None:
+        every, special, calc = _ladder_counts(marked, table)
+        if calc == special:
+            return (sum(every.values()), sum(special.values()),
+                    sum(calc.values()), [])
+        listed = enumerate_special_matchings(marked.interval)
+    chosen = [M for M in listed if is_H_special(marked, M)]
+    records = []
+    for M in chosen:  # as verify_calculating checks them, past its H test
+        ok, rec = _matching_calculates(marked, M, table)
+        if not ok:
+            records.append(rec)
+    return len(listed), len(chosen), len(chosen) - len(records), records
 
 
 def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
@@ -131,8 +152,9 @@ def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
 
     H_set defaults to all subsets of the generators, and must be given
     above rank ``_MAX_DEFAULT_H_RANK``; max_length defaults to
-    ``default_max_length``.  Totals are per (w, H) unit, so an interval
-    scanned under several H contributes its matchings once per H.
+    ``default_max_length``.  Each (w, H) unit is one `_check_unit` call,
+    and totals are per unit, so an interval scanned under several H
+    contributes its matchings once per H.
     Returns the campaign's JSON: its inputs, ``totals``, the
     ``counterexamples`` (records as ``reverify_counterexample`` reads
     them) and ``ok``, true iff there are none.
@@ -151,7 +173,8 @@ def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
         if not 0 <= H < (1 << sys.rank):
             raise ValueError("H is not a subset of the generators")
 
-    scanned = matchings = h_special = calculating = 0
+    totals = dict.fromkeys(("intervals_scanned", "matchings_enumerated",
+                            "h_special", "calculating"), 0)
     counterexamples = []
     for w in sys.elements_up_to_length(max_length):
         Hs = [H for H in H_set if (w.rdesc & H) == 0]
@@ -160,35 +183,17 @@ def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
         interval = build_lower_interval(sys, w)
         # at most two atoms (the letters of w): w lies in a rank-2 parabolic
         # subgroup, and the 2^(l(w)-1) special matchings are counted
-        all_special = (None if len(set(w.word)) <= 2
-                       else enumerate_special_matchings(interval))
+        listed = (None if len(set(w.word)) <= 2
+                  else enumerate_special_matchings(interval))
         for H in Hs:
-            marked = mark_interval(interval, H)
-            scanned += 1
-            found = all_special
-            if found is None:
-                every, special, calc = _ladder_counts(marked, x)
-                if calc == special:
-                    matchings += sum(every.values())
-                    h_special += sum(special.values())
-                    calculating += sum(calc.values())
-                    continue
-                # a failing unit is listed, to write the records below
-                found = enumerate_special_matchings(interval)
-            matchings += len(found)
-            chosen = [M for M in found if is_H_special(marked, M)]
-            h_special += len(chosen)
-            table = get_context(sys, H, x)
-            # one matching at a time, as verify_calculating would check
-            # them after its H-special test
-            for M in chosen:
-                ok, rec = _matching_calculates(marked, M, table)
-                if ok:
-                    calculating += 1
-                else:
-                    counterexamples.append(rec)
+            *counts, records = _check_unit(
+                mark_interval(interval, H), get_context(sys, H, x), listed)
+            # the unit itself, then its counts, in the order of the totals
+            for key, n in zip(totals, (1, *counts)):
+                totals[key] += n
+            counterexamples += records
     ok = not counterexamples
-    assert (calculating == h_special) == ok
+    assert (totals["calculating"] == totals["h_special"]) == ok
     group_id = sys.name or ("rank%d" % sys.rank)
     return {
         "campaign": "calculating:%s:x=%s:len<=%d" % (group_id, x,
@@ -197,12 +202,7 @@ def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
         "x": x,
         "max_length": max_length,
         "H_set": [format_genset(sys, H) for H in H_set],
-        "totals": {
-            "intervals_scanned": scanned,
-            "matchings_enumerated": matchings,
-            "h_special": h_special,
-            "calculating": calculating,
-        },
+        "totals": totals,
         "counterexamples": counterexamples,
         "ok": ok,
     }
@@ -307,15 +307,14 @@ def invariance_scan(pairs: Sequence[tuple[CoxeterSystem, int, Element]]
 # the rank-4 quotient counterexample
 
 
-def mongelli_reproduction(sys: Optional[CoxeterSystem] = None) -> dict:
+def mongelli_reproduction() -> dict:
     """Reproduce the rank-4 counterexample: in the group with bonds
     3-4-3 and H = {s1,s2,s3}, the quotient intervals [u,v]^H and
     [x,y]^H below are isomorphic posets, the full Bruhat intervals
     [u,v] and [x,y] are not, and the parabolic P-polynomials differ
     for both x variants (q vs 0, and q+1 vs 1).  Returns the JSON of
     these findings, with ``reproduced`` true iff all of them hold."""
-    if sys is None:
-        sys = CoxeterSystem.F4()
+    sys = CoxeterSystem.F4()
     H = genset((0, 1, 2))
     u1 = sys.element_from_labels("s3s1s2s3s4")
     v1 = sys.element_from_labels("s3s4s2s3s1s2s3s4")

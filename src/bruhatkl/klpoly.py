@@ -242,16 +242,11 @@ class KLContext:
         self._values: dict = {}
         self._digits: dict = {}
 
-    def _require(self, u: Element) -> None:
-        if u.system is not self.system:
-            raise ValueError("element belongs to a different system")
-        self.system.check_min_coset_rep(u, self.H)
-
     # -- R ------------------------------------------------------------
 
     def R(self, u: Element, w: Element) -> QPolynomial:
-        self._require(u)
-        self._require(w)
+        self.system.check_min_coset_rep(u, self.H)
+        self.system.check_min_coset_rep(w, self.H)
         return _decode(self._R_row(w).get(u, 0))
 
     def _R_row(self, w: Element) -> dict:
@@ -302,8 +297,8 @@ class KLContext:
     # -- P ------------------------------------------------------------
 
     def P(self, u: Element, w: Element) -> QPolynomial:
-        self._require(u)
-        self._require(w)
+        self.system.check_min_coset_rep(u, self.H)
+        self.system.check_min_coset_rep(w, self.H)
         return _decode(self._P_column(w).get(u, 0))
 
     def _P_column(self, w: Element) -> dict:

@@ -106,8 +106,7 @@ class MarkedInterval(NamedTuple):
 
 def build_lower_interval(sys: CoxeterSystem, w: Element) -> Interval:
     """The interval [e, w], built afresh."""
-    if w.system is not sys:
-        raise ValueError("element belongs to a different system")
+    sys._check_owned(w)
     by_id = sys._by_id
     return Interval(sys, sorted(by_id[i]
                                 for i in genset_indices(sys.down_set(w))))

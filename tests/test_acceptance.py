@@ -94,7 +94,8 @@ def test_criterion_2_main_theorem_sweep(a2, a3, b2, b3):
             if not (report["ok"]
                     and report["max_length"]
                     == sys_.group_elements()[-1].length
-                    and report["totals"]["h_special"] > 0):
+                    and report["totals"]["h_special"] > 0
+                    and sweep_bytes_pinned(sys_, x, report)):
                 bad.append("%s:x=%s:%d counterexamples"
                            % (sys_.name, x, len(report["counterexamples"])))
     announce(2, "main-theorem-sweep", not bad,
@@ -122,7 +123,32 @@ WHOLE_GROUP_TOTALS = {
     "D4": (865, 3386, 2512, 2512),
     "B4": (1697, 7496, 5476, 5476),
     "F4": (5089, 19984, 14814, 14814),
+    "A5": (4683, 23708, 17446, 17446),
+    "D5": (12483, 60908, 44870, 44870),
 }
+
+
+# sha256 of the stdout of `verify --group G --x X --format json` over the
+# whole group: --max-length 24 for F4 and 20 for D5, the default for B3.
+# Recorded while the sweep wrote its two verdict paths inline
+SWEEP_SHA256 = {
+    ("B3", "-1"):
+        "9fd6fd8235c7534dba64a9ec86698560bf0be312ed2fa32b18b6b068dc3a30ba",
+    ("F4", "-1"):
+        "2bc09cfe9a55bb14cde77a23422801d1de1e43c72f85d5eae15271efccf53a68",
+    ("D5", "-1"):
+        "d684c630aaa4458642095b215797d2af8d23a44af857a10b0c652d503d4443d0",
+    ("D5", "q"):
+        "5bd16e32334632855441b84324fb43a6fa8e2ea7654f525f9a636cd4347cc341",
+}
+
+
+def sweep_bytes_pinned(sys_, x, report):
+    """Whether the report serializes as the CLI prints it to the pinned
+    sha256, where one is pinned."""
+    digest = SWEEP_SHA256.get((sys_.name, x))
+    out = json.dumps(report, sort_keys=True) + "\n"
+    return digest in (None, hashlib.sha256(out.encode()).hexdigest())
 
 
 def whole_group_sweep_failures(sys_):
@@ -133,7 +159,8 @@ def whole_group_sweep_failures(sys_):
         totals = tuple(report["totals"][k] for k in (
             "intervals_scanned", "matchings_enumerated", "h_special",
             "calculating"))
-        if not report["ok"] or totals != WHOLE_GROUP_TOTALS[sys_.name]:
+        if not report["ok"] or totals != WHOLE_GROUP_TOTALS[sys_.name] \
+                or not sweep_bytes_pinned(sys_, x, report):
             bad.append("%s:x=%s:%s" % (sys_.name, x,
                                        "/".join(map(str, totals))))
     return bad
@@ -151,6 +178,15 @@ def test_criterion_2fw_whole_group_sweep_f4(f4):
     bad = whole_group_sweep_failures(f4)
     announce(2, "whole-group-sweep-f4", not bad,
              ",".join(bad) if bad else "F4 pinned, both x")
+
+
+@pytest.mark.f4sweep
+@pytest.mark.parametrize("name", ["A5", "D5"])
+def test_criterion_2rw_whole_group_sweep_rank5(name):
+    # whole D5 takes about 8 s per x (CPython 3.11.7, 2-vCPU x86-64)
+    bad = whole_group_sweep_failures(CoxeterSystem.from_name(name))
+    announce(2, "whole-group-sweep-%s" % name.lower(), not bad,
+             ",".join(bad) if bad else "%s pinned, both x" % name)
 
 
 # the whole-F4 sweep for x = -1 in a fresh process; prints its totals and

@@ -15,6 +15,7 @@ from bruhatkl.coxeter import (
     parse_genset,
 )
 from bruhatkl.invariance import (
+    _check_unit,
     _ladder,
     _ladder_counts,
     default_max_length,
@@ -206,7 +207,8 @@ def enumerated_counts(marked, x, special, table):
 def test_ladder_counts_match_the_enumeration(group, max_length):
     # every interval with at most two atoms lies in a rank-2 parabolic
     # subgroup, whose bonds are at most 4 in B4 and F4; each of its units,
-    # for both x, counts the same matchings by M(w) as the enumeration
+    # for both x, counts the same matchings by M(w) as the enumeration,
+    # and the unit checked by its count equals the unit checked listed
     sys = CoxeterSystem.from_name(group)
     for w in sys.elements_up_to_length(max_length):
         interval = build_lower_interval(sys, w)
@@ -218,10 +220,12 @@ def test_ladder_counts_match_the_enumeration(group, max_length):
                 continue
             marked = mark_interval(interval, H)
             for x in ("-1", "q"):
-                want = enumerated_counts(marked, x, special,
-                                         get_context(sys, H, x))
-                got = _ladder_counts(marked, x)
+                table = get_context(sys, H, x)
+                want = enumerated_counts(marked, x, special, table)
+                got = _ladder_counts(marked, table)
                 assert [Counter(c) for c in got] == list(want), (w, H, x)
+                assert _check_unit(marked, table, None) \
+                    == _check_unit(marked, table, special), (w, H, x)
 
 
 def test_sweep_deterministic_across_runs():
@@ -429,7 +433,8 @@ def test_failing_column_unit_writes_the_per_matching_records(monkeypatch, x):
         == totals["h_special"] > totals["calculating"]
     for H in (0, genset([1])):  # the H with w in W^H
         marked = mark_interval(interval, H)
-        _, h_special, calculating = _ladder_counts(marked, x)
+        table = get_context(i27, H, x)
+        _, h_special, calculating = _ladder_counts(marked, table)
         assert calculating == dict.fromkeys(h_special, 0) | {
             t: n for t, n in h_special.items() if t != interval.id_of(v)}
         want = []
@@ -444,6 +449,10 @@ def test_failing_column_unit_writes_the_per_matching_records(monkeypatch, x):
         got = [r for r in report["counterexamples"]
                if r["w"] == "s1s2s1s2s1" and r["H"] == format_genset(i27, H)]
         assert got == want
+        # the unit's one call writes the same records, counted or listed
+        counted = _check_unit(marked, table, None)
+        assert counted == _check_unit(marked, table, special)
+        assert counted[3] == want
 
 
 def test_failing_unit_past_the_listing_cap_raises(monkeypatch):
@@ -487,8 +496,10 @@ def test_one_wrong_step_fails_the_ladder_and_keeps_the_records(monkeypatch,
     plant_discrepancy(monkeypatch, w, u)
     for H in (0, genset([1])):  # the H with w in W^H
         marked = mark_interval(interval, H)
-        want = enumerated_counts(marked, x, special, get_context(i27, H, x))
-        assert [Counter(c) for c in _ladder_counts(marked, x)] == list(want)
+        table = get_context(i27, H, x)
+        want = enumerated_counts(marked, x, special, table)
+        assert [Counter(c) for c in _ladder_counts(marked, table)] \
+            == list(want)
         assert sum(want[2].values()) == 0 < sum(want[1].values())
     report = sweep_calculating(i27, max_length=5, x=x)
     assert report["ok"] is False
@@ -689,8 +700,8 @@ def test_scan_reports_a_planted_disagreement(table):
 # the rank-4 quotient counterexample
 
 
-def test_mongelli_reproduction(f4):
-    report = mongelli_reproduction(f4)
+def test_mongelli_reproduction():
+    report = mongelli_reproduction()
     assert json.loads(json.dumps(report)) == report
     assert report["in_quotient"] is True
     assert report["quotient_isomorphic"] is True

@@ -192,6 +192,22 @@ def test_R_membership_errors(b2):
         get_context(b2, 0, "q").R(a2.identity, a2.generator(0))
 
 
+def test_an_element_of_another_system_is_refused_everywhere():
+    # one ownership rule: the quotient check, R and P (for u and for w)
+    # and the interval build each refuse an element of a second A2
+    a, b = CoxeterSystem.A(2), CoxeterSystem.A(2)
+    mine, theirs = a.generator(0), b.generator(0)
+    table = get_context(a, 0, "-1")
+    for refused in (partial(a.check_min_coset_rep, theirs, 0),
+                    partial(table.R, theirs, mine),
+                    partial(table.R, a.identity, theirs),
+                    partial(table.P, theirs, mine),
+                    partial(table.P, a.identity, theirs),
+                    partial(build_lower_interval, a, theirs)):
+        with pytest.raises(ValueError, match="belongs to a different system"):
+            refused()
+
+
 def test_ordinary_R_dihedral_closed_form():
     # (q-1)^(lv-lu) holds exactly for length differences up to 2; from
     # difference 3 on, wide dihedral intervals pick up cross terms (e.g.
