@@ -119,7 +119,7 @@ def cmd_matchings(args) -> int:
     sys_ = load_group(args.group)
     H = parse_genset(sys_, args.H)
     w = sys_.element_from_labels(args.w)
-    interval = build_lower_interval(sys_, w)
+    interval = build_lower_interval(w)
     marked = mark_interval(interval, H)
     matchings = enumerate_special_matchings(interval)
     words = [el.label_str() for el in interval.elements]
@@ -193,7 +193,7 @@ def cmd_invariance(args) -> int:
             raise ValueError(
                 "interval %s must look like 'H:w' (H may be empty)"
                 % _excerpt(text))
-        pairs.append((sys_, parse_genset(sys_, H_text),
+        pairs.append((parse_genset(sys_, H_text),
                       sys_.element_from_labels(w_text)))
     records = invariance_scan(pairs)
     lines = []
@@ -234,10 +234,9 @@ def cmd_export_interval(args) -> int:
     sys_ = load_group(args.group)
     w = sys_.element_from_labels(args.w)
     u = sys_.element_from_labels(args.u)
-    interval = build_interval(sys_, u, w)
-    marked = mark_interval(interval, parse_genset(sys_, args.H)) \
-        if args.H else None
-    data = interval_to_json(interval, marked)
+    interval = build_interval(u, w)
+    data = interval_to_json(
+        interval, parse_genset(sys_, args.H) if args.H else None)
     if args.format == "json":
         print(json.dumps(data, sort_keys=True))
     else:

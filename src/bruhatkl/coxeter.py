@@ -157,31 +157,17 @@ def _cols_right(cols: tuple, s: int, cartan_row: tuple) -> tuple:
 
 
 def _cartan_from_coxeter(matrix: Sequence[Sequence[int]]) -> tuple:
-    """Integer generalized Cartan matrix realizing the Coxeter matrix.
+    """Integer generalized Cartan matrix realizing the Coxeter matrix of
+    a doubly laced system (`_validate_matrix` refuses other bonds).
 
-    Bond order 2 gives the pair (0, 0), order 3 gives (-1, -1), order 4
-    gives the asymmetric pair (-1, -2); the orientation of the 4-bonds does
-    not change the abstract Coxeter system.
+    Each bond order gives the pair (entry for i < j, entry for i > j):
+    order 4 gives the asymmetric pair (-1, -2); the orientation of the
+    4-bonds does not change the abstract Coxeter system.
     """
+    bonds = {2: (0, 0), 3: (-1, -1), 4: (-1, -2)}
     n = len(matrix)
-    cartan = [[2] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            m = matrix[i][j]
-            if m == 2:
-                cartan[i][j] = 0
-            elif m == 3:
-                cartan[i][j] = -1
-            elif m == 4:
-                cartan[i][j] = -1 if i < j else -2
-            else:
-                raise ValueError(
-                    "root-lattice backend requires bond orders in {2,3,4}; "
-                    "got m=%r" % (m,)
-                )
-    return tuple(tuple(row) for row in cartan)
+    return tuple(tuple(2 if i == j else bonds[matrix[i][j]][i > j]
+                       for j in range(n)) for i in range(n))
 
 
 def _is_finite_type(cartan: tuple) -> bool:
@@ -437,11 +423,9 @@ class CoxeterSystem:
             return cls.B(n)
         if family == "D":
             return cls.D(n)
-        if family == "F":
-            if n != 4:
-                raise ValueError("only F4 exists")
-            return cls.F4()
-        raise ValueError("unknown group name %s" % _excerpt(name))
+        if n != 4:  # family F, the last one `_NAMED_RE` admits
+            raise ValueError("only F4 exists")
+        return cls.F4()
 
     @classmethod
     def from_spec(cls, spec: dict) -> "CoxeterSystem":
@@ -541,11 +525,10 @@ class CoxeterSystem:
         return (f if k % 2 == 1 else 1 - f, k)
 
     def _state_descents(self, state) -> tuple[int, int]:
-        """Return (ldesc, rdesc) bitmasks for a backend state."""
+        """Return (ldesc, rdesc) bitmasks for a backend state other than
+        e's: `__init__` interns e, so `_intern` never meets it again."""
         if self.backend == "dihedral-word":
             f, k = state
-            if k == 0:
-                return 0, 0
             if k == self._m:
                 return 0b11, 0b11
             return 1 << f, 1 << self._state_inverse(state)[0]

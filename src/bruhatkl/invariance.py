@@ -180,7 +180,7 @@ def sweep_calculating(sys: CoxeterSystem, max_length: Optional[int] = None,
         Hs = [H for H in H_set if (w.rdesc & H) == 0]
         if not Hs:
             continue
-        interval = build_lower_interval(sys, w)
+        interval = build_lower_interval(w)
         # at most two atoms (the letters of w): w lies in a rank-2 parabolic
         # subgroup, and the 2^(l(w)-1) special matchings are counted
         listed = (None if len(set(w.word)) <= 2
@@ -224,11 +224,11 @@ def reverify_counterexample(sys: CoxeterSystem, record: dict) -> bool:
         matching = record["matching"]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError("malformed record: %r" % exc) from None
-    interval = build_lower_interval(sys, w)
+    interval = build_lower_interval(w)
     M = matching_from_json(interval, matching)
     if not is_special(interval, M):
         raise ValueError("matching is not special")
-    _, again = verify_calculating(mark_interval(interval, H), x, M,
+    _, again = verify_calculating(mark_interval(interval, H), M,
                                   KLContext(sys, H, x))
     return again == record
 
@@ -237,15 +237,14 @@ def reverify_counterexample(sys: CoxeterSystem, record: dict) -> bool:
 # combinatorial-invariance scans
 
 
-def _scan_entry(sys: CoxeterSystem, H: int, w: Element, intervals: dict,
-                palette: dict):
-    sys.check_min_coset_rep(w, H)
+def _scan_entry(H: int, w: Element, intervals: dict, palette: dict):
+    w.system.check_min_coset_rep(w, H)
     if w not in intervals:
-        intervals[w] = build_lower_interval(sys, w)
+        intervals[w] = build_lower_interval(w)
     marked = mark_interval(intervals[w], H)
     descriptor = {
-        "group": sys.spec,
-        "H": format_genset(sys, H),
+        "group": w.system.spec,
+        "H": format_genset(w.system, H),
         "w": w.label_str(),
     }
     return marked, marked_colors(marked, palette), descriptor
@@ -259,8 +258,10 @@ def _scan_pair(a, b) -> dict:
         return {"first": desc_a, "second": desc_b, "isomorphic": False,
                 "polynomials_equal": None, "pairs_checked": 0}
     iv_a, iv_b = marked_a.interval, marked_b.interval
+    # psi on [e, w]^H, which keys every R row and P column of both tops
+    image = {iv_a.elements[i]: iv_b.elements[j]
+             for i, j in enumerate(psi) if marked_a.marks[i]}
     equal = True
-    checked = 0
     for x in ("-1", "q"):
         # packed values, equal iff their polynomials are; P values passed
         # the decoder's guard when their column was filled, R values below
@@ -268,22 +269,16 @@ def _scan_pair(a, b) -> dict:
         ctx_b = get_context(iv_b.system, marked_b.H, x)
         R_a, P_a = ctx_a._R_row(iv_a.top), ctx_a._P_column(iv_a.top)
         R_b, P_b = ctx_b._R_row(iv_b.top), ctx_b._P_column(iv_b.top)
-        r_values = set()
-        for ua_id in [i for i, m in enumerate(marked_a.marks) if m]:
-            ua, ub = iv_a.elements[ua_id], iv_b.elements[psi[ua_id]]
-            ra, rb = R_a.get(ua, 0), R_b.get(ub, 0)
-            r_values.update((ra, rb))
-            checked += 1
-            if ra != rb or P_a.get(ua, 0) != P_b.get(ub, 0):
+        for got, want in ((R_a, R_b), (P_a, P_b)):
+            if {image[u]: v for u, v in got.items()} != want:
                 equal = False
-        for r in r_values:
+        for r in {*R_a.values(), *R_b.values()}:
             _unpack(r)
     return {"first": desc_a, "second": desc_b, "isomorphic": True,
-            "polynomials_equal": equal, "pairs_checked": checked}
+            "polynomials_equal": equal, "pairs_checked": 2 * len(image)}
 
 
-def invariance_scan(pairs: Sequence[tuple[CoxeterSystem, int, Element]]
-                    ) -> list[dict]:
+def invariance_scan(pairs: Sequence[tuple[int, Element]]) -> list[dict]:
     """For every unordered pair from ``pairs`` (each entry also paired
     with itself), look for a marked isomorphism of the lower intervals
     [e, w] and, when found, compare the parabolic R- and P-polynomials
@@ -293,8 +288,7 @@ def invariance_scan(pairs: Sequence[tuple[CoxeterSystem, int, Element]]
     not isomorphic) and the number of ``pairs_checked``."""
     intervals: dict = {}  # entries with the same w share one interval
     palette: dict = {}    # each entry is colored once, all under one palette
-    entries = [_scan_entry(sys, H, w, intervals, palette)
-               for sys, H, w in pairs]
+    entries = [_scan_entry(H, w, intervals, palette) for H, w in pairs]
     del palette  # before the tables fill: five F4 entries leave 0.3 MB of keys
     out = []
     for i in range(len(entries)):
@@ -322,7 +316,7 @@ def mongelli_reproduction() -> dict:
     v2 = sys.element_from_labels("s4s3s1s2s3s4")
 
     in_quotient = all(sys.is_min_coset_rep(z, H) for z in (u1, v1, u2, v2))
-    first, second = build_interval(sys, u1, v1), build_interval(sys, u2, v2)
+    first, second = build_interval(u1, v1), build_interval(u2, v2)
     quotient_iso = in_quotient and find_order_isomorphism(
         mark_interval(first, H), mark_interval(second, H)) is not None
     full_iso = find_isomorphism(first, second) is not None

@@ -406,21 +406,18 @@ def get_context(sys: CoxeterSystem, H: int, x: str) -> KLContext:
     return ctx
 
 
-def verify_calculating(marked: MarkedInterval, x: str, M: tuple[int, ...],
-                       table: Optional[KLContext] = None
-                       ) -> tuple[bool, Optional[dict]]:
+def verify_calculating(marked: MarkedInterval, M: tuple[int, ...],
+                       table: KLContext) -> tuple[bool, Optional[dict]]:
     """Whether the matching recurrence of the pairing M reproduces the
-    reference R-polynomials on every quotient element of the interval.
-    Returns (True, None) or (False, the JSON-ready counterexample record
-    of the first quotient element where they differ)."""
+    reference R-polynomials of `table`, at its x, on every quotient
+    element of the interval.  Returns (True, None) or (False, the
+    JSON-ready counterexample record of the first quotient element where
+    they differ)."""
     iv = marked.interval
     if iv.bottom is not iv.system.identity:
         raise ValueError("matching recurrences apply to lower intervals")
-    if table is None:
-        table = get_context(iv.system, marked.H, x)
-    elif table.system is not iv.system or table.H != marked.H \
-            or table.x != x:
-        raise ValueError("reference table does not match (system, H, x)")
+    if table.system is not iv.system or table.H != marked.H:
+        raise ValueError("reference table does not match (system, H)")
     iv.system.check_min_coset_rep(iv.top, marked.H)
     if not is_H_special(marked, M):
         raise ValueError("matching is not H-special; the recurrence "

@@ -4,13 +4,13 @@ An interval is a plain value that a caller builds, uses and drops: its
 elements get dense integer ids sorted by (length, word), each id's lower
 covers are stored as a list, and the full order relation is kept as
 per-element up-set bitmasks so comparisons inside an interval are O(1).
-A caller gives only the members: a lower interval [e, w] takes them from
-the down-set of w, kept by the `CoxeterSystem`, and a subinterval from its
-parent.  The covers are read from the group too: the lower covers of a
-member are its coatoms that are members.  An interval is a Bruhat
-interval [u, v], which is convex, or a quotient interval [u, v]^H, the
-marked members of a marked [u, v], both graded by length since W^H is
-(Deodhar, Invent. Math. 39 (1977)).
+A caller gives only the members, which carry their `CoxeterSystem`: a
+lower interval [e, w] takes them from the down-set of w, kept by the
+system, and a subinterval from its parent.  The covers are read from
+the group too: the lower covers of a member are its coatoms that are
+members.  An interval is a Bruhat interval [u, v], which is convex, or
+a quotient interval [u, v]^H, the marked members of a marked [u, v],
+both graded by length since W^H is (Deodhar, Invent. Math. 39 (1977)).
 
 Marked intervals attach the parabolic-quotient membership flag
 (no right descent inside H) to each element.
@@ -44,14 +44,13 @@ class Interval:
     """A Bruhat or quotient interval, graded by l(z) - l(bottom).
 
     Element ids are positions in `elements`, the members sorted by
-    (length, word), whose coatoms the system has filled
+    (length, word), whose coatoms their system has filled
     (`CoxeterSystem.down_set`); id 0 is the bottom and the last id is the
     top.  The lower covers of an id are its coatoms among the members,
     sorted by (length, word) too, so they come out in increasing id order.
     """
 
-    def __init__(self, system: CoxeterSystem, elements: Sequence[Element]):
-        self.system = system
+    def __init__(self, elements: Sequence[Element]):
         self.elements = tuple(elements)
         self.bottom, self.top = self.elements[0], self.elements[-1]
         self.index = index = {el: i for i, el in enumerate(self.elements)}
@@ -67,6 +66,10 @@ class Interval:
             for a in self.hasse_down[b]:
                 above[a] |= above[b]
         self.above = tuple(above)
+
+    @property
+    def system(self) -> CoxeterSystem:
+        return self.bottom.system
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -92,7 +95,7 @@ class Interval:
         if not above[lo] >> hi & 1:
             raise ValueError("%r is not below %r" % (els[lo], els[hi]))
         ids = tuple(j for j in genset_indices(above[lo]) if above[j] >> hi & 1)
-        return Interval(self.system, [els[p] for p in ids]), ids
+        return Interval([els[p] for p in ids]), ids
 
 
 class MarkedInterval(NamedTuple):
@@ -104,19 +107,18 @@ class MarkedInterval(NamedTuple):
     marks: tuple[bool, ...]
 
 
-def build_lower_interval(sys: CoxeterSystem, w: Element) -> Interval:
+def build_lower_interval(w: Element) -> Interval:
     """The interval [e, w], built afresh."""
-    sys._check_owned(w)
-    by_id = sys._by_id
-    return Interval(sys, sorted(by_id[i]
-                                for i in genset_indices(sys.down_set(w))))
+    by_id = w.system._by_id
+    return Interval(sorted(by_id[i]
+                           for i in genset_indices(w.system.down_set(w))))
 
 
-def build_interval(sys: CoxeterSystem, u: Element, v: Element) -> Interval:
+def build_interval(u: Element, v: Element) -> Interval:
     """The general interval [u, v] (u must be <= v), built afresh."""
-    if not sys.bruhat_leq(u, v):
+    if not v.system.bruhat_leq(u, v):
         raise ValueError("%r is not below %r" % (u, v))
-    lower = build_lower_interval(sys, v)
+    lower = build_lower_interval(v)
     sub, _ = lower.subinterval(lower.id_of(u), lower.id_of(v))
     return sub
 
@@ -241,13 +243,12 @@ def _quotient_interval(m: MarkedInterval) -> Interval:
     if not (marks[0] and marks[-1]):
         raise ValueError("%r is not in W^H"
                          % (iv.top if marks[0] else iv.bottom))
-    return Interval(iv.system,
-                    [el for el, mk in zip(iv.elements, marks) if mk])
+    return Interval([el for el, mk in zip(iv.elements, marks) if mk])
 
 
-def interval_to_json(interval: Interval,
-                     marked: Optional[MarkedInterval] = None) -> dict:
-    """JSON-friendly dict: canonical words, ranks, Hasse edges, marks."""
+def interval_to_json(interval: Interval, H: Optional[int] = None) -> dict:
+    """JSON-friendly dict: canonical words, ranks, Hasse edges, and, given
+    H, each element's mark in W^H."""
     edges = sorted((a, b) for b, down in enumerate(interval.hasse_down)
                    for a in down)
     out = {
@@ -260,9 +261,10 @@ def interval_to_json(interval: Interval,
         ],
         "hasse": [list(e) for e in edges],
     }
-    if marked is not None:
+    if H is not None:
+        marks = mark_interval(interval, H).marks
         names = interval.system.generator_names
-        out["H"] = [names[i] for i in genset_indices(marked.H)]
-        for rec, mk in zip(out["elements"], marked.marks):
+        out["H"] = [names[i] for i in genset_indices(H)]
+        for rec, mk in zip(out["elements"], marks):
             rec["marked"] = bool(mk)
     return out

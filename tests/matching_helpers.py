@@ -427,7 +427,7 @@ def enumerate_verified_systems(sys: CoxeterSystem, w: Element
     J, t over the remaining generators.  [e, w] is built once, and so are
     the domain of M_st and its special matchings for each {s, t}.
     """
-    interval = build_lower_interval(sys, w)
+    interval = build_lower_interval(w)
     candidates: dict[int, tuple[Interval, list[Pairing]]] = {}
     out = []
     for side in ("right", "left"):
@@ -440,7 +440,7 @@ def enumerate_verified_systems(sys: CoxeterSystem, w: Element
                         continue
                     st_mask = genset([s, t])
                     if st_mask not in candidates:
-                        dom = build_lower_interval(sys, max_parabolic_below(
+                        dom = build_lower_interval(max_parabolic_below(
                             sys, w, st_mask))
                         candidates[st_mask] = (
                             dom, enumerate_special_matchings(dom))

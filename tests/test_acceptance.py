@@ -332,7 +332,7 @@ def test_criterion_4fw_whole_group_P_columns_f4():
 
 def check_matchings_are_special(sys_, counts):
     for w in sys_.group_elements():
-        interval = build_lower_interval(sys_, w)
+        interval = build_lower_interval(w)
         for M in enumerate_special_matchings(interval):
             counts["matchings"] += 1
             if not is_special(interval, M):
@@ -353,7 +353,7 @@ def check_orbits(sys_, counts):
     # (elements, verdict) per (bottom, top): orbits repeat few intervals
     dihedral = {}
     for w in sys_.group_elements():
-        interval = build_lower_interval(sys_, w)
+        interval = build_lower_interval(w)
         matchings = enumerate_special_matchings(interval)
         for a in range(len(matchings)):
             for b in range(a, len(matchings)):
@@ -369,7 +369,7 @@ def check_orbits(sys_, counts):
                     top = max(elements)
                     key = (bottom, top)
                     if key not in dihedral:
-                        sub = build_interval(sys_, bottom, top)
+                        sub = build_interval(bottom, top)
                         dihedral[key] = (set(sub.elements),
                                          is_dihedral_interval(sub))
                     members, is_dihedral = dihedral[key]
@@ -400,7 +400,7 @@ def check_coatoms(sys_, counts):
     for v in sys_.group_elements():
         if v.length == 0:
             continue
-        interval = build_lower_interval(sys_, v)
+        interval = build_lower_interval(v)
         top = len(interval.elements) - 1
         coatoms = [interval.elements[i] for i in interval.hasse_down[top]]
         for H in range(1 << sys_.rank):
@@ -489,7 +489,7 @@ def test_criterion_6_systems_cover_matchings(a2, b2):
         for w in sys_.group_elements():
             if w.length == 0:
                 continue
-            interval = build_lower_interval(sys_, w)
+            interval = build_lower_interval(w)
             induced = {M for _, M in enumerate_verified_systems(sys_, w)}
             for M in enumerate_special_matchings(interval):
                 total += 1

@@ -86,8 +86,20 @@ def test_load_group_unknown():
     # or as a,bc
     '{"type":"matrix","m":[[1,3,2,2],[3,1,3,2],[2,3,1,3],[2,2,3,1]],'
     '"labels":["ab","c","a","bc"]}',
+    "[]",
+    "[[1,3],[3]]",
+    "[[1,1],[1,1]]",
+    '{"type":"matrix","m":[[1,3],[3,1]],"labels":["s"]}',
+    "A0", "B1", "D3", "I2(1)", "F5",
+    # a group file holding a JSON list, and one of an unknown type
+    "file:[[1,3],[3,1]]",
+    'file:{"type":"coxeter","m":[[1,3],[3,1]]}',
 ])
-def test_bad_group_descriptor_is_one_error_line(capsys, group):
+def test_bad_group_descriptor_is_one_error_line(capsys, tmp_path, group):
+    if group.startswith("file:"):
+        path = tmp_path / "group.json"
+        path.write_text(group[len("file:"):])
+        group = str(path)
     code, out, err = run(capsys, [
         "poly", "--group", group, "--u", "e", "--w", "e"])
     assert code == 1
@@ -248,7 +260,7 @@ def test_matchings_single_edge(capsys):
 def test_matchings_count_matches_brute_force(capsys):
     i24 = CoxeterSystem.I2(4)
     top = i24.element_from_labels("s1s2s1s2")
-    want = len(brute_special_matchings(build_lower_interval(i24, top)))
+    want = len(brute_special_matchings(build_lower_interval(top)))
     code, data = run_json(capsys, [
         "matchings", "--group", "I2(4)", "--w", "s1s2s1s2"])
     assert code == 0
@@ -260,7 +272,7 @@ def test_matchings_all_listed_are_special(capsys):
         "matchings", "--group", "B2", "--H", "s1", "--w", "s2s1s2"])
     assert code == 0
     sys_ = CoxeterSystem.B(2)
-    interval = build_lower_interval(sys_, sys_.element_from_labels("s2s1s2"))
+    interval = build_lower_interval(sys_.element_from_labels("s2s1s2"))
     h_tags = []
     for entry in data["matchings"]:
         M = matching_from_json(interval, entry)
@@ -282,7 +294,7 @@ def test_matchings_f4_w0_at_default_recursion_limit(capsys):
     assert code == 0
     assert data["count"] == 8 == len(data["matchings"])
     f4 = CoxeterSystem.F4()
-    interval = build_lower_interval(f4, f4.element_from_labels(w0))
+    interval = build_lower_interval(f4.element_from_labels(w0))
     assert len(interval) == 1152
     for entry in data["matchings"]:
         assert is_special(interval, matching_from_json(interval, entry))
@@ -319,7 +331,7 @@ def rendered_matchings(group, w, H):
     json.dumps, and the human lines rendered from its matchings."""
     sys_ = load_group(group)
     top = sys_.element_from_labels(w)
-    interval = build_lower_interval(sys_, top)
+    interval = build_lower_interval(top)
     marked = mark_interval(interval, parse_genset(sys_, H))
     found = enumerate_special_matchings(interval)
     tagged = [dict(matching_to_json(M), h_special=is_H_special(marked, M))
@@ -595,6 +607,11 @@ def test_export_interval(capsys):
     marked = [e["word"] for e in data["elements"] if e["marked"]]
     # the top s1s2s1 = s2s1s2 has both generators as right descents
     assert marked == ["e", "s2", "s1s2"]
+    # the human output is the same JSON, indented
+    code, out, _ = run(capsys, [
+        "export-interval", "--group", "A2", "--w", "s1s2s1", "--H", "s1"])
+    assert code == 0
+    assert out == json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def test_export_interval_not_lower(capsys):

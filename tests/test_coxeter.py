@@ -340,7 +340,7 @@ def test_bruhat_leq_matches_subword_oracle(sys):
             assert sys.bruhat_leq(u, v) == (u in below)
         # the covers below the top of [e, v] are the lifting-property
         # coatoms, and the letter deletions that stay reduced
-        iv = build_lower_interval(sys, v)
+        iv = build_lower_interval(v)
         coatoms = tuple(iv.elements[j] for j in iv.hasse_down[-1])
         assert coatoms == deletion_coatoms(sys, v)
 
@@ -537,6 +537,17 @@ def test_group_elements_finite_iff_ascending_walks_end():
             finite += 1
             assert sys.group_elements()[-1] is w
     assert 0 < finite < len(matrices)
+
+
+@pytest.mark.parametrize("s, side, message", [
+    (-1, "right", "out of range"),
+    (3, "left", "out of range"),
+    (0, "middle", "side must be"),
+])
+def test_multiply_by_generator_refuses_a_bad_index_or_side(s, side, message):
+    a3 = CoxeterSystem.A(3)
+    with pytest.raises(ValueError, match=message):
+        a3.multiply_by_generator(a3.identity, s, side)
 
 
 def test_rejects_unsupported_matrices():

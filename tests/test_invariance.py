@@ -86,7 +86,7 @@ def sweep_units(sys, max_length, H_set):
 def brute_h_special_count(sys, w, H):
     """Independent recount: brute-force special matchings, then the
     downward-stays-marked condition straight from the definition."""
-    interval = build_lower_interval(sys, w)
+    interval = build_lower_interval(w)
     count = 0
     for pairing in brute_special_matchings(interval):
         ok = True
@@ -114,7 +114,7 @@ def test_sweep_a2_full_group_matches_brute_totals(a2, x):
     want_matchings = 0
     want_h_special = 0
     for w, H in units:
-        interval = build_lower_interval(a2, w)
+        interval = build_lower_interval(w)
         want_matchings += len(brute_special_matchings(interval))
         want_h_special += brute_h_special_count(a2, w, H)
     assert report["totals"]["matchings_enumerated"] == want_matchings
@@ -188,7 +188,7 @@ def test_whole_dihedral_sweep_totals_in_closed_form(m, x):
     }
 
 
-def enumerated_counts(marked, x, special, table):
+def enumerated_counts(marked, special, table):
     """`_ladder_counts` recounted from the listed special matchings, each
     checked on its own."""
     every, h_special, calculating = Counter(), Counter(), Counter()
@@ -197,7 +197,7 @@ def enumerated_counts(marked, x, special, table):
         every[top] += 1
         if is_H_special(marked, M):
             h_special[top] += 1
-            calculating[top] += verify_calculating(marked, x, M, table)[0]
+            calculating[top] += verify_calculating(marked, M, table)[0]
     return every, h_special, calculating
 
 
@@ -211,7 +211,7 @@ def test_ladder_counts_match_the_enumeration(group, max_length):
     # and the unit checked by its count equals the unit checked listed
     sys = CoxeterSystem.from_name(group)
     for w in sys.elements_up_to_length(max_length):
-        interval = build_lower_interval(sys, w)
+        interval = build_lower_interval(w)
         if len(upper_covers(interval)[0]) > 2:
             continue
         special = enumerate_special_matchings(interval)
@@ -221,7 +221,7 @@ def test_ladder_counts_match_the_enumeration(group, max_length):
             marked = mark_interval(interval, H)
             for x in ("-1", "q"):
                 table = get_context(sys, H, x)
-                want = enumerated_counts(marked, x, special, table)
+                want = enumerated_counts(marked, special, table)
                 got = _ladder_counts(marked, table)
                 assert [Counter(c) for c in got] == list(want), (w, H, x)
                 assert _check_unit(marked, table, None) \
@@ -247,6 +247,17 @@ def test_sweep_report_shape(a2):
     assert data["H_set"] == ["{}"]
     assert data["ok"] is True
     assert json.loads(json.dumps(data)) == data
+
+
+def test_sweep_skips_a_w_in_no_W_H(a2):
+    # with H = {s1} alone, s1, s2s1 and s1s2s1 lie in no W^H: only
+    # e, s2 and s1s2 are units.  [e, s1s2] has two special matchings,
+    # and u -> us2 pairs the unmarked s1 below the marked s1s2
+    data = sweep_calculating(a2, H_set=[genset([0])])
+    assert data["totals"] == {"intervals_scanned": 3,
+                              "matchings_enumerated": 3, "h_special": 2,
+                              "calculating": 2}
+    assert data["ok"] is True
 
 
 def test_sweep_rejects_bad_H(a2):
@@ -293,13 +304,13 @@ def fabricated_record(b2):
     """A record written out by hand, so the format is checked apart from
     its writer; its matching calculates, so its two sides are equal."""
     w = el(b2, "s2s1s2")
-    interval = build_lower_interval(b2, w)
+    interval = build_lower_interval(w)
     H = genset([0])
     marked = mark_interval(interval, H)
     M = next(m for m in enumerate_special_matchings(interval)
              if is_H_special(marked, m))
     table = KLContext(b2, H, "q")
-    assert verify_calculating(marked, "q", M, table) == (True, None)
+    assert verify_calculating(marked, M, table) == (True, None)
     u = next(e for i, e in enumerate(interval.elements)
              if marked.marks[i] and e.length == 1)
     reference = table.R(u, w)
@@ -380,11 +391,11 @@ def test_reverify_rejects_a_matching_that_is_not_special(a3):
 
 def test_verify_calculating_writes_the_sweep_record(a3, monkeypatch):
     w = el(a3, "s1s2s3s2")
-    interval = build_lower_interval(a3, w)
+    interval = build_lower_interval(w)
     marked = mark_interval(interval, 0)
     M = matching_from_json(interval, NON_SPECIAL_A3["matching"])
     assert is_H_special(marked, M) and not is_special(interval, M)
-    ok, record = verify_calculating(marked, "-1", M)
+    ok, record = verify_calculating(marked, M, get_context(a3, 0, "-1"))
     assert ok is False
     assert json.loads(json.dumps(record)) == record == NON_SPECIAL_A3
     with pytest.raises(ValueError, match="not special"):
@@ -403,11 +414,11 @@ def per_matching_records(sys, max_length, x):
     H-special matching one at a time, in the sweep's order."""
     records = []
     for w, H in sweep_units(sys, max_length, range(1 << sys.rank)):
-        interval = build_lower_interval(sys, w)
+        interval = build_lower_interval(w)
         marked = mark_interval(interval, H)
         for M in enumerate_special_matchings(interval):
             if is_H_special(marked, M):
-                ok, record = verify_calculating(marked, x, M,
+                ok, record = verify_calculating(marked, M,
                                                 KLContext(sys, H, x))
                 if not ok:
                     records.append(record)
@@ -422,7 +433,7 @@ def test_failing_column_unit_writes_the_per_matching_records(monkeypatch, x):
     # so the unit is listed and checked one matching at a time
     i27 = CoxeterSystem.I2(7)
     w, v = el(i27, "s1s2s1s2s1"), el(i27, "s2s1s2s1")
-    interval = build_lower_interval(i27, w)
+    interval = build_lower_interval(w)
     special = enumerate_special_matchings(interval)
     assert len(special) == 16 and len(upper_covers(interval)[0]) == 2
     plant_discrepancy(monkeypatch, v)
@@ -440,7 +451,7 @@ def test_failing_column_unit_writes_the_per_matching_records(monkeypatch, x):
         want = []
         for M in special:
             if is_H_special(marked, M):
-                ok, record = verify_calculating(marked, x, M,
+                ok, record = verify_calculating(marked, M,
                                                 KLContext(i27, H, x))
                 assert ok is (M[-1] != interval.id_of(v))
                 if not ok:
@@ -472,7 +483,7 @@ def test_ladder_refuses_any_one_pair():
     # with one pair refused, the ladder counts exactly the special
     # matchings without that pair, wherever it sits, by their M(w)
     i27 = CoxeterSystem.I2(7)
-    interval = build_lower_interval(i27, el(i27, "s1s2s1s2s1"))
+    interval = build_lower_interval(el(i27, "s1s2s1s2s1"))
     special = enumerate_special_matchings(interval)
     up = upper_covers(interval)
     n = len(interval)
@@ -491,13 +502,13 @@ def test_one_wrong_step_fails_the_ladder_and_keeps_the_records(monkeypatch,
     # them calculating, and the sweep writes the per-matching records
     i27 = CoxeterSystem.I2(7)
     w, u = el(i27, "s1s2s1s2s1"), el(i27, "s2s1")
-    interval = build_lower_interval(i27, w)
+    interval = build_lower_interval(w)
     special = enumerate_special_matchings(interval)
     plant_discrepancy(monkeypatch, w, u)
     for H in (0, genset([1])):  # the H with w in W^H
         marked = mark_interval(interval, H)
         table = get_context(i27, H, x)
-        want = enumerated_counts(marked, x, special, table)
+        want = enumerated_counts(marked, special, table)
         assert [Counter(c) for c in _ladder_counts(marked, table)] \
             == list(want)
         assert sum(want[2].values()) == 0 < sum(want[1].values())
@@ -509,7 +520,7 @@ def test_one_wrong_step_fails_the_ladder_and_keeps_the_records(monkeypatch,
 def test_reverify_rejects_tampered_records(a3, monkeypatch):
     record = planted_sweep_record(a3, monkeypatch)
     other = [matching_to_json(M)["pairs"] for M in enumerate_special_matchings(
-        build_lower_interval(a3, el(a3, "s1s2")))]
+        build_lower_interval(el(a3, "s1s2")))]
     other.remove(record["matching"]["pairs"])
     tampered = [
         dict(record, u="s1"),
@@ -570,7 +581,7 @@ def test_reverify_rejects_malformed_matching_with_value_error(b2, malform,
 
 def test_scan_self_pair_identity(a2):
     w0 = el(a2, "s1s2s1")
-    (record,) = invariance_scan([(a2, 0, w0)])
+    (record,) = invariance_scan([(0, w0)])
     assert record["isomorphic"] is True
     assert record["polynomials_equal"] is True
     # 6 quotient elements, checked for both x variants
@@ -583,7 +594,7 @@ def test_scan_braid_spellings_are_one_interval(a2):
     u = el(a2, "s1s2s1")
     v = el(a2, "s2s1s2")
     assert u is v
-    records = invariance_scan([(a2, 0, u), (a2, 0, v)])
+    records = invariance_scan([(0, u), (0, v)])
     assert len(records) == 3
     assert all(r["isomorphic"] and r["polynomials_equal"] for r in records)
 
@@ -591,8 +602,8 @@ def test_scan_braid_spellings_are_one_interval(a2):
 def test_scan_b2_with_generator_roles_swapped(b2):
     # distinct intervals in B2, marked-isomorphic under s1 <-> s2
     records = invariance_scan([
-        (b2, genset([0]), el(b2, "s2s1s2")),
-        (b2, genset([1]), el(b2, "s1s2s1")),
+        (genset([0]), el(b2, "s2s1s2")),
+        (genset([1]), el(b2, "s1s2s1")),
     ])
     cross = [r for r in records if r["first"] != r["second"]]
     assert len(cross) == 1
@@ -604,7 +615,7 @@ def test_scan_b2_with_generator_roles_swapped(b2):
 def test_scan_detects_mark_mismatch():
     i24 = CoxeterSystem.I2(4)
     w = el(i24, "s1s2s1")
-    records = invariance_scan([(i24, genset([1]), w), (i24, 0, w)])
+    records = invariance_scan([(genset([1]), w), (0, w)])
     cross = [r for r in records if r["first"] != r["second"]]
     assert len(cross) == 1
     assert cross[0]["isomorphic"] is False
@@ -613,19 +624,19 @@ def test_scan_detects_mark_mismatch():
 
 
 def test_scan_detects_size_mismatch(a2):
-    records = invariance_scan([(a2, 0, el(a2, "s1s2")),
-                               (a2, 0, el(a2, "s1s2s1"))])
+    records = invariance_scan([(0, el(a2, "s1s2")),
+                               (0, el(a2, "s1s2s1"))])
     cross = [r for r in records if r["first"] != r["second"]]
     assert cross[0]["isomorphic"] is False
 
 
 def test_scan_requires_quotient_top(b2):
     with pytest.raises(QuotientMembershipError):
-        invariance_scan([(b2, genset([1]), el(b2, "s1s2"))])
+        invariance_scan([(genset([1]), el(b2, "s1s2"))])
 
 
 def test_scan_record_json(a2):
-    (data,) = invariance_scan([(a2, 0, el(a2, "s1s2"))])
+    (data,) = invariance_scan([(0, el(a2, "s1s2"))])
     assert sorted(data) == ["first", "isomorphic", "pairs_checked",
                             "polynomials_equal", "second"]
     assert json.loads(json.dumps(data)) == data
@@ -636,9 +647,9 @@ def test_scan_record_json(a2):
 
 def test_scan_refines_each_entry_once(monkeypatch):
     b3 = CoxeterSystem.B(3)
-    entries = [(b3, 0, el(b3, "s1s2s3")), (b3, 0, el(b3, "s3s2s1")),
-               (b3, genset([0]), el(b3, "s1s2s3")),
-               (b3, genset([2]), el(b3, "s3s2s1")), (b3, 0, el(b3, "s2s3"))]
+    entries = [(0, el(b3, "s1s2s3")), (0, el(b3, "s3s2s1")),
+               (genset([0]), el(b3, "s1s2s3")),
+               (genset([2]), el(b3, "s3s2s1")), (0, el(b3, "s2s3"))]
     calls = {"refine": 0, "isomorphism": 0}
 
     def counting(name, fn):
@@ -669,8 +680,8 @@ def planted_b2(table: str, value):
     or P column (table "P") entry at u = s1, x = q, replaced by
     value(old).  Returns the system and the scan entries."""
     b2 = CoxeterSystem.B(2)
-    entries = [(b2, parse_genset(b2, H), el(b2, w)) for H, w in SWAPPED_B2]
-    _, H, w = entries[1]
+    entries = [(parse_genset(b2, H), el(b2, w)) for H, w in SWAPPED_B2]
+    H, w = entries[1]
     ctx = get_context(b2, H, "q")
     values = ctx._R_row(w) if table == "R" else ctx._P_column(w)
     u = el(b2, "s1")

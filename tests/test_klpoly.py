@@ -13,7 +13,7 @@ import pytest
 
 from bruhatkl.coxeter import CoxeterSystem, QuotientMembershipError, genset
 from bruhatkl.invariance import sweep_calculating
-from bruhatkl.poset import build_lower_interval, mark_interval
+from bruhatkl.poset import build_interval, build_lower_interval, mark_interval
 from bruhatkl.matchings import enumerate_special_matchings, is_H_special
 from bruhatkl.klpoly import (
     QPolynomial,
@@ -153,14 +153,10 @@ def test_bad_x_is_refused_everywhere(x):
     # x is the string "-1" or "q"; anything else, the int -1 included,
     # is refused before a table or a campaign name is made
     b2 = CoxeterSystem.B(2)
-    marked = mark_interval(build_lower_interval(b2, el(b2, "s1s2")), 0)
-    M = multiplication_matching(marked.interval, 1)
     with pytest.raises(ValueError, match="x must be"):
         KLContext(b2, 0, x)
     with pytest.raises(ValueError, match="x must be"):
         get_context(b2, 0, x)
-    with pytest.raises(ValueError, match="x must be"):
-        verify_calculating(marked, x, M)
     # [e, e] is the one unit, and it never builds a table
     with pytest.raises(ValueError, match="x must be"):
         sweep_calculating(b2, max_length=0, x=x)
@@ -194,7 +190,8 @@ def test_R_membership_errors(b2):
 
 def test_an_element_of_another_system_is_refused_everywhere():
     # one ownership rule: the quotient check, R and P (for u and for w)
-    # and the interval build each refuse an element of a second A2
+    # and the build of an interval whose ends belong to two systems each
+    # refuse an element of a second A2
     a, b = CoxeterSystem.A(2), CoxeterSystem.A(2)
     mine, theirs = a.generator(0), b.generator(0)
     table = get_context(a, 0, "-1")
@@ -203,7 +200,7 @@ def test_an_element_of_another_system_is_refused_everywhere():
                     partial(table.R, a.identity, theirs),
                     partial(table.P, theirs, mine),
                     partial(table.P, a.identity, theirs),
-                    partial(build_lower_interval, a, theirs)):
+                    partial(build_interval, a.identity, theirs)):
         with pytest.raises(ValueError, match="belongs to a different system"):
             refused()
 
@@ -394,7 +391,7 @@ def test_bruhat_and_R_against_oracles_random_groups():
             # the down-set holds exactly the ids of [e, v], and the
             # lifting coatoms are the letter deletions that stay reduced
             assert sysm.down_set(v) == sum(1 << z.id for z in below[v])
-            iv = build_lower_interval(sysm, v)
+            iv = build_lower_interval(v)
             assert (tuple(iv.elements[j] for j in iv.hasse_down[-1])
                     == oracles.deletion_coatoms(sysm, v))
         if is_infinite_rank3(sysm):
@@ -652,7 +649,7 @@ def test_left_multiplication_step_reproduces_recursion(b3):
         for w in quotient(b3, H):
             if w.length == 0:
                 continue
-            iv = build_lower_interval(b3, w)
+            iv = build_lower_interval(w)
             marked = mark_interval(iv, H)
             for x in ("-1", "q"):
                 ctx = get_context(b3, H, x)
@@ -660,7 +657,7 @@ def test_left_multiplication_step_reproduces_recursion(b3):
                     if not (w.ldesc >> s) & 1:
                         continue
                     lam = multiplication_matching(iv, s, "left")
-                    assert verify_calculating(marked, x, lam, ctx) \
+                    assert verify_calculating(marked, lam, ctx) \
                         == (True, None)
 
 
@@ -668,12 +665,12 @@ def test_step_top_element_is_one(b2):
     # with the reference R(w, w) overwritten by 7 on a private table, the
     # first difference is at the top, where the recurrence gives 1
     w = el(b2, "s2 s1 s2")
-    iv = build_lower_interval(b2, w)
+    iv = build_lower_interval(w)
     marked = mark_interval(iv, 0)
     ctx = KLContext(b2, 0, "q")
     ctx._R_row(w)[w] = 7  # the packed constant polynomial 7
     lam = multiplication_matching(iv, 1, "left")
-    ok, record = verify_calculating(marked, "q", lam, ctx)
+    ok, record = verify_calculating(marked, lam, ctx)
     assert ok is False
     assert record["u"] == record["w"] == w.label_str()
     assert record["via_matching"] == ONE.to_json()
@@ -683,36 +680,44 @@ def test_step_top_element_is_one(b2):
 def test_step_rejects_non_H_special(b2):
     # the top is marked, so the refusal comes from the H-special test
     w = el(b2, "s2 s1 s2")
-    iv = build_lower_interval(b2, w)
+    iv = build_lower_interval(w)
     H = genset([0])
     marked = mark_interval(iv, H)
     assert marked.marks[-1]
     rho_s = multiplication_matching(iv, 1, "right")
     ctx = get_context(b2, H, "q")
     with pytest.raises(ValueError, match="not H-special"):
-        verify_calculating(marked, "q", rho_s, ctx)
+        verify_calculating(marked, rho_s, ctx)
 
 
 def test_step_rejects_mismatched_table(b2):
     w = el(b2, "s1 s2 s1 s2")
-    iv = build_lower_interval(b2, w)
+    iv = build_lower_interval(w)
     marked = mark_interval(iv, 0)
     lam = multiplication_matching(iv, 1, "left")
+    # a table for another H, and one for another system
     with pytest.raises(ValueError, match="does not match"):
-        verify_calculating(marked, "q", lam, get_context(b2, 0, "-1"))
+        verify_calculating(marked, lam, get_context(b2, genset([0]), "q"))
     with pytest.raises(ValueError, match="does not match"):
-        verify_calculating(
-            marked, "q", lam, get_context(b2, genset([0]), "q"))
+        verify_calculating(marked, lam, KLContext(CoxeterSystem.B(2), 0, "q"))
+
+
+def test_step_rejects_an_interval_above_e(b2):
+    s, w = el(b2, "s1"), el(b2, "s1 s2 s1")
+    marked = mark_interval(build_interval(s, w), 0)
+    M = enumerate_special_matchings(marked.interval)[0]
+    with pytest.raises(ValueError, match="lower intervals"):
+        verify_calculating(marked, M, get_context(b2, 0, "q"))
 
 
 def test_step_rejects_unmarked_top(b2):
     H = genset([0])
     w = el(b2, "s2 s1")  # right descent s1 lies in H
-    iv = build_lower_interval(b2, w)
+    iv = build_lower_interval(w)
     marked = mark_interval(iv, H)
     lam = multiplication_matching(iv, 1, "left")
     with pytest.raises(QuotientMembershipError):
-        verify_calculating(marked, "q", lam, get_context(b2, H, "q"))
+        verify_calculating(marked, lam, get_context(b2, H, "q"))
 
 
 def test_verify_calculating_left_multiplications(b3):
@@ -720,12 +725,13 @@ def test_verify_calculating_left_multiplications(b3):
         for w in quotient(b3, H):
             if not w.length:
                 continue
-            iv = build_lower_interval(b3, w)
+            iv = build_lower_interval(w)
             marked = mark_interval(iv, H)
             s = min(i for i in range(b3.rank) if (w.ldesc >> i) & 1)
             lam = multiplication_matching(iv, s, "left")
             for x in ("-1", "q"):
-                ok, cex = verify_calculating(marked, x, lam)
+                ok, cex = verify_calculating(marked, lam,
+                                             get_context(b3, H, x))
                 assert ok and cex is None
 
 
@@ -736,13 +742,14 @@ def test_verify_calculating_all_matchings_sample(b2):
         for w in quotient(b2, H):
             if not w.length:
                 continue
-            iv = build_lower_interval(b2, w)
+            iv = build_lower_interval(w)
             marked = mark_interval(iv, H)
             for M in enumerate_special_matchings(iv):
                 if not is_H_special(marked, M):
                     continue
                 for x in ("-1", "q"):
-                    ok, cex = verify_calculating(marked, x, M)
+                    ok, cex = verify_calculating(marked, M,
+                                                 get_context(b2, H, x))
                     assert ok, cex
 
 
@@ -751,17 +758,18 @@ def test_matching_and_marks_from_separate_builds(b3):
     # marked interval taken from another build of it
     H = genset([0])
     w = max(quotient(b3, H))
-    built = build_lower_interval(b3, w)
-    marked = mark_interval(build_lower_interval(b3, w), H)
+    built = build_lower_interval(w)
+    marked = mark_interval(build_lower_interval(w), H)
     assert built is not marked.interval
     matchings = enumerate_special_matchings(built)
     assert matchings == enumerate_special_matchings(
-        build_lower_interval(b3, w))
+        build_lower_interval(w))
     special = [M for M in matchings if is_H_special(marked, M)]
     assert special
     for M in special:
         for x in ("-1", "q"):
-            assert verify_calculating(marked, x, M) == (True, None)
+            assert verify_calculating(marked, M, get_context(b3, H, x)) \
+                == (True, None)
 
 
 # ---------------------------------------------------------------------------

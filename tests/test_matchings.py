@@ -61,7 +61,7 @@ def matching_from_element_pairs(interval, pairs):
 
 def test_multiplication_matching_pairs(b2):
     w = el(b2, "s1 s2 s1 s2")
-    iv = build_lower_interval(b2, w)
+    iv = build_lower_interval(w)
     rho = multiplication_matching(iv, 0, "right")
     for u in iv.elements:
         assert image(iv, rho, u) is multiply(b2, u, b2.generator(0))
@@ -72,7 +72,7 @@ def test_multiplication_matching_pairs(b2):
 
 
 def test_multiplication_matching_needs_descent(a2):
-    iv = build_lower_interval(a2, el(a2, "s1 s2"))
+    iv = build_lower_interval(el(a2, "s1 s2"))
     with pytest.raises(ValueError):
         multiplication_matching(iv, 0, "right")  # right descent is s2
     multiplication_matching(iv, 1, "right")
@@ -82,7 +82,9 @@ def test_multiplication_matching_needs_descent(a2):
 
 
 def test_is_special_rejects_non_matchings(a2):
-    iv = build_lower_interval(a2, el(a2, "s1 s2 s1"))
+    iv = build_lower_interval(el(a2, "s1 s2 s1"))
+    with pytest.raises(ValueError, match="wrong size"):
+        is_special(iv, [1, 0])
     with pytest.raises(ValueError):
         is_special(iv, [0] * len(iv.elements))
     with pytest.raises(ValueError):
@@ -98,7 +100,7 @@ def test_is_special_rejects_non_matchings(a2):
 def test_is_special_negative_example(a3):
     # on the rank-3 cube, match e with s1 but s3 with s1s3: the cover
     # s3 < s2s3 then forces s1s3 <= s2 and fails
-    iv = build_lower_interval(a3, el(a3, "s1 s2 s3"))
+    iv = build_lower_interval(el(a3, "s1 s2 s3"))
     pairs = [
         (el(a3, "e"), el(a3, "s1")),
         (el(a3, "s2"), el(a3, "s2 s3")),
@@ -130,7 +132,7 @@ def interval_corpus():
 @pytest.mark.parametrize("case", range(len(interval_corpus())))
 def test_enumeration_matches_bruteforce(case):
     sys_, w = interval_corpus()[case]
-    iv = build_lower_interval(sys_, w)
+    iv = build_lower_interval(w)
     got = enumerate_special_matchings(iv)
     assert got == oracles.brute_special_matchings(iv)
     assert len(set(got)) == len(got)
@@ -164,7 +166,7 @@ def test_enumeration_matches_recursive_backtracker(name):
         tops = (sys_.group_elements() if max_length is None
                 else sys_.elements_up_to_length(max_length))
         for w in tops:
-            iv = build_lower_interval(sys_, w)
+            iv = build_lower_interval(w)
             got = enumerate_special_matchings(iv)
             assert got == oracles.backtrack_special_matchings(iv), (
                 sys_.name, w.label_str())
@@ -175,7 +177,7 @@ def lower_intervals(sys_, max_length=None):
     tops = (sys_.group_elements() if max_length is None
             else sys_.elements_up_to_length(max_length))
     for w in tops:
-        yield build_lower_interval(sys_, w)
+        yield build_lower_interval(w)
 
 
 def general_intervals(sys_, max_length=None):
@@ -356,7 +358,7 @@ def test_enumeration_matches_bruteforce_random_groups():
                 if not ascents:
                     break  # w is the top of a finite group
                 w = sys_.multiply_by_generator(w, rng.choice(ascents))
-                iv = build_lower_interval(sys_, w)
+                iv = build_lower_interval(w)
                 if len(iv) > 24:
                     break
                 got = enumerate_special_matchings(iv)
@@ -370,7 +372,7 @@ def test_listing_cap_names_the_bottom(monkeypatch):
     # [s1, s1s2s1s2s1] of I2(6) is a length-4 dihedral interval, with 8
     # special matchings
     i26 = CoxeterSystem.I2(6)
-    iv = build_interval(i26, el(i26, "s1"), el(i26, "s1 s2 s1 s2 s1"))
+    iv = build_interval(el(i26, "s1"), el(i26, "s1 s2 s1 s2 s1"))
     assert len(enumerate_special_matchings(iv)) == 8
     monkeypatch.setattr(bruhatkl.matchings, "MAX_LISTED", 4)
     with pytest.raises(ValueError) as err:
@@ -380,7 +382,7 @@ def test_listing_cap_names_the_bottom(monkeypatch):
 
 
 def test_enumeration_cached(b2):
-    iv = build_lower_interval(b2, el(b2, "s1 s2 s1"))
+    iv = build_lower_interval(el(b2, "s1 s2 s1"))
     assert enumerate_special_matchings(iv) == \
         enumerate_special_matchings(iv)
 
@@ -391,7 +393,7 @@ def test_enumeration_cached(b2):
 
 def case2_matching(i24):
     top = el(i24, "s1 s2 s1 s2")
-    iv = build_lower_interval(i24, top)
+    iv = build_lower_interval(top)
     s, t = i24.generator(0), i24.generator(1)
     pairs = [
         (i24.identity, s),
@@ -434,7 +436,7 @@ def test_orbit_sizes_have_dihedral_witness(b3):
     # any orbit size of <M, N> also occurs inside the lower dihedral
     # interval generated by M(e) and N(e)
     w = el(b3, "s2 s3 s2 s1")
-    iv = build_lower_interval(b3, w)
+    iv = build_lower_interval(w)
     sms = enumerate_special_matchings(iv)
     for M in sms:
         for N in sms:
@@ -444,7 +446,7 @@ def test_orbit_sizes_have_dihedral_witness(b3):
                 continue
             top0 = max_parabolic_below(b3, w, support(s) | support(t))
             dihedral_sizes = set()
-            for u in build_lower_interval(b3, top0).elements:
+            for u in build_lower_interval(top0).elements:
                 dihedral_sizes.add(len(orbit(iv, M, N, u)))
             for u in iv.elements:
                 assert len(orbit(iv, M, N, u)) in dihedral_sizes
@@ -458,9 +460,9 @@ def test_commutes_matches_dihedral_criterion():
     corpus = []
     b2 = CoxeterSystem.B(2)
     a3 = CoxeterSystem.A(3)
-    corpus.append(build_lower_interval(b2, b2.element_from_word((0, 1, 0, 1))))
-    corpus.append(build_lower_interval(a3, a3.element_from_word((0, 1, 2, 0))))
-    corpus.append(build_lower_interval(a3, a3.element_from_word((1, 0, 2, 1))))
+    corpus.append(build_lower_interval(b2.element_from_word((0, 1, 0, 1))))
+    corpus.append(build_lower_interval(a3.element_from_word((0, 1, 2, 0))))
+    corpus.append(build_lower_interval(a3.element_from_word((1, 0, 2, 1))))
     for iv in corpus:
         sms = enumerate_special_matchings(iv)
         for M in sms:
@@ -471,7 +473,7 @@ def test_commutes_matches_dihedral_criterion():
 
 def test_find_commuting_multiplication_matching(b2):
     w = el(b2, "s1 s2 s1 s2")
-    iv = build_lower_interval(b2, w)
+    iv = build_lower_interval(w)
     rho_s = multiplication_matching(iv, 0, "right")
     got = find_commuting_multiplication_matching(iv, rho_s, "left")
     assert got is not None
@@ -485,7 +487,7 @@ def test_find_commuting_multiplication_matching(b2):
 
 def test_is_H_special_example(b2):
     w = el(b2, "s1 s2 s1 s2")
-    iv = build_lower_interval(b2, w)
+    iv = build_lower_interval(w)
     marked = mark_interval(iv, genset([1]))
     lam_s = multiplication_matching(iv, 0, "left")
     rho_s = multiplication_matching(iv, 0, "right")
@@ -505,7 +507,7 @@ def test_is_H_special_matches_length_definition(sys_):
     # from ids or marks: M sends no u in W^H with l(M(u)) < l(u) out of W^H
     outcomes = set()
     for w in sys_.group_elements():
-        iv = build_lower_interval(sys_, w)
+        iv = build_lower_interval(w)
         els = iv.elements
         matchings = enumerate_special_matchings(iv)
         for H in range(1 << sys_.rank):
@@ -526,8 +528,8 @@ def test_is_H_special_matches_length_definition(sys_):
 def test_is_H_special_rejects_wrong_length(b2):
     # a pairing is only ids, so its length is all that ties it to an
     # interval: one of the 6-element [e, s1s2s1] is refused on [e, s1s2]
-    iv = build_lower_interval(b2, el(b2, "s1 s2"))
-    other = build_lower_interval(b2, el(b2, "s1 s2 s1"))
+    iv = build_lower_interval(el(b2, "s1 s2"))
+    other = build_lower_interval(el(b2, "s1 s2 s1"))
     marked = mark_interval(iv, genset([0]))
     with pytest.raises(ValueError, match="wrong size"):
         is_H_special(marked, multiplication_matching(other, 0, "right"))
@@ -539,7 +541,7 @@ def test_is_H_special_rejects_wrong_length(b2):
 
 def test_restrict_matching(b2):
     top = el(b2, "s1 s2 s1 s2")
-    iv = build_lower_interval(b2, top)
+    iv = build_lower_interval(top)
     rho_s = multiplication_matching(iv, 0, "right")
     sub, R = restrict_matching(iv, rho_s, el(b2, "s2"), top)
     assert len(sub.elements) == 6
@@ -560,11 +562,10 @@ def test_restrict_matching(b2):
 def test_trivial_right_system_is_right_multiplication(a3):
     w = el(a3, "s2 s1 s3 s2")
     assert w.rdesc == genset([1])
-    dom = build_lower_interval(
-        a3, max_parabolic_below(a3, w, genset([1, 0])))
+    dom = build_lower_interval(max_parabolic_below(a3, w, genset([1, 0])))
     M_st = multiplication_matching(dom, 1, "right")
     system = DihedralSystem("right", genset([1]), 1, 0, dom, M_st)
-    iv = build_lower_interval(a3, w)
+    iv = build_lower_interval(w)
     ok, bad = verify_system(iv, system)
     assert ok, bad
     M = matching_from_system(iv, system)
@@ -574,11 +575,10 @@ def test_trivial_right_system_is_right_multiplication(a3):
 def test_trivial_left_system_is_left_multiplication(b3):
     w = el(b3, "s2 s3 s2 s1")
     assert w.ldesc == genset([1])
-    dom = build_lower_interval(
-        b3, max_parabolic_below(b3, w, genset([1, 2])))
+    dom = build_lower_interval(max_parabolic_below(b3, w, genset([1, 2])))
     M_st = multiplication_matching(dom, 1, "left")
     system = DihedralSystem("left", genset([1]), 1, 2, dom, M_st)
-    iv = build_lower_interval(b3, w)
+    iv = build_lower_interval(w)
     ok, bad = verify_system(iv, system)
     assert ok, bad
     M = matching_from_system(iv, system)
@@ -587,7 +587,7 @@ def test_trivial_left_system_is_left_multiplication(b3):
 
 def test_verify_system_rejects_bad_shape(b2):
     w = el(b2, "s1 s2 s1 s2")
-    dom = build_lower_interval(b2, w)
+    dom = build_lower_interval(w)
     M_st = multiplication_matching(dom, 1, "right")  # sends e to t, not s
     system = DihedralSystem("right", genset([0]), 0, 1, dom, M_st)
     ok, bad = verify_system(dom, system)
@@ -599,13 +599,13 @@ def test_systems_cover_all_special_matchings_small():
     for w in a2.group_elements():
         if w.length == 0:
             continue
-        iv = build_lower_interval(a2, w)
+        iv = build_lower_interval(w)
         want = set(enumerate_special_matchings(iv))
         got = {M for _, M in enumerate_verified_systems(a2, w)}
         assert got == want
     b2 = CoxeterSystem.B(2)
     w = b2.element_from_word((0, 1, 0))
-    want = set(enumerate_special_matchings(build_lower_interval(b2, w)))
+    want = set(enumerate_special_matchings(build_lower_interval(w)))
     got = {M for _, M in enumerate_verified_systems(b2, w)}
     assert got == want
 
@@ -621,7 +621,7 @@ def test_triangle_group_system_without_distinguishing_left_matching(
     assert w.length == 5
     top0 = max_parabolic_below(W, w, genset([0, 1]))
     assert top0 is W.element_from_word((0, 1, 0, 1))
-    dom = build_lower_interval(W, top0)
+    dom = build_lower_interval(top0)
     s, t = W.generator(0), W.generator(1)
     M_st = matching_from_element_pairs(dom, [
         (W.identity, s),
@@ -631,7 +631,7 @@ def test_triangle_group_system_without_distinguishing_left_matching(
     ])
     assert is_special(dom, M_st)
     system = DihedralSystem("right", genset([0, 2]), 0, 1, dom, M_st)
-    iv = build_lower_interval(W, w)
+    iv = build_lower_interval(w)
     ok, bad = verify_system(iv, system)
     assert ok, bad
     M = matching_from_system(iv, system)
@@ -651,7 +651,7 @@ def test_system_matchings_are_special_everywhere(b2):
     for w in b2.group_elements():
         if w.length < 2:
             continue
-        iv = build_lower_interval(b2, w)
+        iv = build_lower_interval(w)
         for system, M in enumerate_verified_systems(b2, w):
             assert is_special(iv, M)
             assert image(iv, M, iv.bottom) is b2.generator(system.s)
@@ -663,16 +663,16 @@ def test_verified_systems_build_each_interval_once(b3, monkeypatch):
     builds = []
     build = matching_helpers.build_lower_interval
 
-    def counting(sys_, w):
+    def counting(w):
         builds.append(w)
-        return build(sys_, w)
+        return build(w)
 
     monkeypatch.setattr(matching_helpers, "build_lower_interval", counting)
     tops = [w for w in b3.group_elements() if w.length]
     for w in tops:
         induced = {M for _, M in enumerate_verified_systems(b3, w)}
         assert set(enumerate_special_matchings(
-            build_lower_interval(b3, w))) == induced
+            build_lower_interval(w))) == induced
     assert len(tops) == 47
     assert len(builds) <= len(tops) * (1 + b3.rank * (b3.rank - 1))
 
@@ -682,7 +682,7 @@ def test_verified_systems_build_each_interval_once(b3, monkeypatch):
 
 
 def test_matching_json_roundtrip(b2):
-    iv = build_lower_interval(b2, el(b2, "s1 s2 s1 s2"))
+    iv = build_lower_interval(el(b2, "s1 s2 s1 s2"))
     for M in enumerate_special_matchings(iv):
         data = matching_to_json(M)
         assert data["source"] == "enumerated"
@@ -705,7 +705,7 @@ def test_matching_json_roundtrip(b2):
 def test_matching_from_json_rejects_malformed_pairs(b2, pairs):
     # counterexample records are read back from outside the program, so a
     # malformed one ends in ValueError, not an IndexError or a TypeError
-    iv = build_lower_interval(b2, el(b2, "s1 s2"))
+    iv = build_lower_interval(el(b2, "s1 s2"))
     assert len(iv) == 4
     with pytest.raises(ValueError, match="bad pair"):
         matching_from_json(iv, {"pairs": pairs})

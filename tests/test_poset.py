@@ -33,7 +33,7 @@ from oracles import (
 ])
 def test_interval_membership_matches_subword_oracle(sys):
     for w in sys.group_elements():
-        iv = build_lower_interval(sys, w)
+        iv = build_lower_interval(w)
         assert set(iv.elements) == subword_reachable(sys, w)
         # ids sorted by (length, word); extremes in place; covers listed in
         # increasing id order, which the constructors keep without a sort.
@@ -45,7 +45,7 @@ def test_interval_membership_matches_subword_oracle(sys):
         for lo, u in enumerate(iv.elements):
             sub, ids = iv.subinterval(lo, top)
             assert list(ids) == sorted(ids)
-            built += [sub, build_interval(sys, u, w)]
+            built += [sub, build_interval(u, w)]
         for b in built:
             assert list(b.elements) == sorted(b.elements)
             assert b.elements[0] is b.bottom
@@ -57,9 +57,9 @@ def test_interval_membership_matches_subword_oracle(sys):
 
 
 def test_interval_sizes(a2, b2):
-    assert len(build_lower_interval(b2, b2.element_from_labels("s1s2s1s2"))) == 8
-    assert len(build_lower_interval(a2, a2.element_from_labels("s1s2s1"))) == 6
-    assert len(build_lower_interval(a2, a2.identity)) == 1
+    assert len(build_lower_interval(b2.element_from_labels("s1s2s1s2"))) == 8
+    assert len(build_lower_interval(a2.element_from_labels("s1s2s1"))) == 6
+    assert len(build_lower_interval(a2.identity)) == 1
 
 
 @pytest.mark.parametrize("sys", [
@@ -67,7 +67,7 @@ def test_interval_sizes(a2, b2):
 ])
 def test_hasse_edges_are_covers(sys):
     for w in sys.group_elements():
-        iv = build_lower_interval(sys, w)
+        iv = build_lower_interval(w)
         n = len(iv.elements)
         for b in range(n):
             for a in iv.hasse_down[b]:
@@ -82,7 +82,7 @@ def test_hasse_edges_are_covers(sys):
 
 def test_graded(b3):
     for w in b3.group_elements():
-        iv = build_lower_interval(b3, w)
+        iv = build_lower_interval(w)
         n = len(iv.elements)
         up = upper_covers(iv)
         for i in range(n):
@@ -94,13 +94,13 @@ def test_graded(b3):
 
 def _lower_intervals(sys):
     """[e, w] for every w of the group."""
-    return [build_lower_interval(sys, w) for w in sys.group_elements()]
+    return [build_lower_interval(w) for w in sys.group_elements()]
 
 
 def _subintervals(sys):
     """[u, v] for every u <= v of the group, each cut out of [e, w0] by
     `subinterval`."""
-    top = build_lower_interval(sys, sys.group_elements()[-1])
+    top = build_lower_interval(sys.group_elements()[-1])
     n = len(top)
     return [top.subinterval(lo, hi)[0]
             for lo in range(n) for hi in range(n) if top.leq(lo, hi)]
@@ -123,16 +123,22 @@ def test_leq_bitmasks():
 
 
 def test_subinterval_refuses_a_pair_that_is_not_ordered(f4):
-    iv = build_lower_interval(f4, f4.element_from_labels("s1s2"))
+    iv = build_lower_interval(f4.element_from_labels("s1s2"))
     with pytest.raises(ValueError, match="<s1> is not below <s2>"):
         iv.subinterval(1, 2)
     with pytest.raises(ValueError, match="<s1s2> is not below <s1>"):
         iv.subinterval(3, 1)
 
 
+def test_id_of_refuses_an_element_outside_the_interval(b2):
+    iv = build_lower_interval(b2.element_from_labels("s1s2"))
+    with pytest.raises(ValueError, match="<s2s1> is not in"):
+        iv.id_of(b2.element_from_labels("s2s1"))
+
+
 def test_atoms_coatoms(a2):
     sts = a2.element_from_labels("s1s2s1")
-    iv = build_lower_interval(a2, sts)
+    iv = build_lower_interval(sts)
     coatoms = tuple(iv.elements[j] for j in iv.hasse_down[iv.id_of(sts)])
     atoms = tuple(iv.elements[j]
                   for j in upper_covers(iv)[iv.id_of(a2.identity)])
@@ -144,7 +150,7 @@ def test_atoms_coatoms(a2):
 def test_marking(f4):
     H = genset([0, 1, 2])
     v = f4.element_from_labels("s3s4s2s3s1s2s3s4")
-    mi = mark_interval(build_lower_interval(f4, v), H)
+    mi = mark_interval(build_lower_interval(v), H)
     u = f4.element_from_labels("s3s1s2s3s4")
     assert mi.marks[mi.interval.id_of(u)]
     assert mi.marks[0]  # identity is always a minimal representative
@@ -154,14 +160,14 @@ def test_marking(f4):
 
 @pytest.mark.parametrize("H", [-1, 1 << 4, 1 << 7])
 def test_marking_refuses_H_outside_the_generators(f4, H):
-    iv = build_lower_interval(f4, f4.element_from_labels("s1s2"))
+    iv = build_lower_interval(f4.element_from_labels("s1s2"))
     with pytest.raises(ValueError, match="not a subset of the generators"):
         mark_interval(iv, H)
 
 
 def test_subinterval(b3):
     w = b3.element_from_labels("s1s2s3s2s1")
-    iv = build_lower_interval(b3, w)
+    iv = build_lower_interval(w)
     lo = iv.id_of(b3.generator(0))
     sub, ids = iv.subinterval(lo, len(iv.elements) - 1)
     assert sub.bottom is b3.generator(0)
@@ -175,29 +181,29 @@ def test_subinterval(b3):
 def test_general_interval(b2):
     s = b2.generator(0)
     top = b2.element_from_labels("s1s2s1")
-    iv = build_interval(b2, s, top)
+    iv = build_interval(s, top)
     assert len(iv.elements) == 4
     with pytest.raises(ValueError):
-        build_interval(b2, b2.element_from_labels("s2"),
+        build_interval(b2.element_from_labels("s2"),
                        b2.element_from_labels("s1"))
 
 
 def test_dihedral_detection(a3, b2):
     assert is_dihedral_interval(
-        build_lower_interval(b2, b2.element_from_labels("s1")))
+        build_lower_interval(b2.element_from_labels("s1")))
     assert is_dihedral_interval(
-        build_lower_interval(b2, b2.element_from_labels("s1s2s1s2")))
+        build_lower_interval(b2.element_from_labels("s1s2s1s2")))
     assert is_dihedral_interval(
-        build_lower_interval(a3, a3.element_from_labels("s1s3")))
+        build_lower_interval(a3.element_from_labels("s1s3")))
     assert not is_dihedral_interval(
-        build_lower_interval(a3, a3.element_from_labels("s1s2s3")))
-    assert is_dihedral_interval(build_lower_interval(a3, a3.identity))
+        build_lower_interval(a3.element_from_labels("s1s2s3")))
+    assert is_dihedral_interval(build_lower_interval(a3.identity))
 
 
 def test_dihedral_matches_rank2_shape(b3):
     # every [e,w] flagged dihedral must be isomorphic to a rank-2 interval
     for w in b3.group_elements():
-        iv = build_lower_interval(b3, w)
+        iv = build_lower_interval(w)
         if not is_dihedral_interval(iv):
             continue
         k = w.length
@@ -207,13 +213,13 @@ def test_dihedral_matches_rank2_shape(b3):
         ref_sys = CoxeterSystem.I2(m)
         ref_top = ref_sys.element_from_word(
             tuple(i % 2 for i in range(k)))
-        ref = build_lower_interval(ref_sys, ref_top)
+        ref = build_lower_interval(ref_top)
         assert find_isomorphism(iv, ref) is not None
 
 
 def test_isomorphism_basic(b2, a2):
-    iv1 = build_lower_interval(b2, b2.element_from_labels("s1s2s1"))
-    iv2 = build_lower_interval(b2, b2.element_from_labels("s2s1s2"))
+    iv1 = build_lower_interval(b2.element_from_labels("s1s2s1"))
+    iv2 = build_lower_interval(b2.element_from_labels("s2s1s2"))
     # identity on an interval paired with itself
     assert find_isomorphism(iv1, iv1) == tuple(range(len(iv1.elements)))
     phi = find_isomorphism(iv1, iv2)
@@ -222,15 +228,15 @@ def test_isomorphism_basic(b2, a2):
     for b in range(len(iv1.elements)):
         for a in iv1.hasse_down[b]:
             assert phi[a] in iv2.hasse_down[phi[b]]
-    sts = build_lower_interval(a2, a2.element_from_labels("s1s2s1"))
+    sts = build_lower_interval(a2.element_from_labels("s1s2s1"))
     # [e, sts] in A2 and [e, s1s2s1] in B2 share the 1-2-2-1 bipartite shape
     assert find_isomorphism(sts, iv1) is not None
-    full_b2 = build_lower_interval(b2, b2.element_from_labels("s1s2s1s2"))
+    full_b2 = build_lower_interval(b2.element_from_labels("s1s2s1s2"))
     assert find_isomorphism(sts, full_b2) is None  # 6 vs 8 elements
 
 
 def test_isomorphism_respects_marks(b2):
-    iv = build_lower_interval(b2, b2.element_from_labels("s1s2s1s2"))
+    iv = build_lower_interval(b2.element_from_labels("s1s2s1s2"))
     plain = mark_interval(iv, 0)
     h1 = mark_interval(iv, genset([0]))
     h2 = mark_interval(iv, genset([1]))
@@ -246,8 +252,8 @@ def test_isomorphism_respects_marks(b2):
 def test_isomorphism_nontrivial_negative(a3, b3):
     # same size (8 elements), different structure: the rank-3 cube versus
     # the rank-4 dihedral interval
-    iv_a = build_lower_interval(a3, a3.element_from_labels("s1s2s3"))
-    iv_b = build_lower_interval(b3, b3.element_from_labels("s2s3s2s3"))
+    iv_a = build_lower_interval(a3.element_from_labels("s1s2s3"))
+    iv_b = build_lower_interval(b3.element_from_labels("s2s3s2s3"))
     assert len(iv_a.elements) == len(iv_b.elements)
     assert find_isomorphism(iv_a, iv_b) is None
 
@@ -258,7 +264,7 @@ def test_isomorphism_nontrivial_negative(a3, b3):
 
 def _quotient(sys, H, u, v):
     """The interval [u, v], given by labels, marked by H."""
-    return mark_interval(build_interval(sys, sys.element_from_labels(u),
+    return mark_interval(build_interval(sys.element_from_labels(u),
                                         sys.element_from_labels(v)), H)
 
 
@@ -266,7 +272,7 @@ def _marked_quotients(sys):
     """[u, v] marked by H for every H and every u <= v in W^H, each cut
     out of [e, v] by `subinterval`."""
     for v in sys.group_elements():
-        lower = build_lower_interval(sys, v)
+        lower = build_lower_interval(v)
         top = len(lower) - 1
         for H in range(1 << sys.rank):
             if v.rdesc & H:
@@ -501,7 +507,7 @@ def test_marked_isomorphism_matches_union_refinement_on_small_groups():
     # w in W^H, of A3, B2 and B3
     pairs = isomorphic = 0
     for sys in (CoxeterSystem.A(3), CoxeterSystem.B(2), CoxeterSystem.B(3)):
-        marked = [mark_interval(build_lower_interval(sys, w), H)
+        marked = [mark_interval(build_lower_interval(w), H)
                   for w in sys.group_elements()
                   for H in range(1 << sys.rank) if not w.rdesc & H]
         for a, b in itertools.product(marked, repeat=2):
@@ -527,8 +533,8 @@ F4_SCAN_ENTRIES = (
 
 
 def test_marked_isomorphism_matches_union_refinement_on_f4_scan(f4):
-    marked = [mark_interval(build_lower_interval(
-                  f4, f4.element_from_labels(w)), parse_genset(f4, H))
+    marked = [mark_interval(build_lower_interval(f4.element_from_labels(w)),
+                            parse_genset(f4, H))
               for H, w in F4_SCAN_ENTRIES]
     palette: dict = {}
     colors = [marked_colors(m, palette) for m in marked]
@@ -547,14 +553,15 @@ def test_isomorphism_of_f4_top_interval(f4):
     # 1152 elements: deeper than the default recursion limit
     w0 = f4.element_from_labels(
         "s1s2s1s3s2s1s3s2s3s4s3s2s1s3s2s3s4s3s2s1s3s2s3s4")
-    iv = build_lower_interval(f4, w0)
+    iv = build_lower_interval(w0)
     assert len(iv) == 1152
     assert find_isomorphism(iv, iv) == tuple(range(1152))
 
 
 def test_interval_json(b2):
-    iv = build_lower_interval(b2, b2.element_from_labels("s1s2"))
-    data = interval_to_json(iv, mark_interval(iv, genset([1])))
+    iv = build_lower_interval(b2.element_from_labels("s1s2"))
+    assert iv.system is b2  # read from the members
+    data = interval_to_json(iv, genset([1]))
     assert data["top"] == "s1s2"
     assert data["H"] == ["s2"]
     assert [e["word"] for e in data["elements"]] == ["e", "s1", "s2", "s1s2"]
