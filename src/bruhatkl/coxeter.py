@@ -292,8 +292,6 @@ class CoxeterSystem:
         self.identity = Element(self, (), 0, 0, id_state, 0)
         self._intern_table: dict = {self._state_key(id_state): self.identity}
         self._by_id = [self.identity]  # element ids index this list
-        self._levels = [[self.identity]]
-        self._levels_complete = False
         self._kl_contexts: dict = {}
 
     # -- construction helpers ------------------------------------------------
@@ -701,35 +699,29 @@ class CoxeterSystem:
 
     # -- enumeration -------------------------------------------------------------
 
-    def _extend_levels(self, upto: int, cap: int = _MAX_ELEMENTS) -> None:
-        """Fill the levels up to length upto; ValueError past ``cap``."""
-        total = sum(len(lvl) for lvl in self._levels)
-        while len(self._levels) <= upto and not self._levels_complete:
-            nxt = set()
-            for w in self._levels[-1]:
-                for s in range(self.rank):
-                    if not (w.rdesc >> s) & 1:
-                        nxt.add(self.multiply_by_generator(w, s))
-            total += len(nxt)
-            if total > cap:
+    def _walk(self, max_length: Optional[int],
+              cap: int = _MAX_ELEMENTS) -> list[Element]:
+        """The elements of length <= max_length (None: all), sorted by
+        (length, word): a fresh walk up from e, level by level through
+        right ascents.  ValueError as soon as more than ``cap`` are found."""
+        out, level, length = [self.identity], [self.identity], 0
+        while level and length != max_length:
+            length += 1
+            level = sorted({self.multiply_by_generator(w, s)
+                            for w in level for s in range(self.rank)
+                            if not (w.rdesc >> s) & 1})
+            out += level
+            if len(out) > cap:
                 raise ValueError("the group has more than %d elements of "
-                                 "length at most %d"
-                                 % (cap, len(self._levels)))
-            if not nxt:
-                self._levels_complete = True
-            else:
-                self._levels.append(sorted(nxt))
+                                 "length at most %d" % (cap, length))
+        return out
 
     def elements_up_to_length(self, max_length: int) -> list[Element]:
         """All elements of length <= max_length, sorted by (length, word).
         Raises ValueError past ``_MAX_ELEMENTS`` of them."""
         if max_length < 0:
             raise ValueError("length bound must be >= 0; got %d" % max_length)
-        self._extend_levels(max_length)
-        out: list[Element] = []
-        for lvl in self._levels[:max_length + 1]:
-            out.extend(lvl)
-        return out
+        return self._walk(max_length)
 
     def group_elements(self, cap: int = _MAX_ELEMENTS) -> list[Element]:
         """All elements of a finite group, sorted by (length, word).
@@ -737,6 +729,4 @@ class CoxeterSystem:
         ``cap`` elements are found."""
         if self._cartan is not None and not _is_finite_type(self._cartan):
             raise ValueError("%r is an infinite group" % self)
-        while not self._levels_complete:
-            self._extend_levels(len(self._levels), cap)
-        return self.elements_up_to_length(len(self._levels) - 1)
+        return self._walk(None, cap)

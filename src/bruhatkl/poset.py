@@ -44,10 +44,9 @@ class Interval:
     """A Bruhat or quotient interval, graded by l(z) - l(bottom).
 
     Element ids are positions in `elements`, the members sorted by
-    (length, word), whose coatoms their system has filled
-    (`CoxeterSystem.down_set`); id 0 is the bottom and the last id is the
-    top.  The lower covers of an id are its coatoms among the members,
-    sorted by (length, word) too, so they come out in increasing id order.
+    (length, word); id 0 is the bottom and the last id is the top.  The
+    lower covers of an id are its coatoms among the members, sorted by
+    (length, word) too, so they come out in increasing id order.
     """
 
     def __init__(self, elements: Sequence[Element]):
@@ -56,6 +55,8 @@ class Interval:
         self.index = index = {el: i for i, el in enumerate(self.elements)}
         base = self.bottom.length
         self.rank_of = tuple(el.length - base for el in self.elements)
+        # the members lie below the top, so this fills their coatoms
+        self.system.down_set(self.top)
         self.hasse_down = tuple(
             tuple([index[c] for c in el._coatoms if c in index])
             for el in self.elements)

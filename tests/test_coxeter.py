@@ -486,14 +486,17 @@ def test_group_sizes():
 
 def test_group_elements_raises_on_infinite_and_oversized_groups():
     tri = CoxeterSystem([[1, 4, 4], [4, 1, 4], [4, 4, 1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="is an infinite group$"):
         tri.group_elements(cap=5000)
-    assert len(tri._levels) < 14  # level 14 alone has 4857 elements
-    # a finite group past the cap stops at the first level that crosses it
+    assert len(tri._by_id) == 1  # refused before the walk: e alone
+    # a finite group past the cap stops at the first level that crosses
+    # it: A5 has 98 elements of length <= 4 and 169 of length <= 5
     a5 = CoxeterSystem.A(5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the group has more than 100 "
+                                         "elements of length at most 5$"):
         a5.group_elements(cap=100)
-    assert sum(len(lvl) for lvl in a5._levels[:-1]) <= 100
+    assert len(a5._by_id) == 169
+    assert max(w.length for w in a5._by_id) == 5
     assert len(a5.group_elements()) == 720
     assert len(CoxeterSystem.F4().group_elements()) == 1152
 

@@ -72,6 +72,27 @@ def test_default_max_length_large_or_infinite(f4, triangle443):
     assert default_max_length(CoxeterSystem.I2(201)) == 9  # 402: capped
 
 
+def test_walks_do_not_depend_on_earlier_walks():
+    # every walk starts afresh at e: neither default_max_length nor a cap
+    # sees what an earlier call interned
+    f4 = CoxeterSystem.F4()
+    assert len(f4.group_elements()) == 1152
+    assert default_max_length(f4) == 9
+    with pytest.raises(ValueError, match="more than 400 elements"):
+        f4.group_elements(cap=400)
+    f4.elements_up_to_length(24)
+    with pytest.raises(ValueError, match="^the group has more than 10 "
+                                         "elements of length at most 2$"):
+        f4.group_elements(cap=10)
+    assert len(f4.group_elements(cap=1152)) == 1152
+    a2 = CoxeterSystem.A(2)
+    assert len(a2.group_elements()) == 6
+    with pytest.raises(ValueError, match="more than 5 elements of length "
+                                         "at most 3$"):
+        a2.group_elements(cap=5)
+    assert len(a2.group_elements(cap=6)) == 6
+
+
 # ---------------------------------------------------------------------------
 # calculating sweeps
 

@@ -7,6 +7,7 @@ import pytest
 
 from bruhatkl.coxeter import CoxeterSystem, genset, parse_genset
 from bruhatkl.poset import (
+    Interval,
     _isomorphism,
     _quotient_interval,
     _stable_colors,
@@ -54,6 +55,16 @@ def test_interval_membership_matches_subword_oracle(sys):
                 assert list(covers) == sorted(set(covers))
         assert iv.elements[0] is sys.identity
         assert iv.elements[-1] is w
+
+
+@pytest.mark.parametrize("name", ["A2", "B3"])
+def test_interval_fills_the_coatoms_it_reads(name):
+    # on a fresh system no coatom is filled yet, and Interval fills them
+    sys = CoxeterSystem.from_name(name)
+    els = sys.group_elements()
+    assert all(w._coatoms is None for w in els[1:])
+    assert (Interval(els).hasse_down
+            == build_lower_interval(els[-1]).hasse_down)
 
 
 def test_interval_sizes(a2, b2):
